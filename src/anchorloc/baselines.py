@@ -8,26 +8,31 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geom import Pose
+from .geom import Pose, project_many
 from .matching import EmptyFeatureSet, global_descriptor, match_features, retrieve_top_k
-from .model import (
-    SfMModel,
-    lift_matches_to_3d,
-    merge_new_landmarks,
+from .model import NewLandmarkCandidate, SfMModel, merge_new_landmarks
+from .pipeline import (
+    PipelineConfig,
+    _attempt_registration,
+    _db_retrieval_index,
+    _frame_seed,
+    match_lift_pnp,
+    retrieve_candidates,
 )
-from .pipeline import PipelineConfig, _attempt_registration, _db_retrieval_index, _frame_seed
 from .solvers import (
     FreezeMask,
     SolverError,
     bundle_adjust,
     estimate_relative_pose,
     epipolar_inlier_indices,
-    ransac_pnp,
     refine_relative_pose,
     triangulate,
     umeyama_similarity,
 )
-from .model import NewLandmarkCandidate
+
+# not called here; perfbench/tracing.py wraps these names on this module
+from .model import lift_matches_to_3d  # noqa: F401
+from .solvers import ransac_pnp  # noqa: F401
 
 
 class InitializationFailure(Exception):
@@ -66,34 +71,13 @@ def single_image_localize(model: SfMModel, sequence, cfg: PipelineConfig) -> Bas
     db_index = _db_retrieval_index(model)
     results = []
     for frame in sorted(sequence, key=lambda f: f.timestamp):
-        pose = None
-        n_corrs = 0
-        n_inliers = 0
-        status = "failed"
+        pose, corrs, inliers = None, [], []
         if len(frame.features) > 0:
-            try:
-                g = global_descriptor(frame.features)
-            except EmptyFeatureSet:
-                g = None
-            if g is not None:
-                cands = retrieve_top_k(g, db_index, cfg.k_retrieval)
-                all_matches = []
-                for cid in cands:
-                    cand = model.frames[cid]
-                    for m in match_features(frame.features, cand.features, cfg.match_ratio, cfg.mutual_match):
-                        all_matches.append((m.query_index, cid, m.target_index, m.distance))
-                corrs = lift_matches_to_3d(model, frame.features, all_matches)
-                n_corrs = len(corrs)
-                if n_corrs >= cfg.min_2d3d:
-                    rcfg = replace(cfg.ransac, rng_seed=_frame_seed(cfg, frame.id))
-                    try:
-                        pose, inliers = ransac_pnp(corrs, frame.intrinsics, rcfg)
-                        n_inliers = len(inliers)
-                        status = "registered"
-                    except SolverError:
-                        pose = None
+            cands = retrieve_candidates(db_index, frame, cfg.k_retrieval)
+            _, corrs, pose, inliers = match_lift_pnp(model, frame, cands, cfg)
+        status = "failed" if pose is None else "registered"
         results.append(
-            BaselineFrameResult(frame.id, frame.timestamp, status, pose, n_corrs, n_inliers)
+            BaselineFrameResult(frame.id, frame.timestamp, status, pose, len(corrs), len(inliers))
         )
     return BaselineReport("single_image", results)
 
@@ -161,13 +145,8 @@ def _prune_landmarks(model: SfMModel, max_reprojection_px):
     for lm in model.landmarks.values():
         for fid, fidx in lm.track:
             fr = model.frames[fid]
-            q = fr.pose.apply(lm.position)
-            if q[2] <= 0:
-                bad.append(lm.id)
-                break
-            intr = fr.intrinsics
-            uv = np.array([intr.fx * q[0] / q[2] + intr.cx, intr.fy * q[1] / q[2] + intr.cy])
-            if np.linalg.norm(uv - fr.features.pixels[fidx]) > max_reprojection_px:
+            uv, z = project_many(fr.pose.R, fr.pose.t, fr.intrinsics, lm.position[None])
+            if z[0] <= 0 or np.linalg.norm(uv[0] - fr.features.pixels[fidx]) > max_reprojection_px:
                 bad.append(lm.id)
                 break
     for lid in bad:

@@ -17,7 +17,6 @@ import numpy as np
 from .baselines import InitializationFailure, onthefly_sfm, single_image_localize
 from .config import ConfigError, parse_run_config
 from .geom import Pose
-from .matching import FeatureSet
 from .metrics import (
     compare_methods,
     compute_metrics,
@@ -82,8 +81,11 @@ def load_ground_truth(path):
             continue
         if len(tok) != 9:
             raise CliError(EXIT_IO, f"{path}:{ln}: expected 9 fields")
-        vals = [float(v) for v in tok[2:]]
-        out[int(tok[0])] = (float(tok[1]), Pose(np.array(vals[:4]), np.array(vals[4:])))
+        try:
+            vals = [float(v) for v in tok[2:]]
+            out[int(tok[0])] = (float(tok[1]), Pose(np.array(vals[:4]), np.array(vals[4:])))
+        except ValueError as e:
+            raise CliError(EXIT_IO, f"{path}:{ln}: {e}")
     return out
 
 
@@ -104,7 +106,16 @@ def load_scores(path):
         raw = fh.read().splitlines()
     if not raw or raw[0] != SCORES_HEADER:
         raise CliError(EXIT_IO, f"{path}: not an anchor-score file")
-    return {int(t[0]): float(t[1]) for t in (l.split() for l in raw[1:] if l.strip())}
+    out = {}
+    for ln, line in enumerate(raw[1:], start=2):
+        tok = line.split()
+        if not tok:
+            continue
+        try:
+            out[int(tok[0])] = float(tok[1])
+        except (ValueError, IndexError) as e:
+            raise CliError(EXIT_IO, f"{path}:{ln}: bad score line: {e}")
+    return out
 
 
 def _frames_to_model(frames, intr, status, with_pose):
@@ -160,11 +171,17 @@ def cmd_build_ref(args):
     if not raw or raw[0] != "ANCHORLOC_TRACKS 1":
         raise CliError(EXIT_IO, "tracks_db.txt: bad header")
     tracks = {}
-    for line in raw[1:]:
+    for ln, line in enumerate(raw[1:], start=2):
         tok = line.split()
         if not tok:
             continue
-        tracks.setdefault(int(tok[2]), []).append((int(tok[0]), int(tok[1])))
+        try:
+            fid, fidx, lid = (int(v) for v in tok)
+        except ValueError as e:
+            raise CliError(EXIT_IO, f"tracks_db.txt:{ln}: expected frame, feature and landmark ids: {e}")
+        if fid not in db.frames or not 0 <= fidx < len(db.frames[fid].features):
+            raise CliError(EXIT_IO, f"tracks_db.txt:{ln}: ({fid}, {fidx}) names no database feature")
+        tracks.setdefault(lid, []).append((fid, fidx))
     model = reference_model_from_tracks(list(db.frames.values()), tracks)
     save_model(model, args.out)
     print(f"reference model: {len(model.frames)} frames, {len(model.landmarks)} landmarks")
@@ -176,14 +193,14 @@ def _load_sequence(path):
     return sorted(seq_model.frames.values(), key=lambda f: (f.timestamp, f.id))
 
 
-def _event_log_lines(result):
-    lines = []
-    for ev in result.frame_events:
-        err = _fmt(ev.error) if ev.error is not None else "-"
-        lines.append(
-            f"{ev.frame_id} {ev.status} {ev.n_candidates} {ev.n_corrs} {ev.n_inliers} {err}"
-        )
-    return lines
+def _write_event_log(path, rows):
+    """One line per frame: id status n_candidates n_corrs n_inliers error."""
+    lines = [
+        f"{fid} {status} {n_cand} {n_corrs} {n_inliers} {_fmt(err) if err is not None else '-'}"
+        for fid, status, n_cand, n_corrs, n_inliers, err in rows
+    ]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def cmd_localize(args):
@@ -221,8 +238,7 @@ def cmd_localize(args):
         except (NoAnchorsFound, AllAnchorsFailed) as e:
             raise CliError(EXIT_PIPELINE, str(e))
         entries = entries_from_pipeline_result(result)
-        with open(log_path, "w") as fh:
-            fh.write("\n".join(_event_log_lines(result)) + "\n")
+        events = [(ev.frame_id, ev.status, ev.n_candidates, ev.n_corrs, ev.n_inliers, ev.error) for ev in result.frame_events]
         save_model(result.model, os.path.join(args.out, "augmented_model.txt"))
     elif args.method == "single":
         report = single_image_localize(model, sequence, pipe_cfg)
@@ -230,16 +246,6 @@ def cmd_localize(args):
             for r in report.frames:
                 if r.pose is not None and r.frame_id in gt:
                     r.error = float(np.linalg.norm(r.pose.center() - gt[r.frame_id]))
-        entries = entries_from_baseline_report(report)
-        with open(log_path, "w") as fh:
-            fh.write(
-                "\n".join(
-                    f"{r.frame_id} {r.status} 0 {r.n_corrs} {r.n_inliers} "
-                    + (_fmt(r.error) if r.error is not None else "-")
-                    for r in report.frames
-                )
-                + "\n"
-            )
     else:  # onthefly
         if gt is None:
             raise CliError(EXIT_CONFIG, "--gt is required for --method onthefly")
@@ -247,17 +253,12 @@ def cmd_localize(args):
             _, report = onthefly_sfm(sequence, pipe_cfg, gt)
         except InitializationFailure as e:
             raise CliError(EXIT_PIPELINE, str(e))
+    if args.method != "proposed":
         entries = entries_from_baseline_report(report)
-        with open(log_path, "w") as fh:
-            fh.write(
-                "\n".join(
-                    f"{r.frame_id} {r.status} 0 {r.n_corrs} {r.n_inliers} "
-                    + (_fmt(r.error) if r.error is not None else "-")
-                    for r in report.frames
-                )
-                + "\n"
-            )
+        # the baselines keep no candidate lists; their column reads 0
+        events = [(r.frame_id, r.status, 0, r.n_corrs, r.n_inliers, r.error) for r in report.frames]
 
+    _write_event_log(log_path, events)
     export_trajectory(entries, traj_path)
     registered = sum(1 for e in entries if e.pose is not None)
     print(f"{args.method}: registered {registered}/{len(entries)} frames -> {traj_path}")
@@ -271,9 +272,8 @@ def cmd_eval(args):
         for path in args.trajectories:
             entries = load_trajectory(path)
             name = os.path.basename(path)
-            for prefix, suffix in (("trajectory_", ".txt"),):
-                if name.startswith(prefix) and name.endswith(suffix):
-                    name = name[len(prefix) : -len(suffix)]
+            if name.startswith("trajectory_") and name.endswith(".txt"):
+                name = name[len("trajectory_") : -len(".txt")]
             reports.append(compute_metrics(entries, gt, method=name))
     except (OSError, ValueError) as e:
         raise CliError(EXIT_IO, str(e))
@@ -308,7 +308,6 @@ def build_parser():
     pb = sub.add_parser("build-ref", help="build the reference model from a dataset dir")
     pb.add_argument("--dataset", required=True)
     pb.add_argument("--out", required=True)
-    pb.add_argument("--mode", choices=["oracle"], default="oracle")
     pb.set_defaults(func=cmd_build_ref)
 
     pl = sub.add_parser("localize", help="localize a query sequence")

@@ -57,20 +57,23 @@ def _coerce(field: dataclasses.Field, value: str):
     raise ConfigError(f"cannot parse value for {field.name}")
 
 
-_SCENE_FIELDS = {f.name: f for f in dataclasses.fields(SceneConfig)}
-_PIPELINE_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
-_RANSAC_FIELDS = {f.name: f for f in dataclasses.fields(RansacConfig)}
-_BUNDLE_FIELDS = {f.name: f for f in dataclasses.fields(BundleConfig)}
-_TRI_FIELDS = {f.name: f for f in dataclasses.fields(TriangulationConfig)}
+def _fields(cls, skip=()):
+    return {f.name: f for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+# key prefix -> the fields it may set; nested sections before "pipeline."
+_SECTIONS = {
+    "scene.": _fields(SceneConfig),
+    "pipeline.ransac.": _fields(RansacConfig),
+    "pipeline.bundle.": _fields(BundleConfig),
+    "pipeline.triangulation.": _fields(TriangulationConfig),
+    "pipeline.": _fields(PipelineConfig, skip=("ransac", "bundle", "triangulation")),
+}
 
 
 def parse_run_config(path):
     """Returns (SceneConfig, PipelineConfig). Rejects unknown keys."""
-    scene_kv = {}
-    pipe_kv = {}
-    ransac_kv = {}
-    bundle_kv = {}
-    tri_kv = {}
+    kv = {prefix: {} for prefix in _SECTIONS}
     with open(path) as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -79,44 +82,23 @@ def parse_run_config(path):
             if "=" not in line:
                 raise ConfigError(f"{path}:{ln}: expected key = value")
             key, value = (s.strip() for s in line.split("=", 1))
-            if key.startswith("scene."):
-                name = key[len("scene.") :]
-                if name not in _SCENE_FIELDS:
-                    raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
-                scene_kv[name] = _coerce(_SCENE_FIELDS[name], value)
-            elif key.startswith("pipeline.ransac."):
-                name = key[len("pipeline.ransac.") :]
-                if name not in _RANSAC_FIELDS:
-                    raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
-                ransac_kv[name] = _coerce(_RANSAC_FIELDS[name], value)
-            elif key.startswith("pipeline.bundle."):
-                name = key[len("pipeline.bundle.") :]
-                if name not in _BUNDLE_FIELDS:
-                    raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
-                bundle_kv[name] = _coerce(_BUNDLE_FIELDS[name], value)
-            elif key.startswith("pipeline.triangulation."):
-                name = key[len("pipeline.triangulation.") :]
-                if name not in _TRI_FIELDS:
-                    raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
-                tri_kv[name] = _coerce(_TRI_FIELDS[name], value)
-            elif key.startswith("pipeline."):
-                name = key[len("pipeline.") :]
-                if name not in _PIPELINE_FIELDS or name in ("ransac", "bundle", "triangulation"):
-                    raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
-                pipe_kv[name] = _coerce(_PIPELINE_FIELDS[name], value)
-            else:
+            prefix = next((p for p in _SECTIONS if key.startswith(p)), None)
+            field = _SECTIONS[prefix].get(key[len(prefix) :]) if prefix else None
+            if field is None:
                 raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
+            try:
+                kv[prefix][field.name] = _coerce(field, value)
+            except (ConfigError, ValueError) as e:
+                raise ConfigError(f"{path}:{ln}: bad value for {key!r}: {e}") from e
 
     try:
-        scene = SceneConfig(**scene_kv)
+        scene = SceneConfig(**kv["scene."])
         pipeline = PipelineConfig(
-            ransac=RansacConfig(**ransac_kv),
-            bundle=BundleConfig(**bundle_kv),
-            triangulation=TriangulationConfig(**tri_kv),
-            **pipe_kv,
+            ransac=RansacConfig(**kv["pipeline.ransac."]),
+            bundle=BundleConfig(**kv["pipeline.bundle."]),
+            triangulation=TriangulationConfig(**kv["pipeline.triangulation."]),
+            **kv["pipeline."],
         )
-    except ConfigError:
-        raise
     except Exception as e:  # dataclass invariants double as validation
         raise ConfigError(str(e)) from e
     return scene, pipeline

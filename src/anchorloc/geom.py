@@ -199,10 +199,6 @@ class Pose:
         return Pose(self.q.copy(), self.t.copy())
 
 
-def poses_close(a: Pose, b: Pose, rot_tol=1e-9, trans_tol=1e-9):
-    return rotation_angle(a.R, b.R) <= rot_tol and np.all(np.abs(a.t - b.t) <= trans_tol)
-
-
 # ---------------------------------------------------------------------------
 # projection
 

@@ -161,12 +161,11 @@ def export_pointcloud(model, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def entries_from_pipeline_result(result, model=None):
+def entries_from_pipeline_result(result):
     """TrajectoryEntries from a pipeline LocalizationResult."""
-    model = model if model is not None else result.model
     out = []
     for ev in result.frame_events:
-        fr = model.frames.get(ev.frame_id)
+        fr = result.model.frames.get(ev.frame_id)
         pose = fr.pose if fr is not None else None
         out.append(TrajectoryEntry(ev.frame_id, ev.timestamp, ev.status, pose, ev.error))
     return out

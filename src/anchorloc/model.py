@@ -190,10 +190,9 @@ def merge_new_landmarks(model: SfMModel, frame_id: int, candidates) -> int:
             continue
         if len(cand.track) < 2:
             continue
-        lm = Landmark(model.new_landmark_id(), np.asarray(cand.position, dtype=float), "augmented", [tuple(k) for k in cand.track])
-        model.landmarks[lm.id] = lm
-        for key in lm.track:
-            model.obs_to_landmark[key] = lm.id
+        model.add_landmark(
+            Landmark(model.new_landmark_id(), np.asarray(cand.position, dtype=float), "augmented", [tuple(k) for k in cand.track])
+        )
         added += 1
     return added
 
@@ -328,7 +327,11 @@ def load_model(path) -> SfMModel:
                 n = int(tok[6])
                 track = []
                 for i in range(n):
-                    track.append((int(tok[7 + 2 * i]), int(tok[8 + 2 * i])))
+                    fid, fidx = int(tok[7 + 2 * i]), int(tok[8 + 2 * i])
+                    fr = model.frames.get(fid)
+                    if fr is None or not 0 <= fidx < len(fr.features):
+                        raise ModelFormatError(f"line {ln}: track entry ({fid}, {fidx}) names no feature")
+                    track.append((fid, fidx))
                 model.add_landmark(Landmark(lid, pos, tok[2], track))
             else:
                 raise ModelFormatError(f"line {ln}: unknown record {tok[0]!r}")

@@ -101,23 +101,6 @@ class LocalizationResult:
     model: SfMModel
 
 
-def oracle_anchor_detector(dataset):
-    """Detector scoring each frame by visible unique-object fraction.
-
-    Stands in for a trained anchor classifier; only valid for frames of
-    the given synthetic dataset.
-    """
-    from .synth import anchor_scores
-
-    scores = anchor_scores(dataset, which="query")
-    scores.update(anchor_scores(dataset, which="database"))
-
-    def detector(frame):
-        return scores.get(frame.id, 0.0)
-
-    return detector
-
-
 def detector_from_scores(scores: dict):
     """AnchorDetector backed by a precomputed frame id -> score table."""
 
@@ -140,27 +123,42 @@ def _frame_seed(cfg: PipelineConfig, frame_id: int) -> int:
     return (cfg.ransac.rng_seed * 1000003 + frame_id) % (2**63)
 
 
-def _attempt_registration(model: SfMModel, frame, candidate_ids, cfg: PipelineConfig, status):
-    """Match, lift, solve PnP, and grow the model for one frame.
+def match_lift_pnp(model: SfMModel, frame, candidate_ids, cfg: PipelineConfig):
+    """Match a frame against its candidates, lift to 2D-3D, solve PnP.
 
-    Returns (registered flag, n_corrs, n_inliers).
+    Leaves the model untouched. Returns (matches, corrs, pose, inliers):
+    matches as (query index, candidate id, candidate index, distance),
+    and pose None with no inliers when there are too few correspondences
+    or RANSAC fails.
     """
-    all_matches = []
+    matches = []
     for cid in candidate_ids:
         cand = model.frames.get(cid)
         if cand is None or len(cand.features) == 0:
             continue
         for m in match_features(frame.features, cand.features, cfg.match_ratio, cfg.mutual_match):
-            all_matches.append((m.query_index, cid, m.target_index, m.distance))
+            matches.append((m.query_index, cid, m.target_index, m.distance))
 
-    corrs = lift_matches_to_3d(model, frame.features, all_matches)
+    corrs = lift_matches_to_3d(model, frame.features, matches)
     if len(corrs) < cfg.min_2d3d:
-        return False, len(corrs), 0
+        return matches, corrs, None, []
 
     rcfg = replace(cfg.ransac, rng_seed=_frame_seed(cfg, frame.id))
     try:
         pose, inliers = ransac_pnp(corrs, frame.intrinsics, rcfg)
     except SolverError:
+        return matches, corrs, None, []
+    return matches, corrs, pose, inliers
+
+
+def _attempt_registration(model: SfMModel, frame, candidate_ids, cfg: PipelineConfig, status):
+    """Register one frame and grow the model: bind its inliers to their
+    landmarks and triangulate new ones from still-unbound matches.
+
+    Returns (registered flag, n_corrs, n_inliers).
+    """
+    all_matches, corrs, pose, inliers = match_lift_pnp(model, frame, candidate_ids, cfg)
+    if pose is None:
         return False, len(corrs), 0
 
     frame.pose = pose

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geom import Pose, quat_mul, quat_normalize, so3_exp_quat
+from ..geom import Pose, project_many, quat_mul, quat_normalize, so3_exp_quat
 from .errors import NumericalFailure
 
 _BAD_OBS_PENALTY = 1e8
@@ -139,12 +139,9 @@ def mean_reprojection_error(model, frame_ids=None):
                 continue
             if wanted is not None and fid not in wanted:
                 continue
-            q = fr.pose.apply(lm.position)
-            if q[2] <= 0:
-                continue
-            intr = fr.intrinsics
-            uv = np.array([intr.fx * q[0] / q[2] + intr.cx, intr.fy * q[1] / q[2] + intr.cy])
-            errs.append(np.linalg.norm(uv - fr.features.pixels[fidx]))
+            uv, z = project_many(fr.pose.R, fr.pose.t, fr.intrinsics, lm.position[None])
+            if z[0] > 0:
+                errs.append(np.linalg.norm(uv[0] - fr.features.pixels[fidx]))
     return float(np.mean(errs)) if errs else 0.0
 
 

@@ -6,7 +6,7 @@ draws and scores its hypotheses in such blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geom import CameraIntrinsics, Pose
+from ..geom import CameraIntrinsics, project_many
 from .errors import CheiralityFailure, InsufficientParallax, ReprojectionTooLarge
 
 
@@ -30,10 +30,12 @@ def triangulate(poses, pixels, intr: CameraIntrinsics, cfg: TriangulationConfig 
     if len(poses) < 2 or pixels.shape[0] != len(poses):
         raise ValueError("need >= 2 views with one pixel each")
 
+    Rs = np.array([p.R for p in poses])
+    ts = np.array([p.t for p in poses])
     K = intr.K
     rows = []
-    for pose, uv in zip(poses, pixels):
-        P = K @ np.hstack([pose.R, pose.t[:, None]])
+    for R, t, uv in zip(Rs, ts, pixels):
+        P = K @ np.hstack([R, t[:, None]])
         rows.append(uv[0] * P[2] - P[0])
         rows.append(uv[1] * P[2] - P[1])
     A = np.array(rows)
@@ -43,7 +45,7 @@ def triangulate(poses, pixels, intr: CameraIntrinsics, cfg: TriangulationConfig 
         raise InsufficientParallax("point at infinity")
     X = Xh[:3] / Xh[3]
 
-    centers = np.array([p.center() for p in poses])
+    centers = -(ts[:, None] @ Rs)[:, 0]  # -R^T t per view
     rays = X[None, :] - centers
     norms = np.linalg.norm(rays, axis=1)
     if np.any(norms < 1e-15):
@@ -57,13 +59,15 @@ def triangulate(poses, pixels, intr: CameraIntrinsics, cfg: TriangulationConfig 
     if max_angle < cfg.min_angle_deg:
         raise InsufficientParallax(f"max triangulation angle {max_angle:.3f} deg")
 
-    for pose, uv in zip(poses, pixels):
-        q = pose.apply(X)
-        if q[2] <= 0.0:
+    proj, z = project_many(Rs, ts, intr, X[None])
+    z = z[:, 0]
+    err = np.linalg.norm(proj[:, 0] - pixels, axis=1)
+    bad = (z <= 0.0) | (err > cfg.max_reprojection_px)
+    if bad.any():
+        # the first failing view decides; behind the camera, err is garbage
+        i = int(np.argmax(bad))
+        if z[i] <= 0.0:
             raise CheiralityFailure("point behind camera")
-        proj = np.array([intr.fx * q[0] / q[2] + intr.cx, intr.fy * q[1] / q[2] + intr.cy])
-        err = float(np.linalg.norm(proj - uv))
-        if err > cfg.max_reprojection_px:
-            raise ReprojectionTooLarge(f"reprojection error {err:.3f} px")
+        raise ReprojectionTooLarge(f"reprojection error {err[i]:.3f} px")
 
     return X

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import CameraIntrinsics, Pose
+from .geom import CameraIntrinsics, Pose, project_many
 from .matching import FeatureSet
 from .model import Frame, Landmark, SfMModel
 from .solvers.triangulation import TriangulationConfig, triangulate
@@ -228,17 +228,12 @@ def _sweep_poses(cfg: SceneConfig, n, stream, t0, z_offset=0.0, pans=()):
 
 def _observe(cfg: SceneConfig, intr, fid, pose, positions, descs, active=None):
     rng = np.random.default_rng([cfg.rng_seed, 2, fid])
-    pcam = pose.apply(positions)
-    z = pcam[:, 2]
+    uv, z = project_many(pose.R, pose.t, intr, positions)
     zmin = cfg.min_depth_factor * cfg.minor_radius
     zmax = cfg.max_depth_factor * cfg.minor_radius
     vis = (z > zmin) & (z < zmax)
     if active is not None:
         vis &= active
-    uv = np.zeros((len(positions), 2))
-    zz = np.where(vis, z, 1.0)
-    uv[:, 0] = intr.fx * pcam[:, 0] / zz + intr.cx
-    uv[:, 1] = intr.fy * pcam[:, 1] / zz + intr.cy
     vis &= intr.in_bounds(uv)
     idx = np.nonzero(vis)[0]
 
@@ -291,19 +286,12 @@ def generate_scene(cfg: SceneConfig) -> SyntheticDataset:
     return SyntheticDataset(cfg, positions, descs, unique_ids, angles, db_visible, database, query)
 
 
-def build_reference_model(dataset: SyntheticDataset, mode="oracle") -> SfMModel:
+def build_reference_model(dataset: SyntheticDataset) -> SfMModel:
     """Reference SfM model from the database sweeps.
 
-    oracle mode keeps the ground-truth database poses and triangulates
-    landmark positions from the (noisy) observations. reconstructed mode
-    runs incremental SfM on the database frames and aligns it to ground
-    truth with a similarity transform.
+    Keeps the ground-truth database poses and triangulates landmark
+    positions from the (noisy) observations.
     """
-    if mode == "reconstructed":
-        return _build_reference_reconstructed(dataset)
-    if mode != "oracle":
-        raise ValueError(f"unknown mode {mode!r}")
-
     intr = dataset.intrinsics()
     frames = [
         Frame(sf.id, sf.timestamp, intr, sf.features, sf.pose.copy(), "reference")
@@ -337,26 +325,6 @@ def reference_model_from_tracks(frames, tracks) -> SfMModel:
             continue
         model.add_landmark(Landmark(lid, X, "reference", list(track)))
     return model
-
-
-def _build_reference_reconstructed(dataset: SyntheticDataset) -> SfMModel:
-    from .baselines import onthefly_sfm
-    from .pipeline import PipelineConfig
-
-    cfg = PipelineConfig()
-    frames = [
-        Frame(sf.id, sf.timestamp, dataset.intrinsics(), sf.features, None, "pending")
-        for sf in dataset.database
-    ]
-    gt_centers = {sf.id: sf.pose.center() for sf in dataset.database}
-    recon, _report = onthefly_sfm(frames, cfg, gt_centers)
-    for fr in recon.frames.values():
-        if fr.pose is None:
-            raise RuntimeError(f"reconstruction failed to register frame {fr.id}")
-        fr.status = "reference"
-    for lm in recon.landmarks.values():
-        lm.origin = "reference"
-    return recon
 
 
 def anchor_scores(dataset: SyntheticDataset, which="query"):

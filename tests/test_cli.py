@@ -1,3 +1,5 @@
+import shutil
+
 import pytest
 
 from anchorloc.cli import main
@@ -108,6 +110,8 @@ def test_exit_code_config_error(workdir, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("scene.bogus = 1\n")
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "d")]) == 2
+    bad.write_text("scene.landmark_count = abc\n")
+    assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "d")]) == 2
     capsys.readouterr()
 
 
@@ -140,4 +144,39 @@ def test_exit_code_pipeline_error(workdir, tmp_path, capsys):
         extra=["--anchors", str(scores)],
     )
     assert code == 4
+    capsys.readouterr()
+
+
+# case -> (file under the fixture's workdir, localize flag taking it or None
+# for build-ref, prefix of the first body line to edit, token index, bad
+# value or None to drop the token)
+BAD_INPUTS = {
+    "score": ("data/anchor_scores.txt", "--anchors", "", 1, "high"),
+    "gt": ("data/gt_query.txt", "--gt", "", 3, "x"),
+    "landmark_feature": ("ref.txt", "--model", "LANDMARK", 8, "999999"),
+    "track_fields": ("data/tracks_db.txt", None, "", 2, None),
+    "track_feature": ("data/tracks_db.txt", None, "", 1, "999999"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_exit_code_bad_input_file(workdir, tmp_path, capsys, case):
+    rel, flag, prefix, k, value = BAD_INPUTS[case]
+    lines = (workdir / rel).read_text().splitlines()
+    i = next(i for i in range(1, len(lines)) if lines[i].startswith(prefix))
+    tok = lines[i].split()
+    if value is None:
+        del tok[k]
+    else:
+        tok[k] = value
+    lines[i] = " ".join(tok)
+    bad = tmp_path / rel.split("/")[-1]
+    bad.write_text("\n".join(lines) + "\n")
+    if flag is None:
+        shutil.copy(workdir / "data" / "database.txt", tmp_path)
+        code = main(["build-ref", "--dataset", str(tmp_path), "--out", str(tmp_path / "out.txt")])
+    else:
+        # the later flag overrides the fixture's file
+        code = _localize(workdir, "proposed", tmp_path / "out", extra=[flag, str(bad)])
+    assert code == 3
     capsys.readouterr()

@@ -67,6 +67,11 @@ def test_malformed_lines_rejected(tmp_path):
         parse_run_config(_write(tmp_path, "scene.db_sweep_z_offsets = 1,2,3\n"))
     with pytest.raises(ConfigError):
         parse_run_config(_write(tmp_path, "pipeline.backward_pass = maybe\n"))
+    # numbers that do not parse are config errors too, not raw ValueErrors
+    with pytest.raises(ConfigError, match="run.cfg:1"):
+        parse_run_config(_write(tmp_path, "scene.landmark_count = abc\n"))
+    with pytest.raises(ConfigError, match="run.cfg:1"):
+        parse_run_config(_write(tmp_path, "scene.texture_poor_arcs = 1:2:x\n"))
 
 
 def test_invalid_values_surface_as_config_errors(tmp_path):

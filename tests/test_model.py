@@ -161,3 +161,16 @@ def test_load_model_format_errors(tmp_path):
     )
     with pytest.raises(ModelFormatError):
         load_model(p)
+    # landmark tracks must name an existing frame and one of its features
+    frame = (
+        "ANCHORLOC_MODEL 1\n"
+        "FRAME 0 0.0 pending 400.0 400.0 320.0 240.0 640 480 0\n"
+        "FEATURES 0 1 4\n"
+        "F 1.0 2.0 0.0 0.0 0.0 0.0\n"
+    )
+    p.write_text(frame + "LANDMARK 0 reference 1.0 2.0 3.0 1 0 0\n")
+    assert load_model(p).landmarks[0].track == [(0, 0)]
+    for track in ("7 0", "0 1", "0 -1"):
+        p.write_text(frame + f"LANDMARK 0 reference 1.0 2.0 3.0 1 {track}\n")
+        with pytest.raises(ModelFormatError, match="line 5"):
+            load_model(p)

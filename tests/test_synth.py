@@ -149,11 +149,6 @@ def test_reference_model_covers_frames_and_landmarks(small_scene, small_referenc
     assert np.median(errs) < 0.5
 
 
-def test_build_reference_model_rejects_unknown_mode(small_scene):
-    with pytest.raises(ValueError):
-        build_reference_model(small_scene, mode="bogus")
-
-
 def test_scene_config_validation():
     with pytest.raises(ConfigInvalid):
         SceneConfig(landmark_count=0)
