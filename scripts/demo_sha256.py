@@ -20,14 +20,14 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
-
-from anchorloc.cli import main as cli_main  # noqa: E402
 
 METHODS = ("proposed", "single", "onthefly")
 
 
 def walkthrough(work: Path, cfg: Path):
+    """Run the walkthrough in ``work`` with the anchorloc found on sys.path."""
+    from anchorloc.cli import main as cli_main
+
     data = work / "data"
     ref = work / "ref.txt"
     commands = [
@@ -53,6 +53,7 @@ def walkthrough(work: Path, cfg: Path):
 
 
 def main():
+    sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         walkthrough(work, ROOT / "configs" / "demo.cfg")

@@ -18,6 +18,7 @@ from .baselines import InitializationFailure, onthefly_sfm, single_image_localiz
 from .config import ConfigError, parse_run_config
 from .geom import Pose
 from .metrics import (
+    EmptyIntersection,
     compare_methods,
     compute_metrics,
     entries_from_baseline_report,
@@ -68,10 +69,18 @@ def save_ground_truth(frames, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_lines(path):
+    """The lines of a text file; a file that is not UTF-8 is an I/O error."""
+    with open(path) as fh:
+        try:
+            return fh.read().splitlines()
+        except UnicodeDecodeError as e:
+            raise CliError(EXIT_IO, f"{path}: not UTF-8 text: {e}") from e
+
+
 def load_ground_truth(path):
     """frame id -> (timestamp, Pose)."""
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+    raw = _read_lines(path)
     if not raw or raw[0] != GT_HEADER:
         raise CliError(EXIT_IO, f"{path}: not a ground-truth file")
     out = {}
@@ -102,8 +111,7 @@ def save_scores(scores, path):
 
 
 def load_scores(path):
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+    raw = _read_lines(path)
     if not raw or raw[0] != SCORES_HEADER:
         raise CliError(EXIT_IO, f"{path}: not an anchor-score file")
     out = {}
@@ -164,8 +172,7 @@ def cmd_synth(args):
 def cmd_build_ref(args):
     try:
         db = load_model(os.path.join(args.dataset, "database.txt"))
-        with open(os.path.join(args.dataset, "tracks_db.txt")) as fh:
-            raw = fh.read().splitlines()
+        raw = _read_lines(os.path.join(args.dataset, "tracks_db.txt"))
     except (OSError, ModelFormatError) as e:
         raise CliError(EXIT_IO, str(e))
     if not raw or raw[0] != "ANCHORLOC_TRACKS 1":
@@ -275,7 +282,7 @@ def cmd_eval(args):
             if name.startswith("trajectory_") and name.endswith(".txt"):
                 name = name[len("trajectory_") : -len(".txt")]
             reports.append(compute_metrics(entries, gt, method=name))
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, EmptyIntersection) as e:
         raise CliError(EXIT_IO, str(e))
     table = compare_methods(reports)
     print(table)

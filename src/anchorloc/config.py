@@ -75,7 +75,11 @@ def parse_run_config(path):
     """Returns (SceneConfig, PipelineConfig). Rejects unknown keys."""
     kv = {prefix: {} for prefix in _SECTIONS}
     with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text: {e}") from e
+        for ln, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

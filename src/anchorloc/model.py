@@ -251,7 +251,10 @@ def save_model(model: SfMModel, path):
 def load_model(path) -> SfMModel:
     model = SfMModel()
     with open(path) as fh:
-        raw = fh.read().splitlines()
+        try:
+            raw = fh.read().splitlines()
+        except UnicodeDecodeError as e:
+            raise ModelFormatError(f"not UTF-8 text: {e}") from e
     if not raw:
         raise ModelFormatError("line 1: empty file")
     head = raw[0].split()

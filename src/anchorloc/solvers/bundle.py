@@ -2,9 +2,23 @@
 
 Frozen frames/landmarks are excluded from the parameter vector entirely,
 so their stored values are untouched (bit-identical) by construction.
-Landmarks are eliminated through the Schur complement; the reduced camera
-system is solved densely, which is adequate at the scales this artifact
-targets while keeping the sparse structure explicit.
+Landmarks are eliminated through the Schur complement (Agarwal et al.,
+"Bundle Adjustment in the Large", ECCV 2010); the reduced camera system is
+solved densely, which is adequate at the scales this artifact targets.
+
+The reduction works on index arrays, with no Python loop over landmarks
+or cameras. The free/frozen structure is fixed for a call, so
+``_coupling`` builds it once: the observations that tie a free camera to
+a free landmark, sorted by landmark, and every unordered pair a<b of two
+such observations of one landmark. Each LM iteration stacks the
+camera-landmark blocks ``W = Jcᵀ Jl`` over those observations. Each
+damping trial recomputes only what depends on ``V⁻¹`` (``_reduce``): it
+subtracts each observation's ``W_a V⁻¹ W_aᵀ`` from its camera's diagonal
+block and accumulates each pair's ``W_a V⁻¹ W_bᵀ`` into the flat
+``(6nF, 6nF)`` matrix with ``np.subtract.at``, then adds the transpose.
+Pairs go in chunks of ``_PAIR_CHUNK``, so the pair products never exist
+all at once: a call with 60 free cameras can have tens of thousands of
+pairs. ``_back_substitute`` recovers the landmark steps.
 """
 
 from __future__ import annotations
@@ -13,10 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geom import Pose, project_many, quat_mul, quat_normalize, so3_exp_quat
+from ..geom import Pose, project_many, quat_mul
 from .errors import NumericalFailure
 
 _BAD_OBS_PENALTY = 1e8
+_PAIR_CHUNK = 1024
 
 
 @dataclass
@@ -75,35 +90,34 @@ def _gather_problem(model, mask: FreezeMask):
         frame_ids.append(fid)
 
     lm_ids = list(model.landmarks.keys())
-    lm_slot = {lid: i for i, lid in enumerate(lm_ids)}
 
-    obs_cam, obs_lm, obs_px = [], [], []
-    for lid in lm_ids:
-        lm = model.landmarks[lid]
-        for fid, fidx in lm.track:
-            if fid not in frame_slot:
+    obs_cam, obs_lm, obs_feat = [], [], []
+    for li, lid in enumerate(lm_ids):
+        for fid, fidx in model.landmarks[lid].track:
+            slot = frame_slot.get(fid)
+            if slot is None:
                 continue
-            obs_cam.append(frame_slot[fid])
-            obs_lm.append(lm_slot[lid])
-            obs_px.append(model.frames[fid].features.pixels[fidx])
+            obs_cam.append(slot)
+            obs_lm.append(li)
+            obs_feat.append(fidx)
 
     obs_cam = np.array(obs_cam, dtype=int)
     obs_lm = np.array(obs_lm, dtype=int)
-    obs_px = np.array(obs_px, dtype=float).reshape(-1, 2)
 
-    lm_obs_count = np.bincount(obs_lm, minlength=len(lm_ids)) if len(obs_lm) else np.zeros(len(lm_ids), int)
+    lm_obs_count = np.bincount(obs_lm, minlength=len(lm_ids))
     frame_free = np.array([fid not in mask.frozen_frame_ids for fid in frame_ids], dtype=bool)
     lm_free = np.array(
-        [lid not in mask.frozen_landmark_ids and lm_obs_count[lm_slot[lid]] >= 2 for lid in lm_ids],
-        dtype=bool,
-    )
-    if len(obs_cam):
-        frame_obs_count = np.bincount(obs_cam, minlength=len(frame_ids))
-        frame_free &= frame_obs_count > 0
+        [lid not in mask.frozen_landmark_ids for lid in lm_ids], dtype=bool
+    ) & (lm_obs_count >= 2)
+    frame_free &= np.bincount(obs_cam, minlength=len(frame_ids)) > 0
 
-    # keep only observations touching at least one free block
-    keep = frame_free[obs_cam] | lm_free[obs_lm]
-    return frame_ids, lm_ids, frame_free, lm_free, obs_cam[keep], obs_lm[keep], obs_px[keep]
+    # keep only observations touching at least one free block; fetch only their pixels
+    keep = np.nonzero(frame_free[obs_cam] | lm_free[obs_lm])[0]
+    pixels = [model.frames[fid].features.pixels for fid in frame_ids]
+    obs_px = np.array(
+        [pixels[c][obs_feat[k]] for k, c in zip(keep.tolist(), obs_cam[keep].tolist())], dtype=float
+    ).reshape(-1, 2)
+    return frame_ids, lm_ids, frame_free, lm_free, obs_cam[keep], obs_lm[keep], obs_px
 
 
 def _huber_cost(err_norm, delta):
@@ -145,6 +159,96 @@ def mean_reprojection_error(model, frame_ids=None):
     return float(np.mean(errs)) if errs else 0.0
 
 
+@dataclass
+class _Coupling:
+    """Observations tying a free camera to a free landmark, sorted by landmark.
+
+    ``obs`` indexes the observation arrays, ``cam`` and ``lm`` are the free
+    parameter indices of each, and ``pair_a < pair_b`` (positions in this
+    order) enumerate every unordered pair of observations of one landmark.
+    """
+
+    obs: np.ndarray
+    cam: np.ndarray
+    lm: np.ndarray
+    pair_a: np.ndarray
+    pair_b: np.ndarray
+
+
+def _coupling(oc, ol):
+    """Coupling structure from per-observation parameter indices (-1 = frozen)."""
+    obs = np.nonzero((oc >= 0) & (ol >= 0))[0]
+    obs = obs[np.argsort(ol[obs], kind="stable")]
+    lm = ol[obs]
+    # observation i pairs with the `after[i]` observations of its landmark behind it
+    counts = np.bincount(lm)
+    after = np.repeat(np.cumsum(counts), counts) - np.arange(len(lm)) - 1
+    pair_a = np.repeat(np.arange(len(lm)), after)
+    run_start = np.repeat(np.cumsum(after) - after, after)
+    pair_b = pair_a + 1 + np.arange(len(pair_a)) - run_start
+    return _Coupling(obs, oc[obs], lm, pair_a, pair_b)
+
+
+def _reduce(Ud, Vinv, gc, gl, W, cpl: _Coupling):
+    """Reduced camera matrix (6nF, 6nF) and right-hand side (nF, 6).
+
+    S = Ud - Σ_l Σ_{a,b seeing l} W_a V_l⁻¹ W_bᵀ and rhs = -gc + Σ_a W_a V⁻¹ gl,
+    with W (m, 6, 3) in the order of ``cpl``.
+    """
+    nF = len(Ud)
+    n6 = 6 * nF
+    T = W @ Vinv[cpl.lm]  # (m,6,3)
+    Wt = W.transpose(0, 2, 1)
+
+    S = np.zeros(n6 * n6)
+    block = (np.arange(6)[:, None] * n6 + np.arange(6)).ravel()  # flat offsets inside a 6x6 block
+    for s in range(0, len(cpl.pair_a), _PAIR_CHUNK):
+        a = cpl.pair_a[s : s + _PAIR_CHUNK]
+        b = cpl.pair_b[s : s + _PAIR_CHUNK]
+        corner = 6 * (cpl.cam[a] * n6 + cpl.cam[b])
+        np.subtract.at(S, (corner[:, None] + block).ravel(), (T[a] @ Wt[b]).ravel())
+    S = S.reshape(n6, n6)
+    S = S + S.T  # the pair (b, a) contributes the transpose of (a, b)
+
+    diag = Ud.copy()
+    np.subtract.at(diag, cpl.cam, T @ Wt)
+    f = np.arange(nF)
+    S.reshape(nF, 6, nF, 6)[f, :, f, :] += diag
+
+    rhs = -gc
+    np.add.at(rhs, cpl.cam, np.einsum("aik,ak->ai", T, gl[cpl.lm]))
+    return S, rhs
+
+
+def _back_substitute(Vinv, gl, W, cpl: _Coupling, delta_c):
+    """Landmark steps V⁻¹ (-gl - Σ_a W_aᵀ delta_c) for a camera step."""
+    rhs_l = -gl
+    np.subtract.at(rhs_l, cpl.lm, np.einsum("aik,ai->ak", W, delta_c[cpl.cam]))
+    return np.einsum("lij,lj->li", Vinv, rhs_l)
+
+
+def _unit_rows(q):
+    """Normalize quaternion rows, with the canonical sign w >= 0."""
+    q = q / np.linalg.norm(q, axis=1, keepdims=True)
+    return np.where(q[:, :1] < 0.0, -q, q)
+
+
+def _retract(quats, ts, delta):
+    """Left-multiply each pose by exp(delta): the per-camera ``Pose.retract`` stacked."""
+    w = delta[:, :3]
+    theta = np.linalg.norm(w, axis=1, keepdims=True)
+    small = theta < 1e-12
+    half = 0.5 * theta
+    dq = np.where(
+        small,
+        _unit_rows(np.hstack([np.ones_like(theta), 0.5 * w])),
+        np.hstack([np.cos(half), np.sin(half) * (w / np.where(small, 1.0, theta))]),
+    )
+    q_new = _unit_rows(quat_mul(dq.T, quats.T).T)
+    t_new = np.einsum("nij,nj->ni", _quats_to_mats(dq), ts) + delta[:, 3:]
+    return q_new, t_new
+
+
 def bundle_adjust(model, mask: FreezeMask, cfg: BundleConfig):
     """Refine all non-frozen poses and landmark positions in place.
 
@@ -176,6 +280,11 @@ def bundle_adjust(model, mask: FreezeMask, cfg: BundleConfig):
 
     oc = cam_param[obs_cam]  # -1 when the frame block is frozen
     ol = lm_param[obs_lm]
+    has_c = oc >= 0
+    has_l = ol >= 0
+    cpl = _coupling(oc, ol)
+    d6 = np.arange(6)
+    d3 = np.arange(3)
 
     lam = cfg.initial_damping
     cost, *_ = _evaluate(quats, ts, Xs, fx, fy, cx, cy, obs_cam, obs_lm, obs_px, cfg.huber_delta)
@@ -213,9 +322,6 @@ def bundle_adjust(model, mask: FreezeMask, cfg: BundleConfig):
         Jc = np.concatenate([-np.einsum("nij,njk->nik", Jproj, skew), Jproj], axis=2)
         Jl = np.einsum("nij,njk->nik", Jproj, R[obs_cam])
 
-        has_c = oc >= 0
-        has_l = ol >= 0
-
         gc = np.zeros((nF, 6))
         U = np.zeros((nF, 6, 6))
         if has_c.any():
@@ -236,55 +342,23 @@ def bundle_adjust(model, mask: FreezeMask, cfg: BundleConfig):
             iterations -= 1
             break
 
-        both = has_c & has_l
-        Wc = Jc[both].transpose(0, 2, 1) @ Jl[both]  # (m,6,3) camera-landmark coupling
-        Wcam = oc[both]
-        Wlm = ol[both]
-        order = np.argsort(Wlm, kind="stable")
-        Wc = Wc[order]
-        Wcam = Wcam[order]
-        Wlm = Wlm[order]
-        bounds = np.searchsorted(Wlm, np.arange(nL + 1))
+        W = Jc[cpl.obs].transpose(0, 2, 1) @ Jl[cpl.obs]  # (m,6,3) camera-landmark coupling
 
         stepped = False
         for _try in range(60):
             Ud = U.copy()
+            Ud[:, d6, d6] += lam * U[:, d6, d6] + 1e-12
             Vd = V.copy()
-            for i in range(nF):
-                d = np.diag(Ud[i]).copy()
-                Ud[i][np.diag_indices(6)] += lam * d + 1e-12
-            for i in range(nL):
-                d = np.diag(Vd[i]).copy()
-                Vd[i][np.diag_indices(3)] += lam * d + 1e-12
+            Vd[:, d3, d3] += lam * V[:, d3, d3] + 1e-12
 
             try:
                 Vinv = np.linalg.inv(Vd) if nL else np.zeros((0, 3, 3))
-                S = np.zeros((nF, nF, 6, 6))
-                for i in range(nF):
-                    S[i, i] = Ud[i]
-                rhs_c = -gc.copy()
-                for l in range(nL):
-                    a, b = bounds[l], bounds[l + 1]
-                    if a == b:
-                        continue
-                    M = Wc[a:b]          # (k,6,3)
-                    cams = Wcam[a:b]
-                    T = M @ Vinv[l]      # (k,6,3)
-                    contrib = np.einsum("aik,bjk->abij", T, M)
-                    np.add.at(S, (cams[:, None], cams[None, :]), -contrib)
-                    rhs_c[cams] += np.einsum("aik,k->ai", T, gl[l])
-                Sd = S.transpose(0, 2, 1, 3).reshape(6 * nF, 6 * nF)
+                S, rhs_c = _reduce(Ud, Vinv, gc, gl, W, cpl)
                 if nF:
-                    delta_c = np.linalg.solve(Sd, rhs_c.reshape(-1)).reshape(nF, 6)
+                    delta_c = np.linalg.solve(S, rhs_c.reshape(-1)).reshape(nF, 6)
                 else:
                     delta_c = np.zeros((0, 6))
-                delta_l = np.zeros((nL, 3))
-                for l in range(nL):
-                    a, b = bounds[l], bounds[l + 1]
-                    rhs_l = -gl[l]
-                    if a != b:
-                        rhs_l = rhs_l - np.einsum("aik,ai->k", Wc[a:b], delta_c[Wcam[a:b]])
-                    delta_l[l] = Vinv[l] @ rhs_l
+                delta_l = _back_substitute(Vinv, gl, W, cpl, delta_c)
             except np.linalg.LinAlgError:
                 lam *= cfg.damping_up
                 if lam > 1e14:
@@ -293,10 +367,9 @@ def bundle_adjust(model, mask: FreezeMask, cfg: BundleConfig):
 
             q_try = quats.copy()
             t_try = ts.copy()
-            for j, slot in enumerate(free_frame_slots):
-                dq = so3_exp_quat(delta_c[j, :3])
-                q_try[slot] = quat_normalize(quat_mul(dq, quats[slot]))
-                t_try[slot] = _quats_to_mats(dq[None])[0] @ ts[slot] + delta_c[j, 3:]
+            q_try[free_frame_slots], t_try[free_frame_slots] = _retract(
+                quats[free_frame_slots], ts[free_frame_slots], delta_c
+            )
             X_try = Xs.copy()
             X_try[free_lm_slots] += delta_l
 

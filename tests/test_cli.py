@@ -3,6 +3,7 @@ import shutil
 import pytest
 
 from anchorloc.cli import main
+from anchorloc.metrics import TRAJ_HEADER
 
 CFG = """
 scene.rng_seed = 11
@@ -147,15 +148,16 @@ def test_exit_code_pipeline_error(workdir, tmp_path, capsys):
     capsys.readouterr()
 
 
-# case -> (file under the fixture's workdir, localize flag taking it or None
-# for build-ref, prefix of the first body line to edit, token index, bad
-# value or None to drop the token)
+# case -> (file under the fixture's workdir, localize flag taking it, None
+# for build-ref or "eval", prefix of the first body line to edit, token
+# index, bad value or None to drop the token)
 BAD_INPUTS = {
     "score": ("data/anchor_scores.txt", "--anchors", "", 1, "high"),
     "gt": ("data/gt_query.txt", "--gt", "", 3, "x"),
     "landmark_feature": ("ref.txt", "--model", "LANDMARK", 8, "999999"),
     "track_fields": ("data/tracks_db.txt", None, "", 2, None),
     "track_feature": ("data/tracks_db.txt", None, "", 1, "999999"),
+    "eval_no_common_frame": ("data/gt_query.txt", "eval", "", 0, "999999"),
 }
 
 
@@ -164,7 +166,8 @@ def test_exit_code_bad_input_file(workdir, tmp_path, capsys, case):
     rel, flag, prefix, k, value = BAD_INPUTS[case]
     lines = (workdir / rel).read_text().splitlines()
     i = next(i for i in range(1, len(lines)) if lines[i].startswith(prefix))
-    tok = lines[i].split()
+    original = lines[i]
+    tok = original.split()
     if value is None:
         del tok[k]
     else:
@@ -175,8 +178,45 @@ def test_exit_code_bad_input_file(workdir, tmp_path, capsys, case):
     if flag is None:
         shutil.copy(workdir / "data" / "database.txt", tmp_path)
         code = main(["build-ref", "--dataset", str(tmp_path), "--out", str(tmp_path / "out.txt")])
+    elif flag == "eval":
+        # a trajectory of the one frame the edit took out of the ground truth
+        traj = tmp_path / "trajectory.txt"
+        traj.write_text(f"{TRAJ_HEADER}\n{original} registered -\n")
+        code = main(["eval", "--gt", str(bad), str(traj)])
     else:
         # the later flag overrides the fixture's file
         code = _localize(workdir, "proposed", tmp_path / "out", extra=[flag, str(bad)])
     assert code == 3
+    capsys.readouterr()
+
+
+# case -> (expected exit code, argv given the workdir, the undecodable file
+# and a scratch directory)
+NON_UTF8_INPUTS = {
+    "config": (2, lambda w, bad, tmp: ["synth", "--config", bad, "--out", tmp / "d"]),
+    "model": (3, lambda w, bad, tmp: ["export", "--model", bad, "--ply", tmp / "x.ply"]),
+    "sequence": (3, lambda w, bad, tmp: _localize_argv(w, tmp / "out", ["--sequence", bad])),
+    "gt": (3, lambda w, bad, tmp: _localize_argv(w, tmp / "out", ["--gt", bad])),
+    "score": (3, lambda w, bad, tmp: _localize_argv(w, tmp / "out", ["--anchors", bad])),
+    "tracks": (3, lambda w, bad, tmp: ["build-ref", "--dataset", bad.parent, "--out", tmp / "r.txt"]),
+    "trajectory": (3, lambda w, bad, tmp: ["eval", "--gt", w / "data" / "gt_query.txt", bad]),
+}
+
+
+def _localize_argv(workdir, out, extra):
+    data = workdir / "data"
+    return [
+        "localize", "--sequence", data / "query.txt", "--config", workdir / "run.cfg", "--out", out,
+        "--gt", data / "gt_query.txt", "--model", workdir / "ref.txt",
+        "--anchors", data / "anchor_scores.txt", *extra,
+    ]
+
+
+@pytest.mark.parametrize("case", list(NON_UTF8_INPUTS))
+def test_exit_code_non_utf8_input(workdir, tmp_path, capsys, case):
+    code, argv = NON_UTF8_INPUTS[case]
+    shutil.copy(workdir / "data" / "database.txt", tmp_path)
+    bad = tmp_path / "tracks_db.txt"  # the name build-ref reads; the other commands take any
+    bad.write_bytes(b"\xff\xfe not text\n")
+    assert main([str(a) for a in argv(workdir, bad, tmp_path)]) == code
     capsys.readouterr()

@@ -1,9 +1,13 @@
-import numpy as np
+import copy
+import tracemalloc
 
-from anchorloc.geom import CameraIntrinsics, Pose, project
+import numpy as np
+import pytest
+
+from anchorloc.geom import CameraIntrinsics, Pose, project, project_many
 from anchorloc.matching import FeatureSet
 from anchorloc.model import Frame, Landmark, SfMModel, frozen_state_digest
-from anchorloc.solvers import BundleConfig, FreezeMask, bundle_adjust
+from anchorloc.solvers import BundleConfig, FreezeMask, bundle, bundle_adjust
 from anchorloc.solvers.bundle import mean_reprojection_error
 
 
@@ -101,3 +105,160 @@ def test_bundle_config_validation():
         BundleConfig(max_lm_iterations=0)
     with pytest.raises(ValueError):
         BundleConfig(huber_delta=-1.0)
+
+
+# --- the vectorized Schur reduction against the per-landmark loop it replaced
+
+
+def _reduce_loop(Ud, Vinv, gc, gl, W, cpl):
+    """Reference for bundle._reduce: the per-landmark loop, (nF,nF,6,6) blocks."""
+    nF = len(Ud)
+    S = np.zeros((nF, nF, 6, 6))
+    for i in range(nF):
+        S[i, i] = Ud[i]
+    rhs_c = -gc.copy()
+    bounds = np.searchsorted(cpl.lm, np.arange(len(gl) + 1))
+    for l in range(len(gl)):
+        a, b = bounds[l], bounds[l + 1]
+        if a == b:
+            continue
+        M = W[a:b]
+        cams = cpl.cam[a:b]
+        T = M @ Vinv[l]
+        np.add.at(S, (cams[:, None], cams[None, :]), -np.einsum("aik,bjk->abij", T, M))
+        rhs_c[cams] += np.einsum("aik,k->ai", T, gl[l])
+    return S.transpose(0, 2, 1, 3).reshape(6 * nF, 6 * nF), rhs_c
+
+
+def _back_substitute_loop(Vinv, gl, W, cpl, delta_c):
+    """Reference for bundle._back_substitute."""
+    bounds = np.searchsorted(cpl.lm, np.arange(len(gl) + 1))
+    delta_l = np.zeros((len(gl), 3))
+    for l in range(len(gl)):
+        a, b = bounds[l], bounds[l + 1]
+        rhs_l = -gl[l] - np.einsum("aik,ai->k", W[a:b], delta_c[cpl.cam[a:b]])
+        delta_l[l] = Vinv[l] @ rhs_l
+    return delta_l
+
+
+def _spd(rng, n, k):
+    A = rng.normal(size=(n, k, k))
+    return A @ A.transpose(0, 2, 1) + k * np.eye(k)
+
+
+# case -> (free cameras, frozen cameras, free landmarks, frozen landmarks,
+# most views of a landmark, whether free landmark 0 is seen by frozen cameras only)
+SCHUR_CASES = {
+    "mixed": (5, 2, 12, 4, 5, False),
+    "cameras_only": (6, 1, 0, 8, 4, False),
+    "landmarks_only": (0, 4, 10, 0, 4, False),
+    "single_views": (4, 2, 9, 3, 1, False),
+    "frozen_views_only": (4, 3, 8, 2, 3, True),
+}
+
+
+@pytest.mark.parametrize("case", list(SCHUR_CASES))
+def test_schur_reduction_matches_per_landmark_loop(case):
+    nF, nF_frozen, nL, nL_frozen, most_views, frozen_only = SCHUR_CASES[case]
+    rng = np.random.default_rng(sorted(SCHUR_CASES).index(case))
+    n_cams = nF + nF_frozen
+    cam_param = -np.ones(n_cams, dtype=int)
+    cam_param[rng.permutation(n_cams)[:nF]] = np.arange(nF)
+    lm_param = -np.ones(nL + nL_frozen, dtype=int)
+    lm_param[rng.permutation(nL + nL_frozen)[:nL]] = np.arange(nL)
+    oc, ol = [], []
+    for j, p in enumerate(lm_param):
+        pool = np.nonzero(cam_param < 0)[0] if frozen_only and p == 0 else np.arange(n_cams)
+        views = rng.choice(pool, size=rng.integers(1, min(most_views, len(pool)) + 1), replace=False)
+        oc += cam_param[views].tolist()
+        ol += [p] * len(views)
+    perm = rng.permutation(len(oc))  # observations arrive in no particular order
+    oc, ol = np.array(oc)[perm], np.array(ol)[perm]
+
+    cpl = bundle._coupling(oc, ol)
+    coupled = np.nonzero((oc >= 0) & (ol >= 0))[0]
+    assert np.array_equal(cpl.obs, coupled[np.argsort(ol[coupled], kind="stable")])
+    same = [(a, b) for a in range(len(cpl.lm)) for b in range(a + 1, len(cpl.lm)) if cpl.lm[a] == cpl.lm[b]]
+    assert list(zip(cpl.pair_a.tolist(), cpl.pair_b.tolist())) == same
+
+    Ud, Vinv = _spd(rng, nF, 6), np.linalg.inv(_spd(rng, nL, 3))
+    gc, gl = rng.normal(size=(nF, 6)), rng.normal(size=(nL, 3))
+    W = rng.normal(size=(len(oc), 6, 3))[cpl.obs]
+    delta_c = rng.normal(size=(nF, 6))
+
+    S, rhs = bundle._reduce(Ud, Vinv, gc, gl, W, cpl)
+    S_ref, rhs_ref = _reduce_loop(Ud, Vinv, gc, gl, W, cpl)
+    delta_l = bundle._back_substitute(Vinv, gl, W, cpl, delta_c)
+    delta_l_ref = _back_substitute_loop(Vinv, gl, W, cpl, delta_c)
+    for got, ref in ((S, S_ref), (rhs, rhs_ref), (delta_l, delta_l_ref)):
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max(initial=0.0))
+
+
+def test_bundle_through_loop_reference_takes_same_steps(monkeypatch):
+    model = _ring_model(noise=0.5)
+    mask = FreezeMask(frozen_frame_ids={0}, frozen_landmark_ids=set(list(model.landmarks)[:5]))
+    reference = copy.deepcopy(model)
+    res = bundle_adjust(model, mask, BundleConfig())
+    monkeypatch.setattr(bundle, "_reduce", _reduce_loop)
+    monkeypatch.setattr(bundle, "_back_substitute", _back_substitute_loop)
+    res_ref = bundle_adjust(reference, mask, BundleConfig())
+    assert res.accepted_steps > 0
+    assert (res.iterations, res.accepted_steps) == (res_ref.iterations, res_ref.accepted_steps)
+    np.testing.assert_allclose(res.cost_after, res_ref.cost_after, rtol=1e-10)
+
+
+def _many_view_model(n_cams=61, n_pts=600, views=8, seed=0):
+    """Cameras on a ring around a point cloud; each point seen by `views` neighbouring cameras."""
+    rng = np.random.default_rng(seed)
+    intr = CameraIntrinsics(400.0, 400.0, 320.0, 240.0, 640, 480)
+    pts = rng.normal(scale=2.0, size=(n_pts, 3))
+    first = rng.integers(0, n_cams, size=n_pts)
+    model = SfMModel()
+    tracks = [[] for _ in range(n_pts)]
+    for c in range(n_cams):
+        ang = 2 * np.pi * c / n_cams
+        center = 12.0 * np.array([np.cos(ang), np.sin(ang), 0.1])
+        f = -center / np.linalg.norm(center)
+        x = np.cross([0.0, 0.0, 1.0], f)
+        x /= np.linalg.norm(x)
+        R = np.stack([x, np.cross(f, x), f])
+        seen = np.nonzero((c - first) % n_cams < views)[0]
+        uv, _ = project_many(R, -R @ center, intr, pts[seen])
+        for k, i in enumerate(seen):
+            tracks[i].append((c, k))
+        fs = FeatureSet(uv + rng.normal(scale=0.5, size=uv.shape), np.zeros((len(seen), 4)))
+        model.add_frame(Frame(c, float(c), intr, fs, Pose.from_rt(R, -R @ center), "reference"))
+    for i in range(n_pts):
+        model.add_landmark(Landmark(i, pts[i] + rng.normal(scale=0.01, size=3), "reference", tracks[i]))
+    return model
+
+
+def test_bundle_memory_peak_stays_bounded():
+    """Pair products are accumulated in chunks, never all at once."""
+    model = _many_view_model()
+    mask = FreezeMask(frozen_frame_ids={0}, frozen_landmark_ids=set())
+    tracemalloc.start()
+    try:
+        res = bundle_adjust(model, mask, BundleConfig(max_lm_iterations=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.iterations > 0
+    assert peak < 16 * 2**20, f"bundle_adjust peaked at {peak / 2**20:.1f} MB"
+
+
+def test_stacked_retraction_matches_pose_retract():
+    rng = np.random.default_rng(4)
+    quats = rng.normal(size=(6, 4))
+    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+    ts = rng.normal(size=(6, 3))
+    delta = rng.normal(scale=0.3, size=(6, 6))
+    delta[0, :3] = 0.0  # no rotation
+    delta[1, :3] = [1e-13, 0.0, 0.0]  # the small-angle branch
+    delta[2, :3] = [0.0, np.pi, 0.0]  # a half turn, which can flip the sign of w
+    q_new, t_new = bundle._retract(quats, ts, delta)
+    for q, t, d, qn, tn in zip(quats, ts, delta, q_new, t_new):
+        ref = Pose(q, t).retract(d)
+        np.testing.assert_allclose(qn, ref.q, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tn, ref.t, rtol=0, atol=1e-12)
