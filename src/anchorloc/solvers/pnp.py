@@ -350,6 +350,51 @@ def refine_pose(pose: Pose, world, pixels, intr: CameraIntrinsics, iterations=10
     return pose
 
 
+def ransac(n, k, cfg: RansacConfig, solve, score):
+    """Adaptive RANSAC over k-point minimal samples of n data (Fischler & Bolles, CACM 1981).
+
+    solve(idx) takes a (B,k) block of samples and returns (rows, hyps): a
+    tuple of arrays stacking the candidate hypotheses along axis 0, and the
+    ascending sample row of each. score(*hyps) returns their (m,n) inlier
+    masks. Samples are drawn one rng.choice at a time from cfg.rng_seed,
+    solved a block at a time and scanned in draw order, so the result equals
+    one-sample-at-a-time RANSAC. The run stops once the best inlier ratio w
+    reaches cfg.confidence (1 - (1 - w**k)**iterations) or after
+    cfg.max_iterations samples. Returns (best hyps, their mask, their
+    count); best is None when no sample gave an inlier.
+    """
+    rng = np.random.default_rng(cfg.rng_seed)
+    best, best_mask, best_count = None, None, 0
+    max_iter = cfg.max_iterations
+    it = 0
+    while it < max_iter:
+        # sample j of the block is iteration it + j + 1
+        size = min(_RANSAC_BLOCK, max_iter - it)
+        idx = np.array([rng.choice(n, size=k, replace=False) for _ in range(size)])
+        rows, hyps = solve(idx)
+        masks = score(*hyps)
+        counts = masks.sum(axis=1)
+        # only a candidate beating every earlier one can become the best
+        earlier = np.maximum.accumulate(np.concatenate([[best_count], counts[:-1]]))
+        for j in np.nonzero(counts > earlier)[0]:
+            sample_it = it + int(rows[j]) + 1
+            if sample_it > max_iter:
+                break
+            best_count = int(counts[j])
+            best_mask = masks[j]
+            best = tuple(h[j] for h in hyps)
+            w = best_count / n
+            if w >= 1.0:
+                max_iter = sample_it
+            else:
+                denom = np.log1p(-min(w**k, 1.0 - 1e-15))
+                need = np.ceil(np.log(1.0 - cfg.confidence) / denom)
+                need = cfg.max_iterations if not np.isfinite(need) else int(need)
+                max_iter = min(cfg.max_iterations, max(need, sample_it))
+        it += size
+    return best, best_mask, best_count
+
+
 def ransac_pnp(corrs, intr: CameraIntrinsics, cfg: RansacConfig):
     """Robust pose from 2D-3D correspondences.
 
@@ -362,50 +407,23 @@ def ransac_pnp(corrs, intr: CameraIntrinsics, cfg: RansacConfig):
         raise InsufficientCorrespondences(f"{n} < 4 correspondences")
     world = np.array([c.world for c in corrs], dtype=float)
     pixels = np.array([c.pixel for c in corrs], dtype=float)
-    rng = np.random.default_rng(cfg.rng_seed)
     thresh_sq = cfg.inlier_threshold**2
+
+    def solve(idx):
+        # the module global, looked up per block, so wrappers see each call
+        rows, R, t, _ = solve_p3p_block(world[idx], pixels[idx], intr)
+        return rows, (R, t)
 
     def score(R, t):
         uv, z = project_many(R, t, intr, world)
         err = ((uv - pixels) ** 2).sum(axis=-1)
         return (z > 0) & (err < thresh_sq)
 
-    best_mask = None
-    best_count = 0
-    best_pose = None
-    max_iter = cfg.max_iterations
-    it = 0
-    while it < max_iter:
-        # draw a block exactly as one-at-a-time sampling would, solve it at
-        # once, then scan it in draw order; sample j is iteration it + j + 1
-        size = min(_RANSAC_BLOCK, max_iter - it)
-        idx = np.array([rng.choice(n, size=3, replace=False) for _ in range(size)])
-        rows, R, t, _ = solve_p3p_block(world[idx], pixels[idx], intr)
-        masks = score(R, t)
-        counts = masks.sum(axis=1)
-        # only a candidate beating every earlier one can become the best
-        earlier = np.maximum.accumulate(np.concatenate([[best_count], counts[:-1]]))
-        for k in np.nonzero(counts > earlier)[0]:
-            sample_it = it + int(rows[k]) + 1
-            if sample_it > max_iter:
-                break
-            best_count = int(counts[k])
-            best_mask = masks[k]
-            best_pose = Pose.from_rt(R[k], t[k])
-            # adaptive stopping on the inlier ratio
-            w = best_count / n
-            if w >= 1.0:
-                max_iter = sample_it
-            else:
-                denom = np.log1p(-min(w**3, 1.0 - 1e-15))
-                need = np.ceil(np.log(1.0 - cfg.confidence) / denom)
-                need = cfg.max_iterations if not np.isfinite(need) else int(need)
-                max_iter = min(cfg.max_iterations, max(need, sample_it))
-        it += size
-
-    if best_pose is None or best_count < cfg.min_inliers:
+    best, best_mask, best_count = ransac(n, 3, cfg, solve, score)
+    if best is None or best_count < cfg.min_inliers:
         raise NoConsensus(f"best inlier count {best_count} < {cfg.min_inliers}")
 
+    best_pose = Pose.from_rt(*best)
     pose = refine_pose(best_pose, world[best_mask], pixels[best_mask], intr)
     mask = score(pose.R, pose.t)
     if int(mask.sum()) < best_count:

@@ -6,39 +6,39 @@ import numpy as np
 
 from ..geom import CameraIntrinsics, Pose, mat_to_quat
 from .errors import DegenerateConfiguration, InsufficientCorrespondences, NoConsensus
-from .pnp import RansacConfig, _bearing_vectors
+from .pnp import RansacConfig, _bearing_vectors, ransac
 
 
 def _essential_from_eight(x1, x2):
-    """Linear essential estimate from normalized image points (n>=8, 2D)."""
-    n = len(x1)
-    A = np.column_stack(
-        [
-            x2[:, 0] * x1[:, 0],
-            x2[:, 0] * x1[:, 1],
-            x2[:, 0],
-            x2[:, 1] * x1[:, 0],
-            x2[:, 1] * x1[:, 1],
-            x2[:, 1],
-            x1[:, 0],
-            x1[:, 1],
-            np.ones(n),
-        ]
+    """Linear essential estimates from normalized image points.
+
+    x1, x2 are (..., n, 2) with n >= 8; returns (..., 3, 3), one estimate
+    per leading index, each equal to the estimate from its own rows alone.
+    """
+    x1u, x1v = x1[..., 0], x1[..., 1]
+    x2u, x2v = x2[..., 0], x2[..., 1]
+    A = np.stack(
+        [x2u * x1u, x2u * x1v, x2u, x2v * x1u, x2v * x1v, x2v, x1u, x1v, np.ones_like(x1u)],
+        axis=-1,
     )
     _, _, Vt = np.linalg.svd(A)
-    E = Vt[-1].reshape(3, 3)
+    E = Vt[..., -1, :].reshape(Vt.shape[:-2] + (3, 3))
     U, s, Vt = np.linalg.svd(E)
-    sig = (s[0] + s[1]) / 2.0
-    return U @ np.diag([sig, sig, 0.0]) @ Vt
+    sig = (s[..., 0] + s[..., 1]) / 2.0
+    D = np.zeros_like(E)
+    D[..., 0, 0] = sig
+    D[..., 1, 1] = sig
+    return U @ D @ Vt
 
 
 def _sampson_sq(E, x1, x2):
+    """Squared Sampson errors of (n,2) matches under E (3,3), or (m,n) under a stack (m,3,3)."""
     x1h = np.column_stack([x1, np.ones(len(x1))])
     x2h = np.column_stack([x2, np.ones(len(x2))])
-    Ex1 = x1h @ E.T
+    Ex1 = x1h @ np.swapaxes(E, -1, -2)
     Etx2 = x2h @ E
-    num = np.einsum("ij,ij->i", x2h, Ex1) ** 2
-    den = Ex1[:, 0] ** 2 + Ex1[:, 1] ** 2 + Etx2[:, 0] ** 2 + Etx2[:, 1] ** 2
+    num = np.einsum("ij,...ij->...i", x2h, Ex1) ** 2
+    den = Ex1[..., 0] ** 2 + Ex1[..., 1] ** 2 + Etx2[..., 0] ** 2 + Etx2[..., 1] ** 2
     return num / np.maximum(den, 1e-18)
 
 
@@ -186,29 +186,13 @@ def estimate_relative_pose(pixels1, pixels2, intr: CameraIntrinsics, cfg: Ransac
     f = (intr.fx + intr.fy) / 2.0
     thresh = (cfg.inlier_threshold / f) ** 2
 
-    rng = np.random.default_rng(cfg.rng_seed)
-    best_mask = None
-    best_count = 0
-    max_iter = cfg.max_iterations
-    it = 0
-    while it < max_iter:
-        it += 1
-        idx = rng.choice(n, size=8, replace=False)
-        E = _essential_from_eight(x1[idx], x2[idx])
-        mask = _sampson_sq(E, x1, x2) < thresh
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-            w = count / n
-            if w >= 1.0:
-                max_iter = it
-            else:
-                denom = np.log1p(-min(w**8, 1.0 - 1e-15))
-                need = np.ceil(np.log(1.0 - cfg.confidence) / denom)
-                need = cfg.max_iterations if not np.isfinite(need) else int(need)
-                max_iter = min(cfg.max_iterations, max(need, it))
+    def solve(idx):
+        return np.arange(len(idx)), (_essential_from_eight(x1[idx], x2[idx]),)
 
+    def score(E):
+        return _sampson_sq(E, x1, x2) < thresh
+
+    _, best_mask, best_count = ransac(n, 8, cfg, solve, score)
     if best_mask is None or best_count < max(cfg.min_inliers, 8):
         raise NoConsensus(f"best inlier count {best_count}")
 

@@ -91,3 +91,127 @@ def test_estimate_relative_pose_deterministic(intrinsics):
     b, ib = estimate_relative_pose(px1, px2, intrinsics, cfg)
     assert np.array_equal(a.q, b.q) and np.array_equal(a.t, b.t)
     assert np.array_equal(ia, ib)
+
+
+def _estimate_relative_pose_loop(pixels1, pixels2, intr, cfg):
+    """Reference: estimate_relative_pose as one eight-point sample at a time.
+
+    Returns (pose, inliers, iterations run) or raises as the solver does.
+    """
+    from anchorloc.solvers.pnp import _bearing_vectors
+    from anchorloc.solvers.twoview import (
+        DegenerateConfiguration,
+        _decompose_essential,
+        _essential_from_eight,
+        _midpoint_depths,
+        _sampson_sq,
+        mat_to_quat,
+    )
+
+    n = len(pixels1)
+    b1 = _bearing_vectors(pixels1, intr)
+    b2 = _bearing_vectors(pixels2, intr)
+    x1 = b1[:, :2] / b1[:, 2:3]
+    x2 = b2[:, :2] / b2[:, 2:3]
+    f = (intr.fx + intr.fy) / 2.0
+    thresh = (cfg.inlier_threshold / f) ** 2
+
+    rng = np.random.default_rng(cfg.rng_seed)
+    best_mask = None
+    best_count = 0
+    max_iter = cfg.max_iterations
+    it = 0
+    while it < max_iter:
+        it += 1
+        idx = rng.choice(n, size=8, replace=False)
+        E = _essential_from_eight(x1[idx], x2[idx])
+        mask = _sampson_sq(E, x1, x2) < thresh
+        count = int(mask.sum())
+        if count > best_count:
+            best_count = count
+            best_mask = mask
+            w = count / n
+            if w >= 1.0:
+                max_iter = it
+            else:
+                denom = np.log1p(-min(w**8, 1.0 - 1e-15))
+                need = np.ceil(np.log(1.0 - cfg.confidence) / denom)
+                need = cfg.max_iterations if not np.isfinite(need) else int(need)
+                max_iter = min(cfg.max_iterations, max(need, it))
+
+    if best_mask is None or best_count < max(cfg.min_inliers, 8):
+        raise NoConsensus(f"best inlier count {best_count}")
+    E = _essential_from_eight(x1[best_mask], x2[best_mask])
+    mask = _sampson_sq(E, x1, x2) < thresh
+    if int(mask.sum()) < best_count:
+        mask = best_mask
+    (R, t), front = _decompose_essential(E, x1[mask], x2[mask])
+    if front < 0.5 * int(mask.sum()):
+        raise DegenerateConfiguration("cheirality vote inconclusive")
+    z1, z2 = _midpoint_depths(R, t, x1[mask], x2[mask])
+    good = (z1 > 0) & (z2 > 0)
+    if good.sum() >= 2:
+        f1 = np.column_stack([x1[mask], np.ones(int(mask.sum()))])
+        pts1 = f1[good] * z1[good][:, None]
+        c2 = -R.T @ t
+        r1 = pts1 / np.linalg.norm(pts1, axis=1)[:, None]
+        r2 = pts1 - c2
+        r2 = r2 / np.linalg.norm(r2, axis=1)[:, None]
+        ang = np.degrees(np.arccos(np.clip(np.einsum("ij,ij->i", r1, r2), -1, 1)))
+        if np.median(ang) < 0.1:
+            raise DegenerateConfiguration("insufficient parallax (near-pure rotation)")
+    return Pose(mat_to_quat(R), t), np.nonzero(mask)[0], it
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:  # compared by type and message
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("outliers", [0.0, 0.1, 0.25, 0.3])
+def test_estimate_relative_pose_matches_one_sample_loop(intrinsics, outliers):
+    """Block-drawn RANSAC gives the one-sample loop's pose and inliers, bit for bit."""
+    stops = []
+    for seed in range(4):
+        rng = np.random.default_rng(100 + seed)
+        _, px1, px2 = _two_view_scene(rng, n=80, noise=0.5, intr=intrinsics)
+        bad = rng.choice(len(px2), int(outliers * len(px2)), replace=False)
+        px2[bad] = rng.uniform(0, 640, (len(bad), 2))
+        cfg = RansacConfig(rng_seed=seed, inlier_threshold=2.0)
+        ref = _outcome(_estimate_relative_pose_loop, px1, px2, intrinsics, cfg)
+        got = _outcome(estimate_relative_pose, px1, px2, intrinsics, cfg)
+        assert len(ref) == 3, ref
+        pose, inliers, iterations = ref
+        assert np.array_equal(got[0].q, pose.q) and np.array_equal(got[0].t, pose.t)
+        assert np.array_equal(got[1], inliers)
+        stops.append(iterations)
+    if outliers == 0.3:
+        # at least one run ends inside a later block of 64, not at its edge
+        assert any(it > 64 and it % 64 for it in stops), stops
+
+
+def test_estimate_relative_pose_no_consensus_matches_one_sample_loop(intrinsics):
+    """Pure noise runs all max_iterations, partly in a short last block, in both forms."""
+    rng = np.random.default_rng(5)
+    px1 = rng.uniform(0, 640, (40, 2))
+    px2 = rng.uniform(0, 640, (40, 2))
+    cfg = RansacConfig(rng_seed=9, max_iterations=150, inlier_threshold=0.5)
+    ref = _outcome(_estimate_relative_pose_loop, px1, px2, intrinsics, cfg)
+    assert ref[0] is NoConsensus
+    assert _outcome(estimate_relative_pose, px1, px2, intrinsics, cfg) == ref
+
+
+def test_essential_from_eight_stacked_equals_rows():
+    from anchorloc.solvers.twoview import _essential_from_eight, _sampson_sq
+
+    rng = np.random.default_rng(6)
+    x1 = rng.normal(size=(50, 2))
+    x2 = x1 + rng.normal(scale=0.05, size=(50, 2))
+    idx = np.array([rng.choice(50, 8, replace=False) for _ in range(64)])
+    E = _essential_from_eight(x1[idx], x2[idx])
+    assert E.shape == (64, 3, 3)
+    rows = np.array([_essential_from_eight(x1[i], x2[i]) for i in idx])
+    assert np.array_equal(E, rows)
+    assert np.array_equal(_sampson_sq(E, x1, x2), np.array([_sampson_sq(e, x1, x2) for e in rows]))
