@@ -169,12 +169,23 @@ def cmd_synth(args):
     return 0
 
 
+def _require_one_camera(frames, what):
+    """Bundle adjustment models one camera; frames with other intrinsics are an input error."""
+    frames = list(frames)
+    for f in frames[1:]:
+        if f.intrinsics != frames[0].intrinsics:
+            raise CliError(
+                EXIT_IO, f"{what}: frame {f.id} has other intrinsics than frame {frames[0].id}; one camera is required"
+            )
+
+
 def cmd_build_ref(args):
     try:
         db = load_model(os.path.join(args.dataset, "database.txt"))
         raw = _read_lines(os.path.join(args.dataset, "tracks_db.txt"))
     except (OSError, ModelFormatError) as e:
         raise CliError(EXIT_IO, str(e))
+    _require_one_camera(db.frames.values(), "database.txt")
     if not raw or raw[0] != "ANCHORLOC_TRACKS 1":
         raise CliError(EXIT_IO, "tracks_db.txt: bad header")
     tracks = {}
@@ -218,6 +229,8 @@ def cmd_localize(args):
     except OSError as e:
         raise CliError(EXIT_IO, str(e))
 
+    if args.method != "onthefly" and not args.model:
+        raise CliError(EXIT_CONFIG, f"--model is required for --method {args.method}")
     try:
         sequence = _load_sequence(args.sequence)
         gt = None
@@ -232,6 +245,10 @@ def cmd_localize(args):
             model = None
     except (OSError, ModelFormatError) as e:
         raise CliError(EXIT_IO, str(e))
+    if args.method == "proposed":
+        _require_one_camera([*model.frames.values(), *sequence], f"{args.model} and {args.sequence}")
+    elif args.method == "onthefly":
+        _require_one_camera(sequence, args.sequence)
 
     os.makedirs(args.out, exist_ok=True)
     traj_path = os.path.join(args.out, f"trajectory_{args.method}.txt")

@@ -50,10 +50,6 @@ def quat_mul(a, b):
     )
 
 
-def quat_conj(q):
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
 def quat_to_mat(q):
     w, x, y, z = q
     return np.array(
@@ -172,14 +168,6 @@ class Pose:
         p = np.asarray(p, dtype=float)
         return p @ self.R.T + self.t
 
-    def compose(self, other: "Pose") -> "Pose":
-        """self o other: applies other first, then self."""
-        return Pose(quat_mul(self.q, other.q), self.R @ other.t + self.t)
-
-    def inverse(self) -> "Pose":
-        Rt = self.R.T
-        return Pose(quat_conj(self.q), -Rt @ self.t)
-
     def center(self):
         """Camera center in world coordinates."""
         return -self.R.T @ self.t
@@ -266,23 +254,26 @@ def project_many(R, t, intr, pts):
 def pose_jacobian_many(R, t, intr, pts):
     """Pose blocks of the reprojection residual for (n,3) points, (n,2,6).
 
-    The vectorized pose half of residual_jacobian. Rows for non-positive
-    depths are garbage; callers must gate on depth.
+    The vectorized pose half of residual_jacobian. A stack of m poses,
+    R (m,3,3) and t (m,3), gives (m,n,2,6) as in project_many; pts may
+    then also be (m,n,3). Rows for non-positive depths are garbage; callers
+    must gate on depth.
     """
-    X, Y, Z = (pts @ R.T + t).T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x, y, iz = X / Z, Y / Z, 1.0 / Z
+    q = pts @ np.swapaxes(R, -1, -2) + t[..., None, :]
+    X, Y, Z = q[..., 0], q[..., 1], q[..., 2]
     fx, fy = intr.fx, intr.fy
-    J = np.zeros((len(pts), 2, 6))
-    # Jproj @ -[q]_x for the rotation tangent, Jproj for the translation
-    J[:, 0, 0] = -fx * x * y
-    J[:, 0, 1] = fx * (1.0 + x * x)
-    J[:, 0, 2] = -fx * y
-    J[:, 0, 3] = fx * iz
-    J[:, 0, 5] = -fx * x * iz
-    J[:, 1, 0] = -fy * (1.0 + y * y)
-    J[:, 1, 1] = fy * x * y
-    J[:, 1, 2] = fy * x
-    J[:, 1, 4] = fy * iz
-    J[:, 1, 5] = -fy * y * iz
+    J = np.zeros(q.shape[:-1] + (2, 6))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x, y, iz = X / Z, Y / Z, 1.0 / Z
+        # Jproj @ -[q]_x for the rotation tangent, Jproj for the translation
+        J[..., 0, 0] = -fx * x * y
+        J[..., 0, 1] = fx * (1.0 + x * x)
+        J[..., 0, 2] = -fx * y
+        J[..., 0, 3] = fx * iz
+        J[..., 0, 5] = -fx * x * iz
+        J[..., 1, 0] = -fy * (1.0 + y * y)
+        J[..., 1, 1] = fy * x * y
+        J[..., 1, 2] = fy * x
+        J[..., 1, 4] = fy * iz
+        J[..., 1, 5] = -fy * y * iz
     return J

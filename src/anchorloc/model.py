@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import CameraIntrinsics, Pose
+from .geom import CameraIntrinsics, Pose, quat_to_mat
 from .matching import FeatureSet
 from .solvers.bundle import FreezeMask
 from .solvers.pnp import Correspondence2D3D
@@ -120,22 +120,21 @@ def frozen_state_digest(model: SfMModel, mask: FreezeMask) -> str:
 
 
 def spatial_neighbors(model: SfMModel, pose: Pose, k: int, max_view_angle_deg: float = 60.0):
-    """k reference frames nearest to pose's center, gated on view angle."""
+    """k reference frames nearest to pose's center, gated on view angle.
+
+    Ties in distance go to the smaller frame id.
+    """
     refs = model.reference_frames()
     if not refs:
         return []
-    center = pose.center()
-    vdir = pose.view_direction()
-    scored = []
-    for f in refs:
-        ang = np.degrees(
-            np.arccos(np.clip(float(f.pose.view_direction() @ vdir), -1.0, 1.0))
-        )
-        if ang > max_view_angle_deg:
-            continue
-        scored.append((float(np.linalg.norm(f.pose.center() - center)), f.id))
-    scored.sort()
-    return [fid for _, fid in scored[:k]]
+    ids = np.array([f.id for f in refs])
+    R = quat_to_mat(np.array([f.pose.q for f in refs]).T)  # (3, 3, n)
+    # each view direction Rᵀ e3 is row 2 of R; each center is -Rᵀ t
+    ang = np.degrees(np.arccos(np.clip(R[2].T @ pose.view_direction(), -1.0, 1.0)))
+    keep = ang <= max_view_angle_deg
+    centers = -np.einsum("jin,nj->ni", R[..., keep], np.array([f.pose.t for f in refs])[keep])
+    dist = np.linalg.norm(centers - pose.center(), axis=1)
+    return ids[keep][np.lexsort((ids[keep], dist))[:k]].tolist()
 
 
 def lift_matches_to_3d(model: SfMModel, query_features: FeatureSet, matches):
@@ -260,7 +259,7 @@ def load_model(path) -> SfMModel:
     head = raw[0].split()
     if len(head) != 2 or head[0] != FORMAT_HEADER:
         raise ModelFormatError("line 1: bad header")
-    if int(head[1]) != FORMAT_VERSION:
+    if head[1] != str(FORMAT_VERSION):
         raise ModelFormatError(f"line 1: version {head[1]} unsupported")
 
     pending_frame = None  # (frame args) awaiting its FEATURES block
@@ -344,7 +343,10 @@ def load_model(path) -> SfMModel:
             raise ModelFormatError(f"line {ln}: {e}") from e
     if feat_left:
         raise ModelFormatError(f"line {len(raw)}: FEATURES block truncated")
-    finish_frame()
+    try:
+        finish_frame()
+    except ValueError as e:
+        raise ModelFormatError(f"line {len(raw)}: {e}") from e
     return model
 
 

