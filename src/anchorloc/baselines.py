@@ -1,5 +1,8 @@
 """Comparison methods: per-frame single-image localization and
 on-the-fly incremental SfM aligned to ground truth by a similarity.
+
+Both report each frame as one metrics.TrajectoryEntry, as the proposed
+pipeline does.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ import numpy as np
 
 from .geom import Pose, project_many
 from .matching import EmptyFeatureSet, global_descriptor, match_features, retrieve_top_k
+from .metrics import TrajectoryEntry
 from .model import NewLandmarkCandidate, SfMModel, merge_new_landmarks
 from .pipeline import (
     PipelineConfig,
@@ -46,20 +50,9 @@ INIT_EPIPOLAR_PX = 1.5
 
 
 @dataclass
-class BaselineFrameResult:
-    frame_id: int
-    timestamp: float
-    status: str
-    pose: Pose | None
-    n_corrs: int
-    n_inliers: int
-    error: float | None = None
-
-
-@dataclass
 class BaselineReport:
     method: str
-    frames: list
+    frames: list  # TrajectoryEntry per frame, in timestamp order
 
 
 def single_image_localize(model: SfMModel, sequence, cfg: PipelineConfig) -> BaselineReport:
@@ -77,13 +70,13 @@ def single_image_localize(model: SfMModel, sequence, cfg: PipelineConfig) -> Bas
             _, corrs, pose, inliers = match_lift_pnp(model, frame, cands, cfg)
         status = "failed" if pose is None else "registered"
         results.append(
-            BaselineFrameResult(frame.id, frame.timestamp, status, pose, len(corrs), len(inliers))
+            TrajectoryEntry(frame.id, frame.timestamp, status, pose, n_corrs=len(corrs), n_inliers=len(inliers))
         )
     return BaselineReport("single_image", results)
 
 
 def _match_count(a, b, cfg):
-    return len(match_features(a.features, b.features, cfg.match_ratio, cfg.mutual_match))
+    return len(match_features(a.features, b.features, cfg.match_ratio))
 
 
 def _find_init_pair(frames, cfg: PipelineConfig, max_gap=50):
@@ -104,7 +97,7 @@ def _find_init_pair(frames, cfg: PipelineConfig, max_gap=50):
     scored.sort(reverse=True)
     for n, i, j in scored:
         a, b = frames[i], frames[j]
-        pairs = match_features(a.features, b.features, cfg.match_ratio, cfg.mutual_match)
+        pairs = match_features(a.features, b.features, cfg.match_ratio)
         px1 = np.array([a.features.pixels[m.query_index] for m in pairs])
         px2 = np.array([b.features.pixels[m.target_index] for m in pairs])
         rcfg = replace(
@@ -182,9 +175,10 @@ def onthefly_sfm(sequence, cfg: PipelineConfig, gt):
     """Incremental SfM over the input frames only, then ground-truth
     similarity registration.
 
-    gt: frame id -> ground-truth camera center; needs >= 3 registered
-    frames with ground truth for the final alignment. Returns
-    (query-only SfMModel, BaselineReport).
+    gt: frame id -> ground-truth camera center, used only for the final
+    alignment, which needs >= 3 registered frames with ground truth.
+    Returns (query-only SfMModel, BaselineReport); the report's poses are
+    the aligned ones and its entries carry no errors or counts.
     """
     frames = sorted(sequence, key=lambda f: f.timestamp)
     if len(frames) < 2:
@@ -309,20 +303,13 @@ def onthefly_sfm(sequence, cfg: PipelineConfig, gt):
         sim = umeyama_similarity(src, dst)
         _apply_similarity(model, sim)
 
-    results = []
-    for f in frames:
-        err = None
-        if f.status == "registered" and f.id in gt:
-            err = float(np.linalg.norm(model.frames[f.id].pose.center() - gt[f.id]))
-        results.append(
-            BaselineFrameResult(
-                f.id,
-                f.timestamp,
-                f.status if f.status == "registered" else "failed",
-                model.frames[f.id].pose if f.id in model.frames else None,
-                0,
-                0,
-                err,
-            )
+    results = [
+        TrajectoryEntry(
+            f.id,
+            f.timestamp,
+            f.status if f.status == "registered" else "failed",
+            model.frames[f.id].pose if f.id in model.frames else None,
         )
+        for f in frames
+    ]
     return model, BaselineReport("onthefly_sfm", results)

@@ -21,11 +21,10 @@ from .metrics import (
     EmptyIntersection,
     compare_methods,
     compute_metrics,
-    entries_from_baseline_report,
-    entries_from_pipeline_result,
     export_pointcloud,
     export_trajectory,
     load_trajectory,
+    position_error,
 )
 from .model import Frame, ModelFormatError, load_model, save_model
 from .pipeline import (
@@ -188,7 +187,7 @@ def cmd_build_ref(args):
     _require_one_camera(db.frames.values(), "database.txt")
     if not raw or raw[0] != "ANCHORLOC_TRACKS 1":
         raise CliError(EXIT_IO, "tracks_db.txt: bad header")
-    tracks = {}
+    tracks, seen = {}, set()
     for ln, line in enumerate(raw[1:], start=2):
         tok = line.split()
         if not tok:
@@ -199,6 +198,9 @@ def cmd_build_ref(args):
             raise CliError(EXIT_IO, f"tracks_db.txt:{ln}: expected frame, feature and landmark ids: {e}")
         if fid not in db.frames or not 0 <= fidx < len(db.frames[fid].features):
             raise CliError(EXIT_IO, f"tracks_db.txt:{ln}: ({fid}, {fidx}) names no database feature")
+        if (fid, fidx) in seen:
+            raise CliError(EXIT_IO, f"tracks_db.txt:{ln}: ({fid}, {fidx}) is listed twice")
+        seen.add((fid, fidx))
         tracks.setdefault(lid, []).append((fid, fidx))
     model = reference_model_from_tracks(list(db.frames.values()), tracks)
     save_model(model, args.out)
@@ -211,11 +213,12 @@ def _load_sequence(path):
     return sorted(seq_model.frames.values(), key=lambda f: (f.timestamp, f.id))
 
 
-def _write_event_log(path, rows):
-    """One line per frame: id status n_candidates n_corrs n_inliers error."""
+def _write_event_log(path, entries):
+    """One line per frame, in report order: id status n_candidates n_corrs n_inliers error."""
     lines = [
-        f"{fid} {status} {n_cand} {n_corrs} {n_inliers} {_fmt(err) if err is not None else '-'}"
-        for fid, status, n_cand, n_corrs, n_inliers, err in rows
+        f"{e.frame_id} {e.status} {e.n_candidates} {e.n_corrs} {e.n_inliers} "
+        + (_fmt(e.error) if e.error is not None else "-")
+        for e in entries
     ]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -229,20 +232,16 @@ def cmd_localize(args):
     except OSError as e:
         raise CliError(EXIT_IO, str(e))
 
-    if args.method != "onthefly" and not args.model:
-        raise CliError(EXIT_CONFIG, f"--model is required for --method {args.method}")
+    required = {"proposed": ("model", "anchors"), "single": ("model",), "onthefly": ("gt",)}[args.method]
+    for flag in required:
+        if not getattr(args, flag):
+            raise CliError(EXIT_CONFIG, f"--{flag} is required for --method {args.method}")
     try:
         sequence = _load_sequence(args.sequence)
-        gt = None
-        if args.gt:
-            gt = gt_centers(load_ground_truth(args.gt))
+        gt = gt_centers(load_ground_truth(args.gt)) if args.gt else None
+        model = None if args.method == "onthefly" else load_model(args.model)
         if args.method == "proposed":
-            model = load_model(args.model)
-            scores = load_scores(args.anchors) if args.anchors else None
-        elif args.method == "single":
-            model = load_model(args.model)
-        else:
-            model = None
+            scores = load_scores(args.anchors)
     except (OSError, ModelFormatError) as e:
         raise CliError(EXIT_IO, str(e))
     if args.method == "proposed":
@@ -255,34 +254,25 @@ def cmd_localize(args):
     log_path = os.path.join(args.out, f"events_{args.method}.log")
 
     if args.method == "proposed":
-        if scores is None:
-            raise CliError(EXIT_CONFIG, "--anchors is required for --method proposed")
         try:
-            result = run_pipeline(model, sequence, detector_from_scores(scores), pipe_cfg, gt=gt)
+            result = run_pipeline(model, sequence, detector_from_scores(scores), pipe_cfg)
         except (NoAnchorsFound, AllAnchorsFailed) as e:
             raise CliError(EXIT_PIPELINE, str(e))
-        entries = entries_from_pipeline_result(result)
-        events = [(ev.frame_id, ev.status, ev.n_candidates, ev.n_corrs, ev.n_inliers, ev.error) for ev in result.frame_events]
+        entries = result.frame_events
         save_model(result.model, os.path.join(args.out, "augmented_model.txt"))
     elif args.method == "single":
-        report = single_image_localize(model, sequence, pipe_cfg)
-        if gt is not None:
-            for r in report.frames:
-                if r.pose is not None and r.frame_id in gt:
-                    r.error = float(np.linalg.norm(r.pose.center() - gt[r.frame_id]))
+        entries = single_image_localize(model, sequence, pipe_cfg).frames
     else:  # onthefly
-        if gt is None:
-            raise CliError(EXIT_CONFIG, "--gt is required for --method onthefly")
         try:
-            _, report = onthefly_sfm(sequence, pipe_cfg, gt)
+            entries = onthefly_sfm(sequence, pipe_cfg, gt)[1].frames
         except InitializationFailure as e:
             raise CliError(EXIT_PIPELINE, str(e))
-    if args.method != "proposed":
-        entries = entries_from_baseline_report(report)
-        # the baselines keep no candidate lists; their column reads 0
-        events = [(r.frame_id, r.status, 0, r.n_corrs, r.n_inliers, r.error) for r in report.frames]
+    if gt is not None:
+        for e in entries:
+            if e.pose is not None and e.frame_id in gt:
+                e.error = position_error(e.pose, gt[e.frame_id])
 
-    _write_event_log(log_path, events)
+    _write_event_log(log_path, entries)
     export_trajectory(entries, traj_path)
     registered = sum(1 for e in entries if e.pose is not None)
     print(f"{args.method}: registered {registered}/{len(entries)} frames -> {traj_path}")

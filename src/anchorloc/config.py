@@ -39,12 +39,6 @@ def _coerce(field: dataclasses.Field, value: str):
         return int(value)
     if t in ("float", float):
         return float(value)
-    if t in ("bool", bool):
-        if value.lower() in ("1", "true", "yes", "on"):
-            return True
-        if value.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"bad boolean {value!r}")
     if field.name == "texture_poor_arcs":
         return _parse_triples(value, "arc")
     if field.name == "query_pans":

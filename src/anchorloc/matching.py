@@ -51,11 +51,11 @@ def _distance_matrix(a, b):
     return np.sqrt(np.maximum(d2, 0.0))
 
 
-def match_features(a: FeatureSet, b: FeatureSet, ratio=0.8, mutual=True):
-    """Nearest-neighbor matches from a to b passing Lowe's ratio test.
+def match_features(a: FeatureSet, b: FeatureSet, ratio=0.8):
+    """Mutual nearest-neighbor matches from a to b passing Lowe's ratio test.
 
-    Returns MatchPairs sorted by ascending distance. With mutual=True a
-    match is kept only when the target's nearest neighbor is the query.
+    Returns MatchPairs sorted by ascending distance. A match is kept only
+    when the target's nearest neighbor is the query too.
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError("ratio must be in (0,1]")
@@ -69,10 +69,8 @@ def match_features(a: FeatureSet, b: FeatureSet, ratio=0.8, mutual=True):
         second = part[:, 1]
     else:
         second = np.full(len(a), np.inf)
-    ok = nn_dist < ratio * second
-    if mutual:
-        back = np.argmin(D, axis=0)
-        ok &= back[nn] == np.arange(len(a))
+    back = np.argmin(D, axis=0)
+    ok = (nn_dist < ratio * second) & (back[nn] == np.arange(len(a)))
     pairs = [MatchPair(int(i), int(nn[i]), float(nn_dist[i])) for i in np.nonzero(ok)[0]]
     pairs.sort(key=lambda m: (m.distance, m.query_index))
     return pairs

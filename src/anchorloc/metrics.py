@@ -27,11 +27,27 @@ class EvaluationReport:
 
 @dataclass
 class TrajectoryEntry:
+    """One localized frame, as every method reports it.
+
+    pose is the final one (after the last bundle adjustment and, for
+    onthefly, the similarity alignment), None for a failed frame. error
+    is set by the caller that holds ground truth. The counts are those of
+    the frame's registration attempt; a method that keeps none leaves 0.
+    """
+
     frame_id: int
     timestamp: float
     status: str
     pose: object = None  # Pose | None
     error: float | None = None
+    n_candidates: int = 0
+    n_corrs: int = 0
+    n_inliers: int = 0
+
+
+def position_error(pose, center) -> float:
+    """Distance between a pose's camera center and a ground-truth center."""
+    return float(np.linalg.norm(pose.center() - np.asarray(center)))
 
 
 def compute_metrics(entries, gt, method="method", total=None) -> EvaluationReport:
@@ -54,7 +70,7 @@ def compute_metrics(entries, gt, method="method", total=None) -> EvaluationRepor
         if e.status in ("registered", "anchor") and e.pose is not None:
             registered += 1
             if e.frame_id in gt:
-                errors[e.frame_id] = float(np.linalg.norm(e.pose.center() - np.asarray(gt[e.frame_id])))
+                errors[e.frame_id] = position_error(e.pose, gt[e.frame_id])
 
     vals = np.array(sorted(errors.values()))
     if len(vals):
@@ -160,19 +176,3 @@ def export_pointcloud(model, path):
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def entries_from_pipeline_result(result):
-    """TrajectoryEntries from a pipeline LocalizationResult."""
-    out = []
-    for ev in result.frame_events:
-        fr = result.model.frames.get(ev.frame_id)
-        pose = fr.pose if fr is not None else None
-        out.append(TrajectoryEntry(ev.frame_id, ev.timestamp, ev.status, pose, ev.error))
-    return out
-
-
-def entries_from_baseline_report(report):
-    return [
-        TrajectoryEntry(r.frame_id, r.timestamp, r.status, r.pose, r.error)
-        for r in report.frames
-    ]

@@ -78,6 +78,8 @@ class SfMModel:
     def add_landmark(self, lm: Landmark):
         if lm.id in self.landmarks:
             raise ValueError(f"duplicate landmark id {lm.id}")
+        if len(set(lm.track)) != len(lm.track):
+            raise ValueError(f"landmark {lm.id}: track repeats an observation")
         for key in lm.track:
             if key in self.obs_to_landmark:
                 raise ValueError(f"feature {key} already bound")
@@ -291,14 +293,15 @@ def load_model(path) -> SfMModel:
                 if feat_left:
                     raise ModelFormatError(f"line {ln}: FEATURES block truncated")
                 finish_frame()
+                if len(tok) < 11 or tok[10] not in ("0", "1") or len(tok) != 11 + 7 * int(tok[10]):
+                    raise ModelFormatError(f"line {ln}: FRAME wants 10 fields and pose flag 0, or flag 1 and 7 pose values")
                 fid = int(tok[1])
                 intr = CameraIntrinsics(
                     float(tok[4]), float(tok[5]), float(tok[6]), float(tok[7]), int(tok[8]), int(tok[9])
                 )
-                has_pose = tok[10] == "1"
                 pose = None
-                if has_pose:
-                    vals = [float(v) for v in tok[11:18]]
+                if tok[10] == "1":
+                    vals = [float(v) for v in tok[11:]]
                     pose = Pose(np.array(vals[:4]), np.array(vals[4:]))
                 pending_frame = (
                     dict(id=fid, timestamp=float(tok[2]), intrinsics=intr, pose=pose, status=tok[3]),
@@ -311,6 +314,8 @@ def load_model(path) -> SfMModel:
                     raise ModelFormatError(f"line {ln}: FEATURES without matching FRAME")
                 feat_left = int(tok[2])
                 feat_dim = int(tok[3])
+                if feat_left < 0 or feat_dim < 0:
+                    raise ModelFormatError(f"line {ln}: negative feature count or dimension")
                 pending_frame = (pending_frame[0], feat_left, feat_dim)
             elif tok[0] == "F":
                 if feat_left <= 0:
@@ -327,6 +332,8 @@ def load_model(path) -> SfMModel:
                 lid = int(tok[1])
                 pos = np.array([float(v) for v in tok[3:6]])
                 n = int(tok[6])
+                if len(tok) != 7 + 2 * n:
+                    raise ModelFormatError(f"line {ln}: LANDMARK with {n} observations has {len(tok)} tokens")
                 track = []
                 for i in range(n):
                     fid, fidx = int(tok[7 + 2 * i]), int(tok[8 + 2 * i])

@@ -6,13 +6,15 @@ each frame via spatially-, retrieval-, and temporally-guided matching,
 PnP, and triangulation, with a frozen-reference bundle adjustment after
 every batch of newly registered frames. Frames before the earliest
 anchor are covered by a mirrored backward pass.
+
+Each frame is reported as one metrics.TrajectoryEntry carrying its final
+pose and the counts of its registration attempt. The localizer never sees
+ground truth; callers that have it annotate the errors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from .matching import (
     EmptyFeatureSet,
@@ -20,6 +22,7 @@ from .matching import (
     match_features,
     temporal_candidates,
 )
+from .metrics import TrajectoryEntry
 from .model import (
     NewLandmarkCandidate,
     SfMModel,
@@ -60,9 +63,7 @@ class PipelineConfig:
     min_2d3d: int = 15
     anchor_threshold: float = 0.5
     match_ratio: float = 0.8
-    mutual_match: bool = True
     max_view_angle_deg: float = 60.0
-    backward_pass: bool = True
     ransac: RansacConfig = field(default_factory=RansacConfig)
     bundle: BundleConfig = field(default_factory=BundleConfig)
     triangulation: TriangulationConfig = field(default_factory=TriangulationConfig)
@@ -71,17 +72,6 @@ class PipelineConfig:
         for name in ("n_temporal", "k_retrieval", "k_spatial", "ba_period", "min_2d3d"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-
-
-@dataclass
-class FrameEvent:
-    frame_id: int
-    timestamp: float
-    status: str
-    n_candidates: int
-    n_corrs: int
-    n_inliers: int
-    error: float | None = None
 
 
 @dataclass
@@ -96,7 +86,7 @@ class BAEvent:
 
 @dataclass
 class LocalizationResult:
-    frame_events: list
+    frame_events: list  # TrajectoryEntry per frame
     ba_events: list
     model: SfMModel
 
@@ -136,7 +126,7 @@ def match_lift_pnp(model: SfMModel, frame, candidate_ids, cfg: PipelineConfig):
         cand = model.frames.get(cid)
         if cand is None or len(cand.features) == 0:
             continue
-        for m in match_features(frame.features, cand.features, cfg.match_ratio, cfg.mutual_match):
+        for m in match_features(frame.features, cand.features, cfg.match_ratio):
             matches.append((m.query_index, cid, m.target_index, m.distance))
 
     corrs = lift_matches_to_3d(model, frame.features, matches)
@@ -274,12 +264,19 @@ def _nearest_anchor_pose(model, registered_anchors, timestamp):
     return None if best is None else best[1]
 
 
-def recursive_localize(model: SfMModel, sequence, anchor_ids, cfg: PipelineConfig, gt=None):
+def _set_final_poses(model: SfMModel, entries):
+    """Give each entry its frame's pose in the model; a failed frame has none."""
+    for e in entries:
+        fr = model.frames.get(e.frame_id)
+        e.pose = None if fr is None else fr.pose
+
+
+def recursive_localize(model: SfMModel, sequence, anchor_ids, cfg: PipelineConfig):
     """Time-ordered frame-by-frame registration with periodic frozen BA.
 
     sequence: Frame objects (anchors already registered into the model).
-    gt: optional frame id -> ground-truth camera center, only used to
-    annotate events. Returns a LocalizationResult.
+    Returns a LocalizationResult with one entry per frame it attempted,
+    holding the frame's pose after the last BA.
     """
     db_index = _db_retrieval_index(model)
     seq = sorted(sequence, key=lambda f: f.timestamp)
@@ -295,11 +292,11 @@ def recursive_localize(model: SfMModel, sequence, anchor_ids, cfg: PipelineConfi
     ba_events = []
     new_since_ba = 0
 
-    passes = [("forward", [f for f in seq if f.status == "pending" and f.timestamp > t0])]
     backward = [f for f in seq if f.status == "pending" and f.timestamp < t0]
-    backward.reverse()
-    if cfg.backward_pass:
-        passes.append(("backward", backward))
+    passes = [
+        ("forward", [f for f in seq if f.status == "pending" and f.timestamp > t0]),
+        ("backward", backward[::-1]),
+    ]
 
     for pass_name, frames in passes:
         prior_pose = start_pose
@@ -331,40 +328,32 @@ def recursive_localize(model: SfMModel, sequence, anchor_ids, cfg: PipelineConfi
                     if anchor_pose is not None:
                         prior_pose = anchor_pose
             frame_events.append(
-                FrameEvent(frame.id, frame.timestamp, frame.status, len(cand_ids), n_corrs, n_inliers)
+                TrajectoryEntry(
+                    frame.id, frame.timestamp, frame.status,
+                    n_candidates=len(cand_ids), n_corrs=n_corrs, n_inliers=n_inliers,
+                )
             )
 
     if new_since_ba > 0:
         _run_bundle(model, cfg, "final", ba_events)
-
-    # annotate errors against the final (post-BA) poses
-    if gt is not None:
-        for ev in frame_events:
-            fr = model.frames.get(ev.frame_id)
-            if fr is not None and fr.pose is not None and ev.frame_id in gt:
-                ev.error = float(np.linalg.norm(fr.pose.center() - gt[ev.frame_id]))
-
+    _set_final_poses(model, frame_events)
     return LocalizationResult(frame_events, ba_events, model)
 
 
-def run_pipeline(model: SfMModel, sequence, detector, cfg: PipelineConfig, gt=None):
-    """detect_anchors + register_anchors + recursive_localize."""
+def run_pipeline(model: SfMModel, sequence, detector, cfg: PipelineConfig):
+    """detect_anchors + register_anchors + recursive_localize.
+
+    The result has one entry per anchor and per frame the recursion
+    attempted, sorted by (timestamp, id), each with its final pose.
+    """
     anchors = detect_anchors(sequence, detector, cfg.anchor_threshold)
     registered, anchor_ba = register_anchors(model, sequence, anchors, cfg)
-    result = recursive_localize(model, sequence, registered, cfg, gt=gt)
+    result = recursive_localize(model, sequence, registered, cfg)
     result.ba_events = anchor_ba + result.ba_events
     # anchors were registered outside the per-frame loop; report them too
-    anchor_events = []
-    for aid in anchors:
-        fr = model.frames.get(aid)
-        if fr is not None and fr.pose is not None:
-            err = None
-            if gt is not None and aid in gt:
-                err = float(np.linalg.norm(fr.pose.center() - gt[aid]))
-            anchor_events.append(FrameEvent(aid, fr.timestamp, fr.status, 0, 0, 0, err))
-        else:
-            ts = next((f.timestamp for f in sequence if f.id == aid), 0.0)
-            anchor_events.append(FrameEvent(aid, ts, "failed", 0, 0, 0))
+    frames = {f.id: f for f in sequence}
+    anchor_events = [TrajectoryEntry(aid, frames[aid].timestamp, frames[aid].status) for aid in anchors]
+    _set_final_poses(model, anchor_events)
     result.frame_events = anchor_events + result.frame_events
     result.frame_events.sort(key=lambda e: (e.timestamp, e.frame_id))
     return result

@@ -18,7 +18,7 @@ from anchorloc.cli import main as cli_main
 from anchorloc.config import parse_run_config
 from anchorloc.geom import Pose, project, residual_jacobian, reprojection_residual, rotation_angle
 from anchorloc.matching import FeatureSet, global_descriptor, retrieve_top_k
-from anchorloc.metrics import TrajectoryEntry, compute_metrics
+from anchorloc.metrics import TrajectoryEntry, compute_metrics, position_error
 from anchorloc.model import Frame
 from anchorloc.pipeline import PipelineConfig, detector_from_scores, run_pipeline
 from anchorloc.solvers import (
@@ -74,9 +74,7 @@ def scenario():
     _, onthefly = onthefly_sfm(_query_frames(dataset), pipe_cfg, gt)
     lap("onthefly")
     # proposed runs last: it augments the reference model in place
-    proposed = run_pipeline(
-        reference, _query_frames(dataset), detector_from_scores(scores), pipe_cfg, gt=gt
-    )
+    proposed = run_pipeline(reference, _query_frames(dataset), detector_from_scores(scores), pipe_cfg)
     lap("proposed")
     elapsed = time.perf_counter() - t0
     return {
@@ -102,11 +100,12 @@ def test_scenario_registration_rates_and_accuracy(scenario):
     proposed_ids = _proposed_registered_ids(scenario["proposed"])
     assert len(proposed_ids) >= 0.99 * n
 
+    gt = scenario["gt"]
     errs = np.array(
         [
-            e.error
+            position_error(e.pose, gt[e.frame_id])
             for e in scenario["proposed"].frame_events
-            if e.status in ("anchor", "registered") and e.error is not None
+            if e.status in ("anchor", "registered") and e.pose is not None and e.frame_id in gt
         ]
     )
     # scene major radius is 100, so 1% of it is 1.0 scene units

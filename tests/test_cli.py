@@ -157,6 +157,10 @@ BAD_INPUTS = {
     "landmark_feature": ("ref.txt", "--model", "LANDMARK", 8, "999999"),
     "track_fields": ("data/tracks_db.txt", None, "", 2, None),
     "track_feature": ("data/tracks_db.txt", None, "", 1, "999999"),
+    # (last frame, feature 0) is listed on an earlier line too
+    "track_repeat": ("data/tracks_db.txt", None, "", 1, "0"),
+    # a posed FRAME with 6 pose values
+    "database_pose_values": ("data/database.txt", None, "FRAME", 17, None),
     "eval_no_common_frame": ("data/gt_query.txt", "eval", "", 0, "999999"),
     "model_version": ("ref.txt", "--model", "ANCHORLOC_MODEL", 1, "x"),
     "sequence_last_status": ("data/query.txt", "--sequence", "FRAME", 3, "bogus"),
@@ -236,6 +240,22 @@ def test_localize_mixed_cameras(workdir, tmp_path, capsys, method, code):
     seq.write_text((workdir / "data" / "query.txt").read_text().replace(" 420.0 420.0 ", " 421.0 420.0 ", 1))
     assert _localize(workdir, method, tmp_path / "out", extra=["--sequence", str(seq)]) == code
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("method, flag", [("proposed", "--anchors"), ("onthefly", "--gt")])
+def test_localize_missing_flag_writes_nothing(workdir, tmp_path, capsys, method, flag):
+    """A missing required flag exits 2 before --out is created."""
+    data = workdir / "data"
+    argv = [
+        "localize", "--method", method, "--sequence", data / "query.txt", "--config", workdir / "run.cfg",
+        "--out", tmp_path / "out", "--model", workdir / "ref.txt",
+        "--anchors", data / "anchor_scores.txt", "--gt", data / "gt_query.txt",
+    ]
+    i = argv.index(flag)
+    del argv[i : i + 2]
+    assert main([str(a) for a in argv]) == 2
+    assert f"{flag} is required" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("method", ["proposed", "single"])

@@ -21,7 +21,6 @@ def test_parse_full_config(tmp_path):
         scene.db_sweep_z_offsets = 0, 18
         scene.pixel_noise = 0.5
         pipeline.ba_period = 5
-        pipeline.backward_pass = false
         pipeline.ransac.inlier_threshold = 3.5
         pipeline.bundle.max_lm_iterations = 30
         pipeline.triangulation.min_angle_deg = 1.0
@@ -34,7 +33,6 @@ def test_parse_full_config(tmp_path):
     assert scene.query_pans == [(230, 252, 28.0)]
     assert scene.db_sweep_z_offsets == (0.0, 18.0)
     assert pipe.ba_period == 5
-    assert pipe.backward_pass is False
     assert pipe.ransac.inlier_threshold == 3.5
     assert pipe.bundle.max_lm_iterations == 30
     assert pipe.triangulation.min_angle_deg == 1.0
@@ -53,6 +51,9 @@ def test_unknown_keys_rejected(tmp_path):
         "pipeline.ransac.bogus = 1",
         "nonsense = 1",
         "pipeline.ransac = 1",
+        # removed options: the mutual check and the backward pass always run
+        "pipeline.mutual_match = true",
+        "pipeline.backward_pass = false",
     ):
         with pytest.raises(ConfigError):
             parse_run_config(_write(tmp_path, line + "\n"))
@@ -65,8 +66,6 @@ def test_malformed_lines_rejected(tmp_path):
         parse_run_config(_write(tmp_path, "scene.texture_poor_arcs = 10:20\n"))
     with pytest.raises(ConfigError):
         parse_run_config(_write(tmp_path, "scene.db_sweep_z_offsets = 1,2,3\n"))
-    with pytest.raises(ConfigError):
-        parse_run_config(_write(tmp_path, "pipeline.backward_pass = maybe\n"))
     # numbers that do not parse are config errors too, not raw ValueErrors
     with pytest.raises(ConfigError, match="run.cfg:1"):
         parse_run_config(_write(tmp_path, "scene.landmark_count = abc\n"))

@@ -1,0 +1,211 @@
+"""Property tests of the model and trajectory readers.
+
+Each reader, given any file, either raises its documented exception
+(``ModelFormatError`` for models, ``ValueError`` for trajectories) or
+returns records whose poses have a 4-vector q and a 3-vector t. Files are
+generated from scratch or made by mutating a valid file token by token.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from anchorloc.geom import CameraIntrinsics, Pose
+from anchorloc.matching import FeatureSet
+from anchorloc.metrics import TRAJ_HEADER, TrajectoryEntry, export_trajectory, load_trajectory
+from anchorloc.model import (
+    FRAME_STATUSES,
+    Frame,
+    Landmark,
+    ModelFormatError,
+    SfMModel,
+    load_model,
+    models_equal,
+    save_model,
+)
+
+# derandomized: every run draws the same examples, so the suite stays deterministic
+FIXED = settings(derandomize=True, deadline=None, database=None, max_examples=150)
+
+
+@pytest.fixture(scope="module")
+def path(tmp_path_factory):
+    """The one file every example writes and reads back."""
+    return tmp_path_factory.mktemp("formats") / "file.txt"
+
+
+# tokens a mutation may put into a file: record names, statuses, edge-case
+# numbers, and short non-blank strings
+TOKENS = st.one_of(
+    st.sampled_from(
+        ["FRAME", "FEATURES", "F", "LANDMARK", "ANCHORLOC_MODEL", TRAJ_HEADER.split()[0], *FRAME_STATUSES,
+         "augmented", "-", "0", "1", "2", "-1", "999999", "0.0", "-0.0", "1e400", "nan", "inf", "1.5"]
+    ),
+    st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=4),
+)
+
+# (operation, line, token, new token); line and token are taken modulo the
+# file's line and token counts. Cutting and extending lines at their end
+# probes the record lengths.
+MUTATION = st.tuples(
+    st.sampled_from(["drop_token", "set_token", "dup_token", "append_token", "cut_line", "drop_line", "dup_line"]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    TOKENS,
+)
+
+
+def _mutate(text, mutations):
+    lines = text.splitlines()
+    for op, li, ti, new in mutations:
+        if not lines:
+            break
+        li %= len(lines)
+        tok = lines[li].split()
+        if op == "drop_line":
+            del lines[li]
+            continue
+        if op == "dup_line":
+            lines.insert(li, lines[li])
+            continue
+        if not tok:
+            continue
+        ti %= len(tok)
+        if op == "drop_token":
+            del tok[ti]
+        elif op == "set_token":
+            tok[ti] = new
+        elif op == "dup_token":
+            tok.insert(ti, tok[ti])
+        elif op == "append_token":
+            tok.append(new)
+        else:
+            del tok[ti:]
+        lines[li] = " ".join(tok)
+    return "\n".join(lines) + "\n"
+
+
+def _pose_shapes_ok(pose):
+    return pose is None or (pose.q.shape == (4,) and pose.t.shape == (3,))
+
+
+def _check_model(path):
+    """Load path; a model that loads must be well formed."""
+    try:
+        model = load_model(path)
+    except ModelFormatError:
+        return
+    for f in model.frames.values():
+        assert _pose_shapes_ok(f.pose)
+        assert len(f.features.pixels) == len(f.features.descriptors)
+    seen = set()
+    for lm in model.landmarks.values():
+        assert lm.position.shape == (3,)
+        for fid, fidx in lm.track:
+            assert 0 <= fidx < len(model.frames[fid].features)
+            assert (fid, fidx) not in seen
+            seen.add((fid, fidx))
+
+
+def _check_trajectory(path):
+    try:
+        entries = load_trajectory(path)
+    except ValueError:
+        return
+    for e in entries:
+        assert _pose_shapes_ok(e.pose)
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+unit_quat = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(lambda q: np.linalg.norm(q) > 1e-3)
+poses = st.builds(Pose, unit_quat.map(np.array), st.lists(finite, min_size=3, max_size=3).map(np.array))
+
+
+@st.composite
+def models(draw, min_frames=0):
+    m = SfMModel()
+    intr = CameraIntrinsics(
+        draw(st.floats(1e-3, 1e4)), draw(st.floats(1e-3, 1e4)), draw(finite), draw(finite),
+        draw(st.integers(1, 4096)), draw(st.integers(1, 4096)),
+    )
+    dim = draw(st.integers(1, 3))
+    for fid in draw(st.lists(st.integers(-5, 10**6), min_size=min_frames, max_size=4, unique=True)):
+        status = draw(st.sampled_from(FRAME_STATUSES))
+        needs_pose = status in ("reference", "anchor", "registered")
+        pose = draw(poses) if needs_pose or draw(st.booleans()) else None
+        n = draw(st.integers(0, 3))
+        # save_model writes dimension 0 for a frame without features
+        desc = np.array(draw(st.lists(st.lists(finite, min_size=dim, max_size=dim), min_size=n, max_size=n)))
+        pix = np.array(draw(st.lists(st.lists(finite, min_size=2, max_size=2), min_size=n, max_size=n)))
+        fs = FeatureSet(pix.reshape(n, 2), desc.reshape(n, dim if n else 0))
+        m.add_frame(Frame(fid, draw(finite), intr, fs, pose, status))
+    keys = draw(st.permutations([(f.id, i) for f in m.frames.values() for i in range(len(f.features))]))
+    lid = 0
+    while keys:
+        k = draw(st.integers(1, len(keys)))
+        pos = np.array(draw(st.lists(finite, min_size=3, max_size=3)))
+        m.add_landmark(Landmark(lid, pos, draw(st.sampled_from(["reference", "augmented"])), keys[:k]))
+        keys = keys[k:]
+        lid += draw(st.integers(1, 3))
+    return m
+
+
+def _renormalized(m):
+    """m with every pose rebuilt from its q and t, as load_model rebuilds them."""
+    for f in m.frames.values():
+        if f.pose is not None:
+            f.pose = Pose(f.pose.q, f.pose.t)
+    return m
+
+
+@FIXED
+@given(models())
+def test_model_save_load_round_trip(path, m):
+    save_model(m, path)
+    back = load_model(path)
+    # load_model normalizes each q again, which can move its last bit
+    assert models_equal(_renormalized(m), back)
+
+
+@FIXED
+@given(models(min_frames=1), st.lists(MUTATION, min_size=1, max_size=3))
+def test_load_model_mutated(path, m, mutations):
+    save_model(m, path)
+    path.write_text(_mutate(path.read_text(), mutations))
+    _check_model(path)
+
+
+@FIXED
+@given(st.lists(st.lists(TOKENS, max_size=20).map(" ".join), max_size=8))
+def test_load_model_generated(path, lines):
+    path.write_text("\n".join(["ANCHORLOC_MODEL 1", *lines]) + "\n")
+    _check_model(path)
+
+
+trajectories = st.lists(
+    st.builds(
+        TrajectoryEntry,
+        st.integers(-(10**6), 10**6),
+        finite,
+        st.sampled_from(["registered", "anchor", "failed"]),
+        st.none() | poses,
+        st.none() | st.floats(0.0, 1e6),
+    ),
+    max_size=4,
+)
+
+
+@FIXED
+@given(trajectories, st.lists(MUTATION, max_size=3))
+def test_load_trajectory_mutated(path, es, mutations):
+    export_trajectory(es, path)
+    path.write_text(_mutate(path.read_text(), mutations))
+    _check_trajectory(path)
+
+
+@FIXED
+@given(st.lists(st.lists(TOKENS, min_size=9, max_size=12).map(" ".join), max_size=6))
+def test_load_trajectory_generated(path, lines):
+    path.write_text("\n".join([TRAJ_HEADER, *lines]) + "\n")
+    _check_trajectory(path)

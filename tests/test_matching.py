@@ -23,7 +23,7 @@ def _fs(rng, n, d=8):
 def test_match_identity():
     rng = np.random.default_rng(0)
     a = _fs(rng, 30)
-    pairs = match_features(a, a, 0.8, True)
+    pairs = match_features(a, a, 0.8)
     assert len(pairs) == 30
     assert all(m.query_index == m.target_index and m.distance < 1e-6 for m in pairs)
 
@@ -35,7 +35,7 @@ def test_match_ratio_rejects_ambiguous():
     b = FeatureSet(
         np.vstack([a.pixels, a.pixels]), np.vstack([a.descriptors, a.descriptors])
     )
-    assert match_features(a, b, 0.8, False) == []
+    assert match_features(a, b, 0.8) == []
 
 
 def test_match_mutual_check():
@@ -44,7 +44,7 @@ def test_match_mutual_check():
     tb = np.array([[np.cos(0.02), np.sin(0.02), 0.0], [0.0, 0.0, 1.0]])
     a = FeatureSet(np.zeros((2, 2)), qa)
     b = FeatureSet(np.zeros((2, 2)), tb)
-    pairs = match_features(a, b, 1.0, True)
+    pairs = match_features(a, b, 1.0)
     assert [(m.query_index, m.target_index) for m in pairs] == [(0, 0)]
 
 
@@ -53,7 +53,7 @@ def test_match_sorted_by_distance():
     a = _fs(rng, 40)
     noisy = a.descriptors + rng.normal(scale=0.02, size=a.descriptors.shape)
     b = FeatureSet(a.pixels, noisy / np.linalg.norm(noisy, axis=1)[:, None])
-    pairs = match_features(a, b, 0.9, True)
+    pairs = match_features(a, b, 0.9)
     dists = [m.distance for m in pairs]
     assert dists == sorted(dists)
 
@@ -61,17 +61,17 @@ def test_match_sorted_by_distance():
 def test_match_empty_inputs():
     rng = np.random.default_rng(3)
     a = _fs(rng, 4)
-    assert match_features(a, FeatureSet.empty(8), 0.8, True) == []
-    assert match_features(FeatureSet.empty(8), a, 0.8, True) == []
+    assert match_features(a, FeatureSet.empty(8), 0.8) == []
+    assert match_features(FeatureSet.empty(8), a, 0.8) == []
 
 
 def test_match_ratio_validation():
     rng = np.random.default_rng(4)
     a = _fs(rng, 3)
     with pytest.raises(ValueError):
-        match_features(a, a, 0.0, True)
+        match_features(a, a, 0.0)
     with pytest.raises(ValueError):
-        match_features(a, a, 1.5, True)
+        match_features(a, a, 1.5)
 
 
 def test_planted_matches_recall_precision():
@@ -82,7 +82,7 @@ def test_planted_matches_recall_precision():
     nb = base + rng.normal(scale=0.05, size=base.shape)
     a = FeatureSet(np.zeros((200, 2)), na / np.linalg.norm(na, axis=1)[:, None])
     b = FeatureSet(np.zeros((200, 2)), nb / np.linalg.norm(nb, axis=1)[:, None])
-    pairs = match_features(a, b, 0.8, True)
+    pairs = match_features(a, b, 0.8)
     correct = sum(1 for m in pairs if m.query_index == m.target_index)
     assert correct / 200 >= 0.9  # recall
     assert correct / len(pairs) >= 0.95  # precision

@@ -7,10 +7,10 @@ from anchorloc.metrics import (
     TrajectoryEntry,
     compare_methods,
     compute_metrics,
-    entries_from_baseline_report,
     export_pointcloud,
     export_trajectory,
     load_trajectory,
+    position_error,
 )
 from anchorloc.model import Landmark, SfMModel
 
@@ -134,12 +134,17 @@ def test_export_pointcloud_ply(tmp_path):
     assert len(lines) == 9
 
 
-def test_entries_from_baseline_report():
-    from anchorloc.baselines import BaselineFrameResult, BaselineReport
+def test_position_error_is_center_distance():
+    pose = _entry(0, [3.0, 4.0, 0.0]).pose
+    assert position_error(pose, [0.0, 0.0, 0.0]) == 5.0
+    assert position_error(pose, np.array([3.0, 4.0, 0.0])) == 0.0
+    # compute_metrics reports the same figure
+    rep = compute_metrics([_entry(0, [3.0, 4.0, 0.0])], {0: np.zeros(3)})
+    assert rep.per_frame_errors == {0: position_error(pose, np.zeros(3))}
 
-    rep = BaselineReport(
-        "single",
-        [BaselineFrameResult(7, 7.0, "registered", Pose(), 10, 8, 0.5)],
-    )
-    entries = entries_from_baseline_report(rep)
-    assert len(entries) == 1 and entries[0].frame_id == 7 and entries[0].error == 0.5
+
+def test_entry_counts_default_to_zero():
+    e = TrajectoryEntry(7, 7.0, "registered", Pose(), 0.5)
+    assert (e.n_candidates, e.n_corrs, e.n_inliers) == (0, 0, 0)
+    e = TrajectoryEntry(7, 7.0, "failed", n_candidates=3, n_corrs=10, n_inliers=8)
+    assert e.pose is None and e.error is None and (e.n_candidates, e.n_corrs, e.n_inliers) == (3, 10, 8)

@@ -195,6 +195,27 @@ def test_load_model_format_errors(tmp_path):
         p.write_text(frame + f"LANDMARK 0 reference 1.0 2.0 3.0 1 {track}\n")
         with pytest.raises(ModelFormatError, match="line 5"):
             load_model(p)
+    # a LANDMARK record ends with its declared track, which names each
+    # observation once: a repeat would count twice in bundle adjustment
+    for track in ("1 0 0 5", "2 0 0 0 0"):
+        p.write_text(frame + f"LANDMARK 0 reference 1.0 2.0 3.0 {track}\n")
+        with pytest.raises(ModelFormatError, match="line 5"):
+            load_model(p)
+    # a FRAME record has 10 fields, a pose flag 0 or 1 and, with flag 1,
+    # exactly 7 pose values
+    fields = "FRAME 0 0.0 pending 400.0 400.0 320.0 240.0 640 480"
+    for pose in ("2", "1 1.0 0.0 0.0", "1 1.0 0.0 0.0 0.0 1.0 2.0", "1 1.0 0.0 0.0 0.0 1.0 2.0 3.0 4.0", "0 1.0"):
+        p.write_text(f"ANCHORLOC_MODEL 1\n{fields} {pose}\nFEATURES 0 0 4\n")
+        with pytest.raises(ModelFormatError, match="line 2"):
+            load_model(p)
+    p.write_text(f"ANCHORLOC_MODEL 1\n{fields} 1 1.0 0.0 0.0 0.0 1.0 2.0 3.0\nFEATURES 0 0 4\n")
+    assert load_model(p).frames[0].pose.t.tolist() == [1.0, 2.0, 3.0]
+    # a negative descriptor dimension would admit feature rows of one value
+    p.write_text(
+        "ANCHORLOC_MODEL 1\nFRAME 0 0.0 pending 400.0 400.0 320.0 240.0 640 480 0\nFEATURES 0 2 -1\nF 1.0\nF 2.0\n"
+    )
+    with pytest.raises(ModelFormatError, match="line 3"):
+        load_model(p)
     # the last FRAME record is checked like every other one
     for last in ("FRAME 1 1.0 bogus", "FRAME 0 1.0 pending"):
         p.write_text(frame + last + " 400.0 400.0 320.0 240.0 640 480 0\nFEATURES " + last.split()[1] + " 0 4\n")

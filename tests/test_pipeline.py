@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from anchorloc.matching import FeatureSet
+from anchorloc.metrics import position_error
 from anchorloc.model import Frame
 from anchorloc.pipeline import (
     AllAnchorsFailed,
@@ -29,10 +30,10 @@ def test_pipeline_registers_whole_sweep(small_scene, small_reference, small_scor
     seq = query_frames(small_scene)
     gt = query_ground_truth(small_scene)
     cfg = PipelineConfig()
-    result = run_pipeline(small_reference, seq, detector_from_scores(small_scores), cfg, gt=gt)
+    result = run_pipeline(small_reference, seq, detector_from_scores(small_scores), cfg)
     ids = _registered_ids(result)
     assert len(ids) == len(seq)
-    errs = np.array([e.error for e in result.frame_events if e.error is not None])
+    errs = np.array([position_error(e.pose, gt[e.frame_id]) for e in result.frame_events if e.pose is not None])
     assert len(errs) == len(seq)
     assert np.median(errs) < 1.0
     # events are unique per frame and time-ordered
