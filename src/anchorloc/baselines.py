@@ -30,13 +30,14 @@ from .solvers import (
     estimate_relative_pose,
     epipolar_inlier_indices,
     refine_relative_pose,
-    triangulate,
+    triangulate_many,
     umeyama_similarity,
 )
+from .solvers.triangulation import ACCEPTED
 
 # not called here; perfbench/tracing.py wraps these names on this module
 from .model import lift_matches_to_3d  # noqa: F401
-from .solvers import ransac_pnp  # noqa: F401
+from .solvers import ransac_pnp, triangulate  # noqa: F401
 
 
 class InitializationFailure(Exception):
@@ -75,10 +76,6 @@ def single_image_localize(model: SfMModel, sequence, cfg: PipelineConfig) -> Bas
     return BaselineReport("single_image", results)
 
 
-def _match_count(a, b, cfg):
-    return len(match_features(a.features, b.features, cfg.match_ratio))
-
-
 def _find_init_pair(frames, cfg: PipelineConfig, max_gap=50):
     """Best two-view seed: pairs within max_gap frames, most inlier
     matches first, accepted when the refined relative pose actually
@@ -91,15 +88,14 @@ def _find_init_pair(frames, cfg: PipelineConfig, max_gap=50):
             j = i + gap
             if j >= len(frames):
                 continue
-            n = _match_count(frames[i], frames[j], cfg)
-            if n >= cfg.min_2d3d:
-                scored.append((n, i, j))
-    scored.sort(reverse=True)
-    for n, i, j in scored:
+            pairs = match_features(frames[i].features, frames[j].features, cfg.match_ratio)
+            if len(pairs) >= cfg.min_2d3d:
+                scored.append((len(pairs), i, j, pairs))
+    scored.sort(key=lambda s: s[:3], reverse=True)
+    for n, i, j, pairs in scored:
         a, b = frames[i], frames[j]
-        pairs = match_features(a.features, b.features, cfg.match_ratio)
-        px1 = np.array([a.features.pixels[m.query_index] for m in pairs])
-        px2 = np.array([b.features.pixels[m.target_index] for m in pairs])
+        px1 = a.features.pixels[[m.query_index for m in pairs]]
+        px2 = b.features.pixels[[m.target_index for m in pairs]]
         rcfg = replace(
             cfg.ransac,
             rng_seed=_frame_seed(cfg, a.id * 31 + b.id),
@@ -113,23 +109,24 @@ def _find_init_pair(frames, cfg: PipelineConfig, max_gap=50):
         # re-gate every match at the standard threshold: the tight seed
         # gate above rejects good matches the refined pose can keep
         inliers = epipolar_inlier_indices(rel, px1, px2, a.intrinsics, cfg.ransac.inlier_threshold)
-        support = 0
-        origin = Pose.identity()
-        for k in inliers:
-            m = pairs[k]
-            try:
-                triangulate(
-                    [origin, rel],
-                    [a.features.pixels[m.query_index], b.features.pixels[m.target_index]],
-                    a.intrinsics,
-                    cfg.triangulation,
-                )
-                support += 1
-            except SolverError:
-                continue
+        _, code = _two_view_points(rel, px1[inliers], px2[inliers], a.intrinsics, cfg.triangulation)
+        support = int((code == ACCEPTED).sum())
         if support >= max(cfg.min_2d3d, len(inliers) // 2):
             return i, j, pairs, rel, inliers
     raise InitializationFailure("no frame pair with sufficient matches and parallax")
+
+
+def _two_view_points(rel, px1, px2, intr, tri_cfg):
+    """triangulate_many of matching (n,2) pixels of the origin view and the view at rel."""
+    n = len(px1)
+    origin = Pose.identity()
+    return triangulate_many(
+        np.broadcast_to([origin.R, rel.R], (n, 2, 3, 3)),
+        np.broadcast_to([origin.t, rel.t], (n, 2, 3)),
+        np.stack([px1, px2], axis=1),
+        intr,
+        tri_cfg,
+    )
 
 
 def _prune_landmarks(model: SfMModel, max_reprojection_px):
@@ -200,19 +197,12 @@ def onthefly_sfm(sequence, cfg: PipelineConfig, gt):
     # polish the pair with a bundle step, then drop what stayed bad
     tri_cfg = cfg.triangulation
     seed_tri = replace(tri_cfg, max_reprojection_px=4.0 * tri_cfg.max_reprojection_px)
-    cands = []
-    for k in inliers:
-        m = pairs[k]
-        try:
-            X = triangulate(
-                [a.pose, b.pose],
-                [a.features.pixels[m.query_index], b.features.pixels[m.target_index]],
-                a.intrinsics,
-                seed_tri,
-            )
-        except SolverError:
-            continue
-        cands.append(NewLandmarkCandidate(X, [(a.id, m.query_index), (b.id, m.target_index)]))
+    qs = [pairs[k].query_index for k in inliers]
+    ts = [pairs[k].target_index for k in inliers]
+    X, code = _two_view_points(rel, a.features.pixels[qs], b.features.pixels[ts], a.intrinsics, seed_tri)
+    cands = [
+        NewLandmarkCandidate(X[k].copy(), [(a.id, qs[k]), (b.id, ts[k])]) for k in np.flatnonzero(code == ACCEPTED)
+    ]
     merge_new_landmarks(model, a.id, cands)
     if len(model.landmarks) < cfg.min_2d3d:
         raise InitializationFailure("two-view seed produced too few points")

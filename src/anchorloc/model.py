@@ -17,6 +17,7 @@ from .geom import CameraIntrinsics, Pose, quat_to_mat
 from .matching import FeatureSet
 from .solvers.bundle import FreezeMask
 from .solvers.pnp import Correspondence2D3D
+from .solvers.triangulation import TriangulationConfig, triangulate_many
 
 FRAME_STATUSES = ("reference", "anchor", "registered", "failed", "pending")
 
@@ -167,6 +168,24 @@ def lift_matches_to_3d(model: SfMModel, query_features: FeatureSet, matches):
             )
         )
     return corrs
+
+
+def triangulate_tracks(frames, tracks, intr: CameraIntrinsics, cfg: TriangulationConfig):
+    """triangulate_many over tracks of one length.
+
+    frames: frame id -> posed Frame; tracks: lists of (frame id, feature
+    index). Returns (X, code) with one row per track, in track order.
+    """
+    if not tracks:
+        return np.zeros((0, 3)), np.zeros(0, dtype=np.int64)
+    fids = sorted({fid for track in tracks for fid, _ in track})
+    slot = {fid: k for k, fid in enumerate(fids)}
+    poses = [frames[fid].pose for fid in fids]
+    Rs = np.moveaxis(quat_to_mat(np.array([p.q for p in poses]).T), -1, 0)
+    ts = np.array([p.t for p in poses])
+    cams = np.array([[slot[fid] for fid, _ in track] for track in tracks])
+    pixels = np.array([[frames[fid].features.pixels[fidx] for fid, fidx in track] for track in tracks])
+    return triangulate_many(Rs[cams], ts[cams], pixels, intr, cfg)
 
 
 def add_observation(model: SfMModel, lid: int, fid: int, fidx: int) -> bool:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .matching import (
     EmptyFeatureSet,
     global_descriptor,
@@ -32,6 +34,7 @@ from .model import (
     lift_matches_to_3d,
     merge_new_landmarks,
     spatial_neighbors,
+    triangulate_tracks,
 )
 from .solvers import (
     BundleConfig,
@@ -40,8 +43,11 @@ from .solvers import (
     TriangulationConfig,
     bundle_adjust,
     ransac_pnp,
-    triangulate,
 )
+from .solvers.triangulation import ACCEPTED
+
+# not called here; perfbench/tracing.py wraps these names on this module
+from .solvers import triangulate  # noqa: F401
 
 
 class NoAnchorsFound(Exception):
@@ -177,20 +183,11 @@ def _attempt_registration(model: SfMModel, frame, candidate_ids, cfg: PipelineCo
         if cur is None or dist < cur[2]:
             best_partner[qidx] = (cid, cfidx, dist)
 
-    candidates = []
-    for qidx in sorted(best_partner):
-        cid, cfidx, _ = best_partner[qidx]
-        partner = model.frames[cid]
-        try:
-            X = triangulate(
-                [frame.pose, partner.pose],
-                [frame.features.pixels[qidx], partner.features.pixels[cfidx]],
-                frame.intrinsics,
-                cfg.triangulation,
-            )
-        except SolverError:
-            continue
-        candidates.append(NewLandmarkCandidate(X, [(frame.id, qidx), (cid, cfidx)]))
+    tracks = [[(frame.id, qidx), best_partner[qidx][:2]] for qidx in sorted(best_partner)]
+    X, code = triangulate_tracks(model.frames, tracks, frame.intrinsics, cfg.triangulation)
+    candidates = [
+        NewLandmarkCandidate(X[k].copy(), tracks[k]) for k in np.flatnonzero(code == ACCEPTED)
+    ]
     merge_new_landmarks(model, frame.id, candidates)
 
     return True, len(corrs), len(inliers)

@@ -11,7 +11,7 @@ from .errors import (
     SolverError,
 )
 from .pnp import Correspondence2D3D, RansacConfig, ransac_pnp, refine_pose, solve_p3p
-from .triangulation import TriangulationConfig, triangulate
+from .triangulation import TriangulationConfig, triangulate, triangulate_many
 from .twoview import epipolar_inlier_indices, estimate_relative_pose, refine_relative_pose
 
 __all__ = [
@@ -38,5 +38,6 @@ __all__ = [
     "refine_pose",
     "solve_p3p",
     "triangulate",
+    "triangulate_many",
     "umeyama_similarity",
 ]

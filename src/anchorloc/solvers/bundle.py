@@ -83,10 +83,21 @@ def _gather_problem(model, mask: FreezeMask):
         frame_slot[fid] = len(frame_ids)
         frame_ids.append(fid)
 
+    # only an unfrozen landmark, or one that an unfrozen frame observes,
+    # can give a kept observation; the unfrozen frames' feature bindings
+    # name the latter, so no other track is read
+    observed = set()
+    for fid in frame_ids:
+        if fid not in mask.frozen_frame_ids:
+            n = len(model.frames[fid].features)
+            observed.update(model.obs_to_landmark.get((fid, k)) for k in range(n))
+
     lm_ids = list(model.landmarks.keys())
 
     obs_cam, obs_lm, obs_feat = [], [], []
     for li, lid in enumerate(lm_ids):
+        if lid in mask.frozen_landmark_ids and lid not in observed:
+            continue
         for fid, fidx in model.landmarks[lid].track:
             slot = frame_slot.get(fid)
             if slot is None:

@@ -9,6 +9,11 @@ from .errors import DegenerateConfiguration, InsufficientCorrespondences, NoCons
 from .pnp import RansacConfig, _bearing_vectors, ransac
 
 
+# _midpoint_depths leaves a match to np.linalg.lstsq when |R f1 × f2| is
+# at most this share of |R f1|² + |f2|², rays within about 2e-5 rad of parallel
+_PARALLEL_RAYS = 1e-5
+
+
 def _essential_from_eight(x1, x2):
     """Linear essential estimates from normalized image points.
 
@@ -43,17 +48,26 @@ def _sampson_sq(E, x1, x2):
 
 
 def _midpoint_depths(R, t, x1, x2):
-    """Depths of the midpoint triangulation in both views, vectorized."""
+    """Depths of the midpoint triangulation in both views, vectorized.
+
+    Solves z2 f2 = z1 R f1 + t in the least-squares sense for all matches
+    at once, by Cramer's rule on the 2x2 normal equations. Their
+    determinant |R f1|²|f2|² - (R f1 · f2)² is taken as |R f1 × f2|²,
+    which keeps its precision as the rays turn parallel. Rows within
+    _PARALLEL_RAYS of parallel, which np.linalg.lstsq may treat as rank
+    deficient, take its answer.
+    """
     f1 = np.column_stack([x1, np.ones(len(x1))])
     f2 = np.column_stack([x2, np.ones(len(x2))])
-    # solve for z1, z2 with z2 * f2 = R (z1 * f1) + t per correspondence
     Rf1 = f1 @ R.T
-    z1 = np.zeros(len(x1))
-    z2 = np.zeros(len(x1))
-    for i in range(len(x1)):
-        A = np.column_stack([Rf1[i], -f2[i]])
-        sol, *_ = np.linalg.lstsq(A, -t, rcond=None)
-        z1[i], z2[i] = sol
+    n = np.cross(Rf1, f2)
+    det = np.einsum("ij,ij->i", n, n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z1 = np.einsum("ij,ij->i", np.cross(-t, f2), n) / det
+        z2 = np.einsum("ij,ij->i", np.cross(-t, Rf1), n) / det
+    scale = np.einsum("ij,ij->i", Rf1, Rf1) + np.einsum("ij,ij->i", f2, f2)
+    for i in np.flatnonzero(~(np.sqrt(det) > _PARALLEL_RAYS * scale)):
+        (z1[i], z2[i]), *_ = np.linalg.lstsq(np.column_stack([Rf1[i], -f2[i]]), -t, rcond=None)
     return z1, z2
 
 
@@ -79,14 +93,19 @@ def _decompose_essential(E, x1, x2):
 
 
 def _sampson_residuals(R, t, x1, x2):
-    tx = np.array([[0.0, -t[2], t[1]], [t[2], 0.0, -t[0]], [-t[1], t[0], 0.0]])
+    """Signed Sampson errors of (n,2) matches under the relative pose R, t: (n,),
+    or (k,n) under a stack R (k,3,3), t (k,3)."""
+    tx = np.zeros(t.shape[:-1] + (3, 3))
+    tx[..., 0, 1], tx[..., 0, 2] = -t[..., 2], t[..., 1]
+    tx[..., 1, 0], tx[..., 1, 2] = t[..., 2], -t[..., 0]
+    tx[..., 2, 0], tx[..., 2, 1] = -t[..., 1], t[..., 0]
     E = tx @ R
     x1h = np.column_stack([x1, np.ones(len(x1))])
     x2h = np.column_stack([x2, np.ones(len(x2))])
-    Ex1 = x1h @ E.T
+    Ex1 = x1h @ np.swapaxes(E, -1, -2)
     Etx2 = x2h @ E
-    num = np.einsum("ij,ij->i", x2h, Ex1)
-    den = np.sqrt(Ex1[:, 0] ** 2 + Ex1[:, 1] ** 2 + Etx2[:, 0] ** 2 + Etx2[:, 1] ** 2)
+    num = np.einsum("ij,...ij->...i", x2h, Ex1)
+    den = np.sqrt(Ex1[..., 0] ** 2 + Ex1[..., 1] ** 2 + Etx2[..., 0] ** 2 + Etx2[..., 1] ** 2)
     return num / np.maximum(den, 1e-18)
 
 
@@ -115,15 +134,9 @@ def refine_relative_pose(pose: Pose, pixels1, pixels2, intr: CameraIntrinsics, i
         # unit translation sphere
         U, _, _ = np.linalg.svd(np.eye(3) - np.outer(t, t))
         B = U[:, :2]
-        J = np.zeros((len(x1), 5))
-        for p in range(3):
-            d = np.zeros(3)
-            d[p] = eps
-            J[:, p] = (_sampson_residuals(quat_to_mat(so3_exp_quat(d)) @ R, t, x1, x2) - r) / eps
-        for p in range(2):
-            tp = t + eps * B[:, p]
-            tp = tp / np.linalg.norm(tp)
-            J[:, 3 + p] = (_sampson_residuals(R, tp, x1, x2) - r) / eps
+        Rs = [quat_to_mat(so3_exp_quat(d)) @ R for d in eps * np.eye(3)] + [R, R]
+        ts = [t, t, t] + [tp / np.linalg.norm(tp) for tp in (t + eps * B.T)]
+        J = ((_sampson_residuals(np.array(Rs), np.array(ts), x1, x2) - r) / eps).T
         H = J.T @ J
         g = J.T @ r
         if np.max(np.abs(g)) < 1e-14:

@@ -22,9 +22,8 @@ import numpy as np
 
 from .geom import CameraIntrinsics, Pose, project_many
 from .matching import FeatureSet
-from .model import Frame, Landmark, SfMModel
-from .solvers.triangulation import TriangulationConfig, triangulate
-from .solvers.errors import SolverError
+from .model import Frame, Landmark, SfMModel, triangulate_tracks
+from .solvers.triangulation import ACCEPTED, TriangulationConfig
 
 
 class ConfigInvalid(Exception):
@@ -306,24 +305,31 @@ def build_reference_model(dataset: SyntheticDataset) -> SfMModel:
 
 def reference_model_from_tracks(frames, tracks) -> SfMModel:
     """Reference model from posed frames plus landmark-id -> observation
-    lists, triangulating each track from its (noisy) pixels."""
+    lists, triangulating each track from its (noisy) pixels.
+
+    The frames share one camera model. Tracks of one length are
+    triangulated together; landmarks go in by id.
+    """
     model = SfMModel()
     for fr in frames:
         model.add_frame(fr)
-    frame_by_id = model.frames
+    intr = None
+    for fr in model.frames.values():
+        if intr is None:
+            intr = fr.intrinsics
+        elif fr.intrinsics != intr:
+            raise ValueError(f"frame {fr.id} has another camera model than the first frame")
     tri_cfg = TriangulationConfig(min_angle_deg=0.5, max_reprojection_px=6.0)
-    for lid in sorted(tracks):
-        track = tracks[lid]
-        if len(track) < 2:
-            continue
-        intr = frame_by_id[track[0][0]].intrinsics
-        poses = [frame_by_id[fid].pose for fid, _ in track]
-        pixels = [frame_by_id[fid].features.pixels[fidx] for fid, fidx in track]
-        try:
-            X = triangulate(poses, pixels, intr, tri_cfg)
-        except SolverError:
-            continue
-        model.add_landmark(Landmark(lid, X, "reference", list(track)))
+    by_length = {}
+    for lid, track in tracks.items():
+        if len(track) >= 2:
+            by_length.setdefault(len(track), []).append(lid)
+    positions = {}
+    for lids in by_length.values():
+        X, code = triangulate_tracks(model.frames, [tracks[lid] for lid in lids], intr, tri_cfg)
+        positions.update((lid, X[k].copy()) for k, lid in enumerate(lids) if code[k] == ACCEPTED)
+    for lid in sorted(positions):
+        model.add_landmark(Landmark(lid, positions[lid], "reference", list(tracks[lid])))
     return model
 
 

@@ -295,3 +295,83 @@ def test_bundle_zero_depth_observation_stays_finite():
     for f in model.frames.values():
         assert np.all(np.isfinite(f.pose.q)) and np.all(np.isfinite(f.pose.t))
     assert all(np.all(np.isfinite(lm.position)) for lm in model.landmarks.values())
+
+
+def _gather_problem_all_tracks(model, mask):
+    """Reference: _gather_problem walking every track of every landmark."""
+    frame_ids = [fid for fid, fr in model.frames.items() if fr.pose is not None]
+    frame_slot = {fid: k for k, fid in enumerate(frame_ids)}
+    intr = model.frames[frame_ids[0]].intrinsics
+    lm_ids = list(model.landmarks.keys())
+    obs_cam, obs_lm, obs_feat = [], [], []
+    for li, lid in enumerate(lm_ids):
+        for fid, fidx in model.landmarks[lid].track:
+            slot = frame_slot.get(fid)
+            if slot is None:
+                continue
+            obs_cam.append(slot)
+            obs_lm.append(li)
+            obs_feat.append(fidx)
+    obs_cam = np.array(obs_cam, dtype=int)
+    obs_lm = np.array(obs_lm, dtype=int)
+    lm_obs_count = np.bincount(obs_lm, minlength=len(lm_ids))
+    frame_free = np.array([fid not in mask.frozen_frame_ids for fid in frame_ids], dtype=bool)
+    lm_free = np.array([lid not in mask.frozen_landmark_ids for lid in lm_ids], dtype=bool) & (lm_obs_count >= 2)
+    frame_free &= np.bincount(obs_cam, minlength=len(frame_ids)) > 0
+    keep = np.nonzero(frame_free[obs_cam] | lm_free[obs_lm])[0]
+    pixels = [model.frames[fid].features.pixels for fid in frame_ids]
+    obs_px = np.array([pixels[obs_cam[k]][obs_feat[k]] for k in keep], dtype=float).reshape(-1, 2)
+    return frame_ids, lm_ids, frame_free, lm_free, obs_cam[keep], obs_lm[keep], obs_px, intr
+
+
+def _model_with_reference_only_landmarks():
+    """Ring of 8 cameras: 0-4 reference, 5-6 registered, 7 unposed.
+
+    Two of three landmarks are reference landmarks that only reference
+    frames observe; a few augmented landmarks are seen only by reference
+    frames, and one registered frame observes nothing.
+    """
+    ring = _ring_model(n_cams=8, n_pts=60, noise=0.5)
+    rng = np.random.default_rng(11)
+    model = SfMModel()
+    for fid, fr in ring.frames.items():
+        if fid in (5, 6):
+            fr = Frame(fid, fr.timestamp, fr.intrinsics, fr.features, fr.pose.retract(rng.normal(scale=1e-3, size=6)), "registered")
+        elif fid == 7:
+            fr = Frame(fid, fr.timestamp, fr.intrinsics, fr.features, None, "pending")
+        model.add_frame(fr)
+    model.add_frame(Frame(8, 8.0, ring.frames[0].intrinsics, ring.frames[0].features, ring.frames[0].pose, "registered"))
+    for lid, lm in ring.landmarks.items():
+        track = lm.track if lid % 3 == 0 else [o for o in lm.track if o[0] not in (5, 6)]
+        origin = "augmented" if lid % 3 == 0 and lid % 2 == 0 or lid % 7 == 0 else "reference"
+        X = lm.position + (rng.normal(scale=0.02, size=3) if origin == "augmented" else 0.0)
+        model.add_landmark(Landmark(lid, X, origin, track))
+    return model
+
+
+def test_gather_problem_skips_reference_only_tracks(monkeypatch):
+    from anchorloc.model import freeze_mask_for_reference
+
+    model = _model_with_reference_only_landmarks()
+    mask = freeze_mask_for_reference(model)
+    reads_free = {l for l, lm in model.landmarks.items() if any(f in (5, 6) for f, _ in lm.track)}
+    assert any(l in mask.frozen_landmark_ids and l not in reads_free for l in model.landmarks)
+
+    got = bundle._gather_problem(model, mask)
+    ref = _gather_problem_all_tracks(model, mask)
+    assert got[0] == ref[0] and got[1] == ref[1] and got[-1] == ref[-1]
+    for g, r in zip(got[2:-1], ref[2:-1]):
+        assert np.array_equal(g, r)
+
+    reference = copy.deepcopy(model)
+    res = bundle_adjust(model, mask, BundleConfig())
+    monkeypatch.setattr(bundle, "_gather_problem", _gather_problem_all_tracks)
+    res_ref = bundle_adjust(reference, mask, BundleConfig())
+    assert res.accepted_steps > 0 and res == res_ref
+    for fid, fr in model.frames.items():
+        other = reference.frames[fid].pose
+        assert (fr.pose is None) == (other is None)
+        if fr.pose is not None:
+            assert np.array_equal(fr.pose.q, other.q) and np.array_equal(fr.pose.t, other.t)
+    for lid, lm in model.landmarks.items():
+        assert np.array_equal(lm.position, reference.landmarks[lid].position)

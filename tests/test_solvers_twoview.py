@@ -215,3 +215,118 @@ def test_essential_from_eight_stacked_equals_rows():
     rows = np.array([_essential_from_eight(x1[i], x2[i]) for i in idx])
     assert np.array_equal(E, rows)
     assert np.array_equal(_sampson_sq(E, x1, x2), np.array([_sampson_sq(e, x1, x2) for e in rows]))
+
+
+def _midpoint_depths_loop(R, t, x1, x2):
+    """Reference: one np.linalg.lstsq per match."""
+    f1 = np.column_stack([x1, np.ones(len(x1))])
+    f2 = np.column_stack([x2, np.ones(len(x2))])
+    Rf1 = f1 @ R.T
+    z = np.array([np.linalg.lstsq(np.column_stack([a, -b]), -t, rcond=None)[0] for a, b in zip(Rf1, f2)])
+    return z[:, 0], z[:, 1]
+
+
+def test_midpoint_depths_match_per_match_lstsq(intrinsics):
+    from anchorloc.solvers.twoview import _midpoint_depths
+
+    rng = np.random.default_rng(7)
+    rel, px1, px2 = _two_view_scene(rng, n=80, noise=0.5, intr=intrinsics)
+    x1 = (px1 - [intrinsics.cx, intrinsics.cy]) / intrinsics.fx
+    x2 = (px2 - [intrinsics.cx, intrinsics.cy]) / intrinsics.fx
+    # some matches far off their epipolar lines, some on exactly parallel rays
+    x2[:10] = rng.normal(scale=0.5, size=(10, 2))
+    par = x1[20:30] @ rel.R[:2, :2].T + rel.R[:2, 2]
+    x2[20:30] = par / (x1[20:30] @ rel.R[2, :2] + rel.R[2, 2])[:, None]
+    t = rel.t / np.linalg.norm(rel.t)
+    cases = [(rel.R, t), (rel.R, -t), (rel.R.T, t), (rel.R, np.zeros(3)), (np.eye(3), t)]
+    for R, tt in cases:
+        got = _midpoint_depths(R, tt, x1, x2)
+        ref = _midpoint_depths_loop(R, tt, x1, x2)
+        for g, r in zip(got, ref):
+            np.testing.assert_allclose(g, r, rtol=1e-9, atol=1e-12)
+            assert np.array_equal(np.sign(g), np.sign(r))
+    # identical pixels with R = I: every pair of rays is parallel
+    got = _midpoint_depths(np.eye(3), t, x1, x1)
+    ref = _midpoint_depths_loop(np.eye(3), t, x1, x1)
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
+def test_sampson_residuals_stacked_equal_one_pose_rows():
+    from anchorloc.geom import quat_to_mat, so3_exp_quat
+    from anchorloc.solvers.twoview import _sampson_residuals
+
+    rng = np.random.default_rng(8)
+    x1 = rng.normal(scale=0.3, size=(40, 2))
+    x2 = x1 + rng.normal(scale=0.02, size=(40, 2))
+    Rs = np.array([quat_to_mat(so3_exp_quat(rng.normal(scale=0.3, size=3))) for _ in range(5)])
+    ts = rng.normal(size=(5, 3))
+    ts /= np.linalg.norm(ts, axis=1)[:, None]
+    got = _sampson_residuals(Rs, ts, x1, x2)
+    assert got.shape == (5, 40)
+    assert np.array_equal(got, np.array([_sampson_residuals(R, t, x1, x2) for R, t in zip(Rs, ts)]))
+
+
+def _refine_relative_pose_loop(pose, pixels1, pixels2, intr, iterations=30):
+    """Reference: refine_relative_pose with one _sampson_residuals call per Jacobian column."""
+    from anchorloc.geom import mat_to_quat, quat_to_mat, so3_exp_quat
+    from anchorloc.solvers.pnp import _bearing_vectors
+    from anchorloc.solvers.twoview import _sampson_residuals
+
+    b1 = _bearing_vectors(np.asarray(pixels1, dtype=float), intr)
+    b2 = _bearing_vectors(np.asarray(pixels2, dtype=float), intr)
+    x1 = b1[:, :2] / b1[:, 2:3]
+    x2 = b2[:, :2] / b2[:, 2:3]
+    R = pose.R
+    t = pose.t / np.linalg.norm(pose.t)
+    r = _sampson_residuals(R, t, x1, x2)
+    cost = float(r @ r)
+    lam, eps = 1e-4, 1e-7
+    for _ in range(iterations):
+        U, _, _ = np.linalg.svd(np.eye(3) - np.outer(t, t))
+        B = U[:, :2]
+        J = np.zeros((len(x1), 5))
+        for p in range(3):
+            d = np.zeros(3)
+            d[p] = eps
+            J[:, p] = (_sampson_residuals(quat_to_mat(so3_exp_quat(d)) @ R, t, x1, x2) - r) / eps
+        for p in range(2):
+            tp = t + eps * B[:, p]
+            tp = tp / np.linalg.norm(tp)
+            J[:, 3 + p] = (_sampson_residuals(R, tp, x1, x2) - r) / eps
+        H = J.T @ J
+        g = J.T @ r
+        if np.max(np.abs(g)) < 1e-14:
+            break
+        stepped = False
+        for _ in range(8):
+            try:
+                step = np.linalg.solve(H + lam * np.diag(np.diag(H)) + 1e-15 * np.eye(5), -g)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            Rn = quat_to_mat(so3_exp_quat(step[:3])) @ R
+            tn = t + B @ step[3:]
+            tn = tn / np.linalg.norm(tn)
+            rn = _sampson_residuals(Rn, tn, x1, x2)
+            cn = float(rn @ rn)
+            if cn < cost:
+                R, t, r, cost = Rn, tn, rn, cn
+                lam = max(lam / 10.0, 1e-10)
+                stepped = True
+                break
+            lam *= 10.0
+        if not stepped:
+            break
+    return Pose(mat_to_quat(R), t)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_refine_relative_pose_matches_five_call_jacobian(intrinsics, seed):
+    rng = np.random.default_rng(300 + seed)
+    _, px1, px2 = _two_view_scene(rng, n=70, noise=0.7, intr=intrinsics)
+    est, inliers = estimate_relative_pose(px1, px2, intrinsics, RansacConfig(rng_seed=seed))
+    got = refine_relative_pose(est, px1[inliers], px2[inliers], intrinsics)
+    ref = _refine_relative_pose_loop(est, px1[inliers], px2[inliers], intrinsics)
+    assert rotation_angle(got.R, est.R) > 1e-9  # the refinement moved the pose
+    np.testing.assert_allclose(got.R, ref.R, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(got.t, ref.t, rtol=0, atol=1e-9)
