@@ -175,9 +175,10 @@ def onthefly_sfm(sequence, cfg: PipelineConfig, gt):
     gt: frame id -> ground-truth camera center, used only for the final
     alignment, which needs >= 3 registered frames with ground truth.
     Returns (query-only SfMModel, BaselineReport); the report's poses are
-    the aligned ones and its entries carry no errors or counts.
+    the aligned ones and its entries carry no errors or counts. The
+    caller's frames are copied, not changed.
     """
-    frames = sorted(sequence, key=lambda f: f.timestamp)
+    frames = sorted((replace(f) for f in sequence), key=lambda f: f.timestamp)
     if len(frames) < 2:
         raise InitializationFailure("need at least 2 frames")
 

@@ -26,7 +26,7 @@ from .metrics import (
     load_trajectory,
     position_error,
 )
-from .model import Frame, ModelFormatError, load_model, save_model
+from .model import Frame, ModelFormatError, _fmt, load_model, save_model
 from .pipeline import (
     AllAnchorsFailed,
     NoAnchorsFound,
@@ -52,10 +52,6 @@ class CliError(Exception):
     def __init__(self, code, message):
         super().__init__(message)
         self.code = code
-
-
-def _fmt(x):
-    return repr(float(x))
 
 
 def save_ground_truth(frames, path):
@@ -90,10 +86,14 @@ def load_ground_truth(path):
         if len(tok) != 9:
             raise CliError(EXIT_IO, f"{path}:{ln}: expected 9 fields")
         try:
+            fid = int(tok[0])
             vals = [float(v) for v in tok[2:]]
-            out[int(tok[0])] = (float(tok[1]), Pose(np.array(vals[:4]), np.array(vals[4:])))
+            entry = (float(tok[1]), Pose(np.array(vals[:4]), np.array(vals[4:])))
         except ValueError as e:
             raise CliError(EXIT_IO, f"{path}:{ln}: {e}")
+        if fid in out:
+            raise CliError(EXIT_IO, f"{path}:{ln}: frame {fid} is listed twice")
+        out[fid] = entry
     return out
 
 
@@ -118,10 +118,15 @@ def load_scores(path):
         tok = line.split()
         if not tok:
             continue
+        if len(tok) != 2:
+            raise CliError(EXIT_IO, f"{path}:{ln}: expected a frame id and a score")
         try:
-            out[int(tok[0])] = float(tok[1])
-        except (ValueError, IndexError) as e:
+            fid, score = int(tok[0]), float(tok[1])
+        except ValueError as e:
             raise CliError(EXIT_IO, f"{path}:{ln}: bad score line: {e}")
+        if fid in out:
+            raise CliError(EXIT_IO, f"{path}:{ln}: frame {fid} is listed twice")
+        out[fid] = score
     return out
 
 

@@ -86,7 +86,7 @@ def parse_run_config(path):
                 raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
             try:
                 kv[prefix][field.name] = _coerce(field, value)
-            except (ConfigError, ValueError) as e:
+            except (ConfigError, ValueError, OverflowError) as e:
                 raise ConfigError(f"{path}:{ln}: bad value for {key!r}: {e}") from e
 
     try:

@@ -5,6 +5,11 @@ with the rotation stored as a unit quaternion ``(w, x, y, z)``. Pose
 increments are minimal 6-vectors ``(rotation tangent, translation)``
 applied by left multiplication, so quaternions never enter the solvers'
 parameter blocks.
+
+Projection and its pose Jacobian exist only in stacked form
+(``project_many``, ``pose_jacobian_many``), the form every solver calls;
+a point's Jacobian block is the translation block times ``R``. The
+scalar oracles the tests compare them with live in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -12,13 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-class BehindCamera(Exception):
-    """The point has non-positive depth in the camera frame.
-
-    Signals non-observability, not a fault.
-    """
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +97,6 @@ def so3_exp_quat(w):
     return np.concatenate([[np.cos(half)], np.sin(half) * axis])
 
 
-def rotation_angle(Ra, Rb):
-    """Geodesic angle (rad) between two rotation matrices."""
-    c = (np.trace(Ra.T @ Rb) - 1.0) / 2.0
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
-
-
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -163,11 +155,6 @@ class Pose:
     def R(self):
         return quat_to_mat(self.q)
 
-    def apply(self, p):
-        """Map world point(s) into the camera frame."""
-        p = np.asarray(p, dtype=float)
-        return p @ self.R.T + self.t
-
     def center(self):
         """Camera center in world coordinates."""
         return -self.R.T @ self.t
@@ -191,50 +178,6 @@ class Pose:
 # projection
 
 
-def project(intr: CameraIntrinsics, pose: Pose, p):
-    """Project a world point; raises BehindCamera when depth <= 0."""
-    q = pose.apply(np.asarray(p, dtype=float))
-    if q[2] <= 0.0:
-        raise BehindCamera(f"depth {q[2]:g} <= 0")
-    return np.array(
-        [intr.fx * q[0] / q[2] + intr.cx, intr.fy * q[1] / q[2] + intr.cy]
-    )
-
-
-def reprojection_residual(intr, pose, p, obs):
-    """project(p) - obs, in pixels. Propagates BehindCamera."""
-    return project(intr, pose, p) - np.asarray(obs, dtype=float)
-
-
-def residual_jacobian(intr, pose, p):
-    """Analytic derivative blocks of the reprojection residual.
-
-    Returns (2x6 pose block, 2x3 point block). The pose block is taken
-    w.r.t. a left-multiplied (rot tangent, translation) increment.
-    """
-    R = pose.R
-    q = pose.apply(np.asarray(p, dtype=float))
-    X, Y, Z = q
-    if Z <= 0.0:
-        raise BehindCamera(f"depth {Z:g} <= 0")
-    # d(u,v)/d(cam point)
-    Jproj = np.array(
-        [
-            [intr.fx / Z, 0.0, -intr.fx * X / Z**2],
-            [0.0, intr.fy / Z, -intr.fy * Y / Z**2],
-        ]
-    )
-    # cam point w.r.t. increment: d/d(rot) = -[q]_x, d/d(trans) = I
-    skew = np.array([[0.0, -Z, Y], [Z, 0.0, -X], [-Y, X, 0.0]])
-    Jpose = np.hstack([Jproj @ (-skew), Jproj])
-    Jpoint = Jproj @ R
-    return Jpose, Jpoint
-
-
-# ---------------------------------------------------------------------------
-# vectorized forms used by the solvers
-
-
 def project_many(R, t, intr, pts):
     """Project (n,3) points; returns ((n,2) pixels, (n,) depths).
 
@@ -254,7 +197,8 @@ def project_many(R, t, intr, pts):
 def pose_jacobian_many(R, t, intr, pts):
     """Pose blocks of the reprojection residual for (n,3) points, (n,2,6).
 
-    The vectorized pose half of residual_jacobian. A stack of m poses,
+    Taken w.r.t. a left-multiplied (rot tangent, translation) increment;
+    the point block is the translation block times R. A stack of m poses,
     R (m,3,3) and t (m,3), gives (m,n,2,6) as in project_many; pts may
     then also be (m,n,3). Rows for non-positive depths are garbage; callers
     must gate on depth.

@@ -32,10 +32,6 @@ class FeatureSet:
     def __len__(self):
         return len(self.pixels)
 
-    @staticmethod
-    def empty(dim=32):
-        return FeatureSet(np.zeros((0, 2)), np.zeros((0, dim)))
-
 
 @dataclass
 class MatchPair:

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .model import _fmt
+
 
 class EmptyIntersection(Exception):
     pass
@@ -112,10 +114,6 @@ def compare_methods(reports) -> str:
 # file exports
 
 TRAJ_HEADER = "ANCHORLOC_TRAJ 1"
-
-
-def _fmt(x):
-    return repr(float(x))
 
 
 def export_trajectory(entries, path):

@@ -9,7 +9,7 @@ mutated after load; solvers enforce this through freeze masks.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -88,6 +88,21 @@ class SfMModel:
         for key in lm.track:
             self.obs_to_landmark[tuple(key)] = lm.id
         self._next_landmark_id = max(self._next_landmark_id, lm.id + 1)
+
+    def copy(self) -> "SfMModel":
+        """A model a run can grow without touching this one.
+
+        Frames, landmarks, tracks and bindings are new objects in the same
+        insertion order, the order bundle adjustment sums in; poses,
+        features and positions are shared, because every stage replaces
+        them rather than writing into them.
+        """
+        out = SfMModel()
+        out.frames = {fid: replace(f) for fid, f in self.frames.items()}
+        out.landmarks = {lid: replace(lm, track=list(lm.track)) for lid, lm in self.landmarks.items()}
+        out.obs_to_landmark = dict(self.obs_to_landmark)
+        out._next_landmark_id = self._next_landmark_id
+        return out
 
     def new_landmark_id(self):
         lid = self._next_landmark_id
@@ -222,6 +237,7 @@ def merge_new_landmarks(model: SfMModel, frame_id: int, candidates) -> int:
 
 
 def _fmt(x: float) -> str:
+    """The shortest text that reads back as the same float; every file writer uses it."""
     return repr(float(x))
 
 
@@ -375,30 +391,3 @@ def load_model(path) -> SfMModel:
         raise ModelFormatError(f"line {len(raw)}: {e}") from e
     return model
 
-
-def models_equal(a: SfMModel, b: SfMModel) -> bool:
-    if set(a.frames) != set(b.frames) or set(a.landmarks) != set(b.landmarks):
-        return False
-    for fid, fa in a.frames.items():
-        fb = b.frames[fid]
-        if fa.timestamp != fb.timestamp or fa.status != fb.status:
-            return False
-        ia, ib = fa.intrinsics, fb.intrinsics
-        if (ia.fx, ia.fy, ia.cx, ia.cy, ia.width, ia.height) != (ib.fx, ib.fy, ib.cx, ib.cy, ib.width, ib.height):
-            return False
-        if (fa.pose is None) != (fb.pose is None):
-            return False
-        if fa.pose is not None:
-            if not np.array_equal(fa.pose.q, fb.pose.q) or not np.array_equal(fa.pose.t, fb.pose.t):
-                return False
-        if not np.array_equal(fa.features.pixels, fb.features.pixels):
-            return False
-        if not np.array_equal(fa.features.descriptors, fb.features.descriptors):
-            return False
-    for lid, la in a.landmarks.items():
-        lb = b.landmarks[lid]
-        if la.origin != lb.origin or not np.array_equal(la.position, lb.position):
-            return False
-        if list(la.track) != list(lb.track):
-            return False
-    return a.obs_to_landmark == b.obs_to_landmark

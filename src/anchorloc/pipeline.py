@@ -78,6 +78,8 @@ class PipelineConfig:
         for name in ("n_temporal", "k_retrieval", "k_spatial", "ba_period", "min_2d3d"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not 0.0 < self.match_ratio <= 1.0:
+            raise ValueError("match_ratio must be in (0,1]")
 
 
 @dataclass
@@ -340,9 +342,14 @@ def recursive_localize(model: SfMModel, sequence, anchor_ids, cfg: PipelineConfi
 def run_pipeline(model: SfMModel, sequence, detector, cfg: PipelineConfig):
     """detect_anchors + register_anchors + recursive_localize.
 
-    The result has one entry per anchor and per frame the recursion
-    attempted, sorted by (timestamp, id), each with its final pose.
+    Runs on a copy of the reference model and of the sequence's frames,
+    so the caller's model and frames stay as they were; result.model is
+    the augmented copy. The result has one entry per anchor and per frame
+    the recursion attempted, sorted by (timestamp, id), each with its
+    final pose.
     """
+    model = model.copy()
+    sequence = [replace(f) for f in sequence]
     anchors = detect_anchors(sequence, detector, cfg.anchor_threshold)
     registered, anchor_ba = register_anchors(model, sequence, anchors, cfg)
     result = recursive_localize(model, sequence, registered, cfg)

@@ -10,7 +10,7 @@ from .errors import (
     ReprojectionTooLarge,
     SolverError,
 )
-from .pnp import Correspondence2D3D, RansacConfig, ransac_pnp, refine_pose, solve_p3p
+from .pnp import Correspondence2D3D, RansacConfig, ransac_pnp, refine_pose
 from .triangulation import TriangulationConfig, triangulate, triangulate_many
 from .twoview import epipolar_inlier_indices, estimate_relative_pose, refine_relative_pose
 
@@ -36,7 +36,6 @@ __all__ = [
     "refine_relative_pose",
     "ransac_pnp",
     "refine_pose",
-    "solve_p3p",
     "triangulate",
     "triangulate_many",
     "umeyama_similarity",

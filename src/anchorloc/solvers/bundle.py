@@ -146,23 +146,6 @@ def _evaluate(quats, ts, Xs, intr, obs_cam, obs_lm, obs_px, delta):
     return cost, r, enorm, R, good
 
 
-def mean_reprojection_error(model, frame_ids=None):
-    """Mean pixel reprojection error over all posed observations."""
-    errs = []
-    wanted = None if frame_ids is None else set(frame_ids)
-    for lm in model.landmarks.values():
-        for fid, fidx in lm.track:
-            fr = model.frames.get(fid)
-            if fr is None or fr.pose is None:
-                continue
-            if wanted is not None and fid not in wanted:
-                continue
-            uv, z = project_many(fr.pose.R, fr.pose.t, fr.intrinsics, lm.position[None])
-            if z[0] > 0:
-                errs.append(np.linalg.norm(uv[0] - fr.features.pixels[fidx]))
-    return float(np.mean(errs)) if errs else 0.0
-
-
 @dataclass
 class _Coupling:
     """Observations tying a free camera to a free landmark, sorted by landmark.

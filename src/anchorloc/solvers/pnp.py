@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geom import CameraIntrinsics, Pose, pose_jacobian_many, project_many
-from .errors import DegenerateConfiguration, InsufficientCorrespondences, NoConsensus
+from .errors import InsufficientCorrespondences, NoConsensus
 
 
 @dataclass
@@ -32,6 +32,8 @@ class RansacConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
         if self.inlier_threshold <= 0:
             raise ValueError("inlier_threshold must be positive")
         if not 0.0 < self.confidence < 1.0:
@@ -53,15 +55,6 @@ def _bearing_vectors(pixels, intr: CameraIntrinsics):
 
 # samples solved together per RANSAC step
 _RANSAC_BLOCK = 64
-
-# DegenerateConfiguration messages, indexed by the kernel's per-sample code
-_DEGENERACY = (
-    None,
-    "coincident world points",
-    "collinear world points",
-    "coincident bearing directions",
-    "degenerate quartic",
-)
 
 
 def _polyval_rows(coeffs, x):
@@ -170,8 +163,10 @@ def grunert_block(world, bearings):
     poses cam = R @ world + t of (m,3,3) R and (m,3) t with all three
     points in front of the camera, the (m,) sample index of each (ascending,
     roots in the order the companion eigenvalues come), and a (B,) code per
-    sample, nonzero where the sample is degenerate (see _DEGENERACY).
-    Degenerate samples yield no candidates and do not affect the others.
+    sample: 0, or where the sample is degenerate 1 for coincident world
+    points, 2 for collinear ones, 3 for coincident bearings and 4 for a
+    vanishing quartic. Degenerate samples yield no candidates and do not
+    affect the others.
     """
     world = np.asarray(world, dtype=float)
     bearings = np.asarray(bearings, dtype=float)
@@ -255,19 +250,6 @@ def grunert_block(world, bearings):
     return sample, R, t, degenerate
 
 
-def p3p_grunert(world, bearings):
-    """Grunert's P3P: world (3,3) points, unit bearings (3,3) in camera frame.
-
-    Returns a list of (R, t) with cam = R @ world + t, all three points in
-    front of the camera. Raises DegenerateConfiguration for coincident or
-    collinear points, coincident bearings, or a vanishing quartic.
-    """
-    _, R, t, degenerate = grunert_block(np.asarray(world)[None], np.asarray(bearings)[None])
-    if degenerate[0]:
-        raise DegenerateConfiguration(_DEGENERACY[degenerate[0]])
-    return list(zip(R, t))
-
-
 def solve_p3p_block(world, pixels, intr: CameraIntrinsics, residual_tol=1e-4):
     """P3P over a block of 3-point samples: world (B,3,3), pixels (B,3,2).
 
@@ -284,22 +266,6 @@ def solve_p3p_block(world, pixels, intr: CameraIntrinsics, residual_tol=1e-4):
         err = np.max(np.linalg.norm(uv - pixels[rows], axis=2), axis=1)
     ok = np.all(z > 0, axis=1) & ~(err > residual_tol)
     return rows[ok], R[ok], t[ok], degenerate
-
-
-def solve_p3p(corrs, intr: CameraIntrinsics, residual_tol=1e-4):
-    """P3P on exactly 3 correspondences.
-
-    Returns the candidate poses (up to 4) that reproject all three input
-    points within residual_tol pixels and keep them in front of the camera.
-    """
-    if len(corrs) != 3:
-        raise ValueError("solve_p3p takes exactly 3 correspondences")
-    world = np.array([c.world for c in corrs], dtype=float)
-    pixels = np.array([c.pixel for c in corrs], dtype=float)
-    _, R, t, degenerate = solve_p3p_block(world[None], pixels[None], intr, residual_tol)
-    if degenerate[0]:
-        raise DegenerateConfiguration(_DEGENERACY[degenerate[0]])
-    return [Pose.from_rt(Ri, ti) for Ri, ti in zip(R, t)]
 
 
 def refine_pose(pose: Pose, world, pixels, intr: CameraIntrinsics, iterations=10):

@@ -343,13 +343,3 @@ def anchor_scores(dataset: SyntheticDataset, which="query"):
         for sf in frames
     }
 
-
-def annotate_anchor_zone(dataset: SyntheticDataset):
-    """Database frames that see the insert-point object at all."""
-    scores = anchor_scores(dataset, which="database")
-    return {fid: s > 0.0 for fid, s in scores.items()}
-
-
-def query_ground_truth(dataset: SyntheticDataset):
-    """frame id -> ground-truth camera center for the query sweep."""
-    return {sf.id: sf.pose.center() for sf in dataset.query}

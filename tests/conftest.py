@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from anchorloc.geom import CameraIntrinsics, Pose, so3_exp_quat, quat_to_mat
+from anchorloc.geom import CameraIntrinsics, Pose, project_many, so3_exp_quat, quat_to_mat
+from anchorloc.matching import FeatureSet
 from anchorloc.model import Frame
 from anchorloc.synth import SceneConfig, anchor_scores, build_reference_model, generate_scene
 
@@ -50,7 +51,7 @@ def small_scene():
     return generate_scene(SMALL_SCENE)
 
 
-# function-scoped: the pipeline mutates the model it is given
+# function-scoped: register_anchors and recursive_localize grow the model they are given
 @pytest.fixture
 def small_reference(small_scene):
     return build_reference_model(small_scene)
@@ -72,3 +73,70 @@ def query_frames(dataset):
 
 def query_gt(dataset):
     return {sf.id: sf.pose.center() for sf in dataset.query}
+
+
+def no_features(dim):
+    """A FeatureSet with no keypoints and dim-dimensional descriptors."""
+    return FeatureSet(np.zeros((0, 2)), np.zeros((0, dim)))
+
+
+# ---------------------------------------------------------------------------
+# scalar oracles, one point and one pose at a time, written apart from the
+# stacked routines of the package that the tests compare with them
+
+
+def project(intr, pose, p):
+    """Pixel of one world point; the oracle of geom.project_many."""
+    q = np.asarray(p, dtype=float) @ pose.R.T + pose.t
+    if q[2] <= 0.0:
+        raise ValueError(f"depth {q[2]:g} <= 0")
+    return np.array([intr.fx * q[0] / q[2] + intr.cx, intr.fy * q[1] / q[2] + intr.cy])
+
+
+def rotation_angle(Ra, Rb):
+    """Geodesic angle (rad) between two rotation matrices."""
+    c = (np.trace(Ra.T @ Rb) - 1.0) / 2.0
+    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+
+
+def mean_reprojection_error(model):
+    """Mean pixel reprojection error over all posed observations."""
+    errs = []
+    for lm in model.landmarks.values():
+        for fid, fidx in lm.track:
+            fr = model.frames.get(fid)
+            if fr is None or fr.pose is None:
+                continue
+            uv, z = project_many(fr.pose.R, fr.pose.t, fr.intrinsics, lm.position[None])
+            if z[0] > 0:
+                errs.append(np.linalg.norm(uv[0] - fr.features.pixels[fidx]))
+    return float(np.mean(errs)) if errs else 0.0
+
+
+def models_equal(a, b):
+    """Every frame, feature, pose, landmark and binding equal, bit for bit."""
+    if set(a.frames) != set(b.frames) or set(a.landmarks) != set(b.landmarks):
+        return False
+    for fid, fa in a.frames.items():
+        fb = b.frames[fid]
+        if fa.timestamp != fb.timestamp or fa.status != fb.status:
+            return False
+        ia, ib = fa.intrinsics, fb.intrinsics
+        if (ia.fx, ia.fy, ia.cx, ia.cy, ia.width, ia.height) != (ib.fx, ib.fy, ib.cx, ib.cy, ib.width, ib.height):
+            return False
+        if (fa.pose is None) != (fb.pose is None):
+            return False
+        if fa.pose is not None:
+            if not np.array_equal(fa.pose.q, fb.pose.q) or not np.array_equal(fa.pose.t, fb.pose.t):
+                return False
+        if not np.array_equal(fa.features.pixels, fb.features.pixels):
+            return False
+        if not np.array_equal(fa.features.descriptors, fb.features.descriptors):
+            return False
+    for lid, la in a.landmarks.items():
+        lb = b.landmarks[lid]
+        if la.origin != lb.origin or not np.array_equal(la.position, lb.position):
+            return False
+        if list(la.track) != list(lb.track):
+            return False
+    return a.obs_to_landmark == b.obs_to_landmark

@@ -16,8 +16,8 @@ import pytest
 from anchorloc.baselines import onthefly_sfm, single_image_localize
 from anchorloc.cli import main as cli_main
 from anchorloc.config import parse_run_config
-from anchorloc.geom import Pose, project, residual_jacobian, reprojection_residual, rotation_angle
-from anchorloc.matching import FeatureSet, global_descriptor, retrieve_top_k
+from anchorloc.geom import Pose, pose_jacobian_many, project_many
+from anchorloc.matching import global_descriptor, retrieve_top_k
 from anchorloc.metrics import TrajectoryEntry, compute_metrics, position_error
 from anchorloc.model import Frame
 from anchorloc.pipeline import PipelineConfig, detector_from_scores, run_pipeline
@@ -29,13 +29,23 @@ from anchorloc.solvers import (
     TriangulationConfig,
     bundle_adjust,
     ransac_pnp,
-    solve_p3p,
-    triangulate,
+    triangulate_many,
     umeyama_similarity,
 )
-from anchorloc.solvers.bundle import mean_reprojection_error
-from anchorloc.synth import anchor_scores, build_reference_model, generate_scene, query_ground_truth
-from conftest import SMALL_SCENE, points_in_front, random_pose, random_rotation
+from anchorloc.solvers.pnp import solve_p3p_block
+from anchorloc.solvers.triangulation import ACCEPTED
+from anchorloc.synth import anchor_scores, build_reference_model, generate_scene
+from conftest import (
+    SMALL_SCENE,
+    mean_reprojection_error,
+    no_features,
+    points_in_front,
+    project,
+    query_gt,
+    random_pose,
+    random_rotation,
+    rotation_angle,
+)
 from test_solvers_bundle import _ring_model
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -66,14 +76,13 @@ def scenario():
     dataset = generate_scene(scene_cfg)
     reference = build_reference_model(dataset)
     scores = anchor_scores(dataset)
-    gt = query_ground_truth(dataset)
+    gt = query_gt(dataset)
     lap("synth+build-ref")
 
     single = single_image_localize(reference, _query_frames(dataset), pipe_cfg)
     lap("single")
     _, onthefly = onthefly_sfm(_query_frames(dataset), pipe_cfg, gt)
     lap("onthefly")
-    # proposed runs last: it augments the reference model in place
     proposed = run_pipeline(reference, _query_frames(dataset), detector_from_scores(scores), pipe_cfg)
     lap("proposed")
     elapsed = time.perf_counter() - t0
@@ -167,15 +176,20 @@ def test_scenario_retrieval_aliased_sector_top1_below_080(scenario):
 
 def test_p3p_rotation_error_at_scale(intrinsics):
     rng = np.random.default_rng(100)
+    poses, world, pixels = [], [], []
     for _ in range(1000):
         pose = random_pose(rng)
         pts = points_in_front(rng, pose, 3)
-        corrs = [
-            Correspondence2D3D(project(intrinsics, pose, p), i, p) for i, p in enumerate(pts)
-        ]
-        cands = solve_p3p(corrs, intrinsics)
-        assert cands
-        assert min(rotation_angle(c.R, pose.R) for c in cands) < 1e-6
+        poses.append(pose)
+        world.append(pts)
+        pixels.append([project(intrinsics, pose, p) for p in pts])
+    # one block of 1,000 samples, as RANSAC solves its blocks
+    rows, R, _, degenerate = solve_p3p_block(np.array(world), np.array(pixels), intrinsics)
+    assert not degenerate.any()
+    for i, pose in enumerate(poses):
+        cands = R[rows == i]
+        assert len(cands)
+        assert min(rotation_angle(Rc, pose.R) for Rc in cands) < 1e-6
 
 
 def test_ransac_pnp_recovers_planted_inliers_at_scale(intrinsics):
@@ -197,6 +211,7 @@ def test_ransac_pnp_recovers_planted_inliers_at_scale(intrinsics):
 
 def test_triangulation_error_at_scale(intrinsics):
     rng = np.random.default_rng(102)
+    points, Rs, ts, pixels = [], [], [], []
     for _ in range(1000):
         X = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(8, 25)])
         poses = []
@@ -210,9 +225,16 @@ def test_triangulation_error_at_scale(intrinsics):
             y = np.cross(f, x)
             R = np.stack([x, y, f])
             poses.append(Pose.from_rt(R, -R @ c))
-        pixels = [project(intrinsics, p, X) for p in poses]
-        got = triangulate(poses, pixels, intrinsics, TriangulationConfig(min_angle_deg=0.1))
-        assert np.linalg.norm(got - X) < 1e-8
+        points.append(X)
+        Rs.append([p.R for p in poses])
+        ts.append([p.t for p in poses])
+        pixels.append([project(intrinsics, p, X) for p in poses])
+    # the 1,000 two-view problems in one stacked call
+    got, code = triangulate_many(
+        np.array(Rs), np.array(ts), np.array(pixels), intrinsics, TriangulationConfig(min_angle_deg=0.1)
+    )
+    assert np.all(code == ACCEPTED)
+    assert np.linalg.norm(got - np.array(points), axis=1).max() < 1e-8
 
 
 def test_umeyama_error_at_scale():
@@ -262,21 +284,23 @@ def test_jacobians_match_central_differences_at_scale(intrinsics):
         uv = project(intrinsics, pose, p)
         if not intrinsics.in_bounds(uv):
             continue
-        J_pose, J_point = residual_jacobian(intrinsics, pose, p)
+        # the pose block as the solvers take it, the point block as bundle adjustment forms it
+        J_pose = pose_jacobian_many(pose.R, pose.t, intrinsics, p[None])[0]
+        J_point = J_pose[:, 3:] @ pose.R
+
+        def residual(at, x):
+            return project_many(at.R, at.t, intrinsics, x[None])[0][0] - uv
+
         num_pose = np.zeros((2, 6))
         for k in range(6):
             d = np.zeros(6)
             d[k] = h
-            rp = reprojection_residual(intrinsics, pose.retract(d), p, uv)
-            rm = reprojection_residual(intrinsics, pose.retract(-d), p, uv)
-            num_pose[:, k] = (rp - rm) / (2 * h)
+            num_pose[:, k] = (residual(pose.retract(d), p) - residual(pose.retract(-d), p)) / (2 * h)
         num_point = np.zeros((2, 3))
         for k in range(3):
             d = np.zeros(3)
             d[k] = h
-            rp = reprojection_residual(intrinsics, pose, p + d, uv)
-            rm = reprojection_residual(intrinsics, pose, p - d, uv)
-            num_point[:, k] = (rp - rm) / (2 * h)
+            num_point[:, k] = (residual(pose, p + d) - residual(pose, p - d)) / (2 * h)
         for J, num in ((J_pose, num_pose), (J_point, num_point)):
             scale = max(1.0, np.abs(num).max())
             assert np.abs(J - num).max() / scale < 1e-5
@@ -364,7 +388,7 @@ def test_occlusion_gap_fails_and_recovers(small_reference, small_scene, small_sc
     gap = range(30, 50)
     seq = []
     for i, sf in enumerate(small_scene.query):
-        feats = FeatureSet.empty(small_scene.config.descriptor_dim) if i in gap else sf.features
+        feats = no_features(small_scene.config.descriptor_dim) if i in gap else sf.features
         seq.append(Frame(sf.id, sf.timestamp, intr, feats, None, "pending"))
     result = run_pipeline(
         small_reference, seq, detector_from_scores(small_scores), PipelineConfig()

@@ -7,8 +7,7 @@ from anchorloc.baselines import (
     single_image_localize,
 )
 from anchorloc.pipeline import PipelineConfig
-from anchorloc.synth import query_ground_truth
-from conftest import query_frames
+from conftest import query_frames, query_gt
 
 
 def _errors(report, gt):
@@ -21,7 +20,7 @@ def _errors(report, gt):
 
 def test_single_image_localizes_most_frames(small_scene, small_reference):
     seq = query_frames(small_scene)
-    gt = query_ground_truth(small_scene)
+    gt = query_gt(small_scene)
     report = single_image_localize(small_reference, seq, PipelineConfig())
     assert report.method == "single_image"
     assert len(report.frames) == len(seq)
@@ -51,7 +50,7 @@ def test_onthefly_registers_sweep_after_alignment():
         )
     )
     seq = query_frames(dense)
-    gt = query_ground_truth(dense)
+    gt = query_gt(dense)
     model, report = onthefly_sfm(seq, PipelineConfig(), gt)
     assert report.method == "onthefly_sfm"
     errs = _errors(report, gt)
@@ -61,6 +60,8 @@ def test_onthefly_registers_sweep_after_alignment():
     assert np.median(list(errs.values())) < 2.0
     # the returned model contains only query frames
     assert set(model.frames) <= {f.id for f in seq}
+    # it registers copies; the caller's frames stay as they were
+    assert all(f.status == "pending" and f.pose is None for f in seq)
 
 
 def test_onthefly_needs_two_frames(small_scene):

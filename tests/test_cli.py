@@ -113,6 +113,11 @@ def test_exit_code_config_error(workdir, tmp_path, capsys):
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "d")]) == 2
     bad.write_text("scene.landmark_count = abc\n")
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "d")]) == 2
+    # values the localizer cannot use end before it starts
+    for line in ("pipeline.match_ratio = 1.5", "pipeline.ransac.max_iterations = -5"):
+        bad.write_text(CFG + line + "\n")
+        assert _localize(workdir, "proposed", tmp_path / "out", extra=["--config", str(bad)]) == 2
+    assert not (tmp_path / "out").exists()
     capsys.readouterr()
 
 
@@ -153,7 +158,11 @@ def test_exit_code_pipeline_error(workdir, tmp_path, capsys):
 # bad value or None to drop the token)
 BAD_INPUTS = {
     "score": ("data/anchor_scores.txt", "--anchors", "", 1, "high"),
+    # a third token: the last line reads "<id> 100039 0.5"
+    "score_extra_token": ("data/anchor_scores.txt", "--anchors", "", 1, "100039 0.5"),
+    "score_repeat": ("data/anchor_scores.txt", "--anchors", "", 0, "100000"),
     "gt": ("data/gt_query.txt", "--gt", "", 3, "x"),
+    "gt_repeat": ("data/gt_query.txt", "--gt", "", 0, "100000"),
     "landmark_feature": ("ref.txt", "--model", "LANDMARK", 8, "999999"),
     "track_fields": ("data/tracks_db.txt", None, "", 2, None),
     "track_feature": ("data/tracks_db.txt", None, "", 1, "999999"),

@@ -71,6 +71,9 @@ def test_malformed_lines_rejected(tmp_path):
         parse_run_config(_write(tmp_path, "scene.landmark_count = abc\n"))
     with pytest.raises(ConfigError, match="run.cfg:1"):
         parse_run_config(_write(tmp_path, "scene.texture_poor_arcs = 1:2:x\n"))
+    # an infinite pan bound has no frame index
+    with pytest.raises(ConfigError, match="run.cfg:1"):
+        parse_run_config(_write(tmp_path, "scene.query_pans = inf:1:1\n"))
 
 
 def test_invalid_values_surface_as_config_errors(tmp_path):

@@ -1,16 +1,23 @@
-"""Property tests of the model and trajectory readers.
+"""Property tests of the readers of every input file.
 
 Each reader, given any file, either raises its documented exception
-(``ModelFormatError`` for models, ``ValueError`` for trajectories) or
+(``ModelFormatError`` for models, ``ValueError`` for trajectories,
+``ConfigError`` for run configs, which the CLI ends with exit code 2, and
+``CliError`` with exit code 3 for anchor-score and ground-truth files) or
 returns records whose poses have a 4-vector q and a 3-vector t. Files are
 generated from scratch or made by mutating a valid file token by token.
 """
+
+import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anchorloc.cli import EXIT_IO, CliError, load_ground_truth, load_scores, save_ground_truth, save_scores
+from anchorloc.config import _SECTIONS, ConfigError, parse_run_config
 from anchorloc.geom import CameraIntrinsics, Pose
 from anchorloc.matching import FeatureSet
 from anchorloc.metrics import TRAJ_HEADER, TrajectoryEntry, export_trajectory, load_trajectory
@@ -21,9 +28,9 @@ from anchorloc.model import (
     ModelFormatError,
     SfMModel,
     load_model,
-    models_equal,
     save_model,
 )
+from conftest import models_equal
 
 # derandomized: every run draws the same examples, so the suite stays deterministic
 FIXED = settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -209,3 +216,106 @@ def test_load_trajectory_mutated(path, es, mutations):
 def test_load_trajectory_generated(path, lines):
     path.write_text("\n".join([TRAJ_HEADER, *lines]) + "\n")
     _check_trajectory(path)
+
+
+# ---------------------------------------------------------------------------
+# run configs, anchor scores and ground truth
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+CONFIG_KEYS = [prefix + name for prefix, fields in _SECTIONS.items() for name in fields]
+NUMBERS = st.sampled_from(["0", "1", "-5", "0.15", "1.5", "28", "360", "1e400", "inf", "-inf", "nan", "x"])
+# the list values: colon-joined triples, comma-separated, and a comma-joined pair
+LIST_KEYS = ["scene.texture_poor_arcs", "scene.query_pans", "scene.db_sweep_z_offsets"]
+LISTS = st.lists(st.lists(NUMBERS, min_size=2, max_size=3).map(":".join), min_size=1, max_size=2).map(", ".join)
+CONFIG_LINES = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(CONFIG_KEYS), NUMBERS | TOKENS),
+    st.builds("{} = {}".format, st.sampled_from(LIST_KEYS), LISTS),
+    st.lists(TOKENS, max_size=4).map(" ".join),
+)
+
+def _check_config(path):
+    """Parse path; a config that parses must be one the localizer can run."""
+    try:
+        _, pipe = parse_run_config(path)
+    except ConfigError:
+        return
+    assert 0.0 < pipe.match_ratio <= 1.0
+    assert pipe.ransac.max_iterations >= 1
+
+
+@FIXED
+@given(st.lists(CONFIG_LINES, max_size=8))
+def test_parse_run_config_generated(path, lines):
+    # parsing stops at the first bad line, so each line is also tried alone
+    for text in [*lines, "\n".join(lines)]:
+        path.write_text(text + "\n")
+        _check_config(path)
+
+
+@FIXED
+@given(st.sampled_from(sorted(CONFIGS.glob("*.cfg"))), st.lists(MUTATION, max_size=3))
+def test_parse_run_config_mutated(path, cfg, mutations):
+    path.write_text(_mutate(cfg.read_text(), mutations))
+    _check_config(path)
+
+
+def _load_or_exit_io(load, path):
+    """load(path), or None where it raises the CLI's I/O error."""
+    try:
+        return load(path)
+    except CliError as e:
+        assert e.code == EXIT_IO
+        return None
+
+
+frame_ids = st.integers(-(10**6), 10**6)
+
+
+@FIXED
+@given(st.dictionaries(frame_ids, st.floats(0.0, 1.0), max_size=4), st.lists(MUTATION, max_size=3))
+def test_load_scores_mutated(path, scores, mutations):
+    save_scores(scores, path)
+    path.write_text(_mutate(path.read_text(), mutations))
+    out = _load_or_exit_io(load_scores, path)
+    if not mutations:
+        assert out == scores
+    elif out is not None:
+        assert all(isinstance(k, int) and isinstance(v, float) for k, v in out.items())
+
+
+@FIXED
+@given(st.lists(st.lists(TOKENS, max_size=4).map(" ".join), max_size=6))
+def test_load_scores_generated(path, lines):
+    path.write_text("\n".join(["ANCHORLOC_SCORES 1", *lines]) + "\n")
+    _load_or_exit_io(load_scores, path)
+
+
+ground_truth = st.lists(
+    st.builds(SimpleNamespace, id=frame_ids, timestamp=finite, pose=poses),
+    max_size=4,
+    unique_by=lambda f: f.id,
+)
+
+
+def _check_ground_truth(path):
+    out = _load_or_exit_io(load_ground_truth, path)
+    for ts, pose in (out or {}).values():
+        assert isinstance(ts, float) and _pose_shapes_ok(pose)
+    return out
+
+
+@FIXED
+@given(ground_truth, st.lists(MUTATION, max_size=3))
+def test_load_ground_truth_mutated(path, frames, mutations):
+    save_ground_truth(frames, path)
+    path.write_text(_mutate(path.read_text(), mutations))
+    out = _check_ground_truth(path)
+    if not mutations:
+        assert sorted(out) == sorted(f.id for f in frames)
+
+
+@FIXED
+@given(st.lists(st.lists(TOKENS, min_size=8, max_size=10).map(" ".join), max_size=6))
+def test_load_ground_truth_generated(path, lines):
+    path.write_text("\n".join(["ANCHORLOC_GT 1", *lines]) + "\n")
+    _check_ground_truth(path)

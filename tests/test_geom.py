@@ -4,22 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchorloc.geom import (
-    BehindCamera,
     CameraIntrinsics,
     Pose,
     mat_to_quat,
     pose_jacobian_many,
-    project,
     project_many,
     quat_mul,
     quat_normalize,
     quat_to_mat,
-    reprojection_residual,
-    residual_jacobian,
-    rotation_angle,
     so3_exp_quat,
 )
-from conftest import random_pose, random_rotation
+from conftest import project, random_pose, random_rotation, rotation_angle
 
 
 def test_quat_normalize_canonical_sign():
@@ -68,7 +63,7 @@ def test_so3_exp_small_angle():
 def test_pose_center_maps_to_origin():
     rng = np.random.default_rng(1)
     a = random_pose(rng)
-    np.testing.assert_allclose(a.apply(a.center()), np.zeros(3), atol=1e-12)
+    np.testing.assert_allclose(a.R @ a.center() + a.t, np.zeros(3), atol=1e-12)
 
 
 def test_pose_retract_zero_is_identity():
@@ -87,18 +82,20 @@ def test_pose_view_direction_unit():
 
 def test_project_and_behind_camera(intrinsics):
     pose = Pose.identity()
-    uv = project(intrinsics, pose, [0.0, 0.0, 2.0])
-    np.testing.assert_allclose(uv, [intrinsics.cx, intrinsics.cy])
-    with pytest.raises(BehindCamera):
-        project(intrinsics, pose, [0.0, 0.0, -1.0])
+    uv, z = project_many(pose.R, pose.t, intrinsics, np.array([[0.0, 0.0, 2.0], [0.0, 0.0, -1.0]]))
+    np.testing.assert_allclose(uv[0], [intrinsics.cx, intrinsics.cy])
+    # the caller gates on depth
+    assert z[0] > 0 and z[1] <= 0
 
 
 def test_reprojection_residual_zero_at_projection(intrinsics):
     rng = np.random.default_rng(4)
     pose = random_pose(rng)
-    X = (np.array([0.5, -0.2, 6.0]) - pose.t) @ pose.R
-    uv = project(intrinsics, pose, X)
-    np.testing.assert_allclose(reprojection_residual(intrinsics, pose, X, uv), 0.0, atol=1e-10)
+    cam = np.array([0.5, -0.2, 6.0])
+    X = (cam - pose.t) @ pose.R
+    uv, _ = project_many(pose.R, pose.t, intrinsics, X[None])
+    pinhole = [intrinsics.fx * cam[0] / cam[2] + intrinsics.cx, intrinsics.fy * cam[1] / cam[2] + intrinsics.cy]
+    np.testing.assert_allclose(uv[0] - pinhole, 0.0, atol=1e-10)
 
 
 def test_project_many_matches_scalar(intrinsics):
@@ -138,7 +135,7 @@ def test_pose_jacobian_many_matches_scalar(intrinsics):
     J = pose_jacobian_many(pose.R, pose.t, intrinsics, pts)
     assert J.shape == (20, 2, 6)
     for i in range(len(pts)):
-        Jpose, _ = residual_jacobian(intrinsics, pose, pts[i])
+        Jpose = pose_jacobian_many(pose.R, pose.t, intrinsics, pts[i : i + 1])[0]
         np.testing.assert_allclose(J[i], Jpose, rtol=1e-12, atol=1e-9)
 
     # a stack of poses, with shared and with per-pose points, equals pose by pose
@@ -163,22 +160,22 @@ def test_residual_jacobian_vs_central_differences(intrinsics):
         pose = random_pose(rng)
         X = points_in_front(rng, pose, 1)[0]
         obs = project(intrinsics, pose, X) + rng.normal(scale=1.0, size=2)
-        Jpose, Jpoint = residual_jacobian(intrinsics, pose, X)
+        # the pose block as the solvers take it, the point block as bundle adjustment forms it
+        Jpose = pose_jacobian_many(pose.R, pose.t, intrinsics, X[None])[0]
+        Jpoint = Jpose[:, 3:] @ pose.R
+
+        def residual(p, x):
+            return project_many(p.R, p.t, intrinsics, x[None])[0][0] - obs
+
         for k in range(6):
             d = np.zeros(6)
             d[k] = eps
-            num = (
-                reprojection_residual(intrinsics, pose.retract(d), X, obs)
-                - reprojection_residual(intrinsics, pose.retract(-d), X, obs)
-            ) / (2 * eps)
+            num = (residual(pose.retract(d), X) - residual(pose.retract(-d), X)) / (2 * eps)
             np.testing.assert_allclose(Jpose[:, k], num, rtol=1e-5, atol=1e-7)
         for k in range(3):
             d = np.zeros(3)
             d[k] = eps
-            num = (
-                reprojection_residual(intrinsics, pose, X + d, obs)
-                - reprojection_residual(intrinsics, pose, X - d, obs)
-            ) / (2 * eps)
+            num = (residual(pose, X + d) - residual(pose, X - d)) / (2 * eps)
             np.testing.assert_allclose(Jpoint[:, k], num, rtol=1e-5, atol=1e-7)
 
 

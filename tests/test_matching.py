@@ -9,6 +9,7 @@ from anchorloc.matching import (
     retrieve_top_k,
     temporal_candidates,
 )
+from conftest import no_features
 
 
 def _unit_rows(rng, n, d=8):
@@ -61,8 +62,8 @@ def test_match_sorted_by_distance():
 def test_match_empty_inputs():
     rng = np.random.default_rng(3)
     a = _fs(rng, 4)
-    assert match_features(a, FeatureSet.empty(8), 0.8) == []
-    assert match_features(FeatureSet.empty(8), a, 0.8) == []
+    assert match_features(a, no_features(8), 0.8) == []
+    assert match_features(no_features(8), a, 0.8) == []
 
 
 def test_match_ratio_validation():
@@ -104,7 +105,7 @@ def test_global_descriptor_degenerate_mean():
     g = global_descriptor(FeatureSet(np.zeros((2, 2)), d))
     np.testing.assert_allclose(g, d[0])
     with pytest.raises(EmptyFeatureSet):
-        global_descriptor(FeatureSet.empty(2))
+        global_descriptor(no_features(2))
 
 
 def test_retrieve_top_k_matches_exhaustive_sort():

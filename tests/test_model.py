@@ -15,10 +15,10 @@ from anchorloc.model import (
     lift_matches_to_3d,
     load_model,
     merge_new_landmarks,
-    models_equal,
     save_model,
     spatial_neighbors,
 )
+from conftest import models_equal, no_features
 
 
 def _intr():
@@ -35,9 +35,9 @@ def _frame(fid, status="reference", pose=None, n=3):
 
 def test_frame_status_requires_pose():
     with pytest.raises(ValueError):
-        Frame(0, 0.0, _intr(), FeatureSet.empty(4), None, "reference")
+        Frame(0, 0.0, _intr(), no_features(4), None, "reference")
     with pytest.raises(ValueError):
-        Frame(0, 0.0, _intr(), FeatureSet.empty(4), None, "bogus")
+        Frame(0, 0.0, _intr(), no_features(4), None, "bogus")
 
 
 def test_duplicate_ids_rejected():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anchorloc.baselines import single_image_localize
 from anchorloc.matching import FeatureSet
 from anchorloc.metrics import position_error
 from anchorloc.model import Frame
@@ -14,8 +15,7 @@ from anchorloc.pipeline import (
     register_anchors,
     run_pipeline,
 )
-from anchorloc.synth import query_ground_truth
-from conftest import query_frames
+from conftest import no_features, query_frames, query_gt
 
 
 def _registered_ids(result):
@@ -28,7 +28,7 @@ def _registered_ids(result):
 
 def test_pipeline_registers_whole_sweep(small_scene, small_reference, small_scores):
     seq = query_frames(small_scene)
-    gt = query_ground_truth(small_scene)
+    gt = query_gt(small_scene)
     cfg = PipelineConfig()
     result = run_pipeline(small_reference, seq, detector_from_scores(small_scores), cfg)
     ids = _registered_ids(result)
@@ -53,8 +53,35 @@ def test_pipeline_runs_periodic_frozen_bundles(small_scene, small_reference, sma
         assert ev.frozen_digest_before == ev.frozen_digest_after
 
 
+def _outcome(entries):
+    """Everything an entry reports, with its pose as bytes."""
+    return [
+        (e.frame_id, e.timestamp, e.status, e.n_candidates, e.n_corrs, e.n_inliers)
+        + ((e.pose.q.tobytes(), e.pose.t.tobytes()) if e.pose is not None else (None,))
+        for e in entries
+    ]
+
+
+def test_pipeline_leaves_reference_and_frames_untouched(small_scene, small_reference, small_scores):
+    cfg = PipelineConfig()
+    seq = query_frames(small_scene)
+    single_before = single_image_localize(small_reference, seq, cfg)
+    detector = detector_from_scores(small_scores)
+    first = run_pipeline(small_reference, seq, detector, cfg)
+    # the caller's frames are not registered into the result
+    assert all(f.status == "pending" and f.pose is None for f in seq)
+    assert all(f.status == "reference" for f in small_reference.frames.values())
+    second = run_pipeline(small_reference, seq, detector, cfg)
+    assert _outcome(second.frame_events) == _outcome(first.frame_events)
+    assert second.ba_events == first.ba_events
+    assert second.model is not small_reference
+    # single-image localization sees the same reference as before
+    single_after = single_image_localize(small_reference, seq, cfg)
+    assert _outcome(single_after.frames) == _outcome(single_before.frames)
+
+
 def test_detect_anchors_threshold_and_order():
-    frames = [Frame(i, float(10 - i), None, FeatureSet.empty(4), None, "pending") for i in range(4)]
+    frames = [Frame(i, float(10 - i), None, no_features(4), None, "pending") for i in range(4)]
     det = detector_from_scores({0: 0.9, 1: 0.1, 2: 0.6, 3: 0.6})
     # timestamps are reversed, so anchors come back in time order
     assert detect_anchors(frames, det, 0.5) == [3, 2, 0]

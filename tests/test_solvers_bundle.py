@@ -5,11 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from anchorloc.geom import CameraIntrinsics, Pose, project, project_many
+from anchorloc.geom import CameraIntrinsics, Pose, project_many
 from anchorloc.matching import FeatureSet
 from anchorloc.model import Frame, Landmark, SfMModel, frozen_state_digest
 from anchorloc.solvers import BundleConfig, FreezeMask, bundle, bundle_adjust
-from anchorloc.solvers.bundle import mean_reprojection_error
+from conftest import mean_reprojection_error, project
 
 
 def _ring_model(n_cams=5, n_pts=40, seed=0, noise=0.0):

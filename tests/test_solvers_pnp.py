@@ -1,25 +1,23 @@
 import numpy as np
 import pytest
 
-from anchorloc.geom import Pose, project, rotation_angle
+from anchorloc.geom import Pose
 from anchorloc.solvers import (
     Correspondence2D3D,
-    DegenerateConfiguration,
     InsufficientCorrespondences,
     NoConsensus,
     RansacConfig,
     ransac_pnp,
     refine_pose,
-    solve_p3p,
 )
 from anchorloc.solvers.pnp import (
     _bearing_vectors,
     _quartic_roots,
     _solve_rows,
-    p3p_grunert,
+    grunert_block,
     solve_p3p_block,
 )
-from conftest import points_in_front, random_pose
+from conftest import points_in_front, project, random_pose, rotation_angle
 
 
 def _corrs(intr, pose, pts, pixels=None):
@@ -36,9 +34,10 @@ def test_p3p_recovers_exact_pose(intrinsics):
     for _ in range(50):
         pose = random_pose(rng)
         pts = points_in_front(rng, pose, 3)
-        cands = solve_p3p(_corrs(intrinsics, pose, pts), intrinsics)
-        assert cands
-        best = min(rotation_angle(c.R, pose.R) for c in cands)
+        pixels = np.array([project(intrinsics, pose, p) for p in pts])
+        rows, R, _, degenerate = solve_p3p_block(pts[None], pixels[None], intrinsics)
+        assert degenerate[0] == 0 and len(rows)
+        best = min(rotation_angle(Rc, pose.R) for Rc in R)
         assert best < 1e-6
 
 
@@ -47,15 +46,15 @@ def test_p3p_degenerate_collinear(intrinsics):
     bearings = _bearing_vectors(
         np.array([[300.0, 240.0], [320.0, 240.0], [340.0, 240.0]]), intrinsics
     )
-    with pytest.raises(DegenerateConfiguration):
-        p3p_grunert(pts, bearings)
+    rows, _, _, degenerate = grunert_block(pts[None], bearings[None])
+    assert degenerate.tolist() == [2] and len(rows) == 0
 
 
 def test_p3p_degenerate_coincident(intrinsics):
     pts = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 5.0], [1.0, 1.0, 5.0]])
     bearings = _bearing_vectors(np.array([[320.0, 240.0]] * 3), intrinsics)
-    with pytest.raises(DegenerateConfiguration):
-        p3p_grunert(pts, bearings)
+    rows, _, _, degenerate = grunert_block(pts[None], bearings[None])
+    assert degenerate.tolist() == [1] and len(rows) == 0
 
 
 def test_p3p_block_mixes_degenerate_and_valid_samples(intrinsics):
@@ -89,14 +88,13 @@ def test_p3p_block_mixes_degenerate_and_valid_samples(intrinsics):
     assert np.all(np.diff(rows) >= 0)
     for i, name in enumerate(order):
         got = [Pose.from_rt(R[k], t[k]) for k in np.nonzero(rows == i)[0]]
-        corrs = _corrs(intrinsics, Pose(), *samples[name])
+        _, R1, t1, alone_degenerate = solve_p3p_block(world[i : i + 1], pixels[i : i + 1], intrinsics)
+        alone = [Pose.from_rt(Rk, tk) for Rk, tk in zip(R1, t1)]
         if name in ("collinear", "coincident"):
             assert degenerate[i] and not got
-            with pytest.raises(DegenerateConfiguration):
-                solve_p3p(corrs, intrinsics)
+            assert alone_degenerate[0] == degenerate[i] and not alone
             continue
-        assert degenerate[i] == 0
-        alone = solve_p3p(corrs, intrinsics)
+        assert degenerate[i] == 0 and alone_degenerate[0] == 0
         assert alone and len(got) == len(alone)
         for g, a in zip(got, alone):
             np.testing.assert_array_equal(g.q, a.q)
@@ -126,11 +124,6 @@ def test_solve_rows_flags_singular_rows_only():
     x, solved = _solve_rows(J, r)
     assert solved.tolist() == [True, False, True]
     np.testing.assert_allclose(x[[0, 2]], [[1.0, 2.0, 3.0], [1.0, 1.0, 2.0]])
-
-
-def test_solve_p3p_needs_three(intrinsics):
-    with pytest.raises(ValueError):
-        solve_p3p([], intrinsics)
 
 
 def test_refine_pose_converges(intrinsics):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anchorloc.geom import Pose, project, project_many, quat_to_mat, so3_exp_quat
+from anchorloc.geom import Pose, project_many, quat_to_mat, so3_exp_quat
 from anchorloc.solvers import (
     CheiralityFailure,
     InsufficientParallax,
@@ -19,7 +19,7 @@ from anchorloc.solvers.triangulation import (
     LOW_PARALLAX,
     REPROJECTION,
 )
-from conftest import random_pose
+from conftest import project, random_pose
 
 
 def _views(rng, X, n=2, baseline=2.0):

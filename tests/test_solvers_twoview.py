@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anchorloc.geom import Pose, project, rotation_angle
+from anchorloc.geom import Pose
 from anchorloc.solvers import (
     InsufficientCorrespondences,
     NoConsensus,
@@ -10,6 +10,7 @@ from anchorloc.solvers import (
     estimate_relative_pose,
     refine_relative_pose,
 )
+from conftest import project, rotation_angle
 
 
 def _two_view_scene(rng, n=60, noise=0.0, intr=None):
