@@ -14,7 +14,7 @@ import numpy as np
 from .geom import Pose, project_many
 from .matching import EmptyFeatureSet, global_descriptor, match_features, retrieve_top_k
 from .metrics import TrajectoryEntry
-from .model import NewLandmarkCandidate, SfMModel, merge_new_landmarks
+from .model import SfMModel, merge_new_landmarks
 from .pipeline import (
     PipelineConfig,
     _attempt_registration,
@@ -94,8 +94,8 @@ def _find_init_pair(frames, cfg: PipelineConfig, max_gap=50):
     scored.sort(key=lambda s: s[:3], reverse=True)
     for n, i, j, pairs in scored:
         a, b = frames[i], frames[j]
-        px1 = a.features.pixels[[m.query_index for m in pairs]]
-        px2 = b.features.pixels[[m.target_index for m in pairs]]
+        px1 = a.features.pixels[pairs["query"]]
+        px2 = b.features.pixels[pairs["target"]]
         rcfg = replace(
             cfg.ransac,
             rng_seed=_frame_seed(cfg, a.id * 31 + b.id),
@@ -198,13 +198,10 @@ def onthefly_sfm(sequence, cfg: PipelineConfig, gt):
     # polish the pair with a bundle step, then drop what stayed bad
     tri_cfg = cfg.triangulation
     seed_tri = replace(tri_cfg, max_reprojection_px=4.0 * tri_cfg.max_reprojection_px)
-    qs = [pairs[k].query_index for k in inliers]
-    ts = [pairs[k].target_index for k in inliers]
+    qs, ts = pairs["query"][inliers], pairs["target"][inliers]
     X, code = _two_view_points(rel, a.features.pixels[qs], b.features.pixels[ts], a.intrinsics, seed_tri)
-    cands = [
-        NewLandmarkCandidate(X[k].copy(), [(a.id, qs[k]), (b.id, ts[k])]) for k in np.flatnonzero(code == ACCEPTED)
-    ]
-    merge_new_landmarks(model, a.id, cands)
+    keep = np.flatnonzero(code == ACCEPTED)
+    merge_new_landmarks(model, X[keep], [[(a.id, q), (b.id, t)] for q, t in zip(qs[keep].tolist(), ts[keep].tolist())])
     if len(model.landmarks) < cfg.min_2d3d:
         raise InitializationFailure("two-view seed produced too few points")
 

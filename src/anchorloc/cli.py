@@ -26,7 +26,7 @@ from .metrics import (
     load_trajectory,
     position_error,
 )
-from .model import Frame, ModelFormatError, _fmt, load_model, save_model
+from .model import Frame, ModelFormatError, _finite, _fmt, load_model, save_model
 from .pipeline import (
     AllAnchorsFailed,
     NoAnchorsFound,
@@ -87,8 +87,8 @@ def load_ground_truth(path):
             raise CliError(EXIT_IO, f"{path}:{ln}: expected 9 fields")
         try:
             fid = int(tok[0])
-            vals = [float(v) for v in tok[2:]]
-            entry = (float(tok[1]), Pose(np.array(vals[:4]), np.array(vals[4:])))
+            vals = [_finite(v) for v in tok[2:]]
+            entry = (_finite(tok[1]), Pose(np.array(vals[:4]), np.array(vals[4:])))
         except ValueError as e:
             raise CliError(EXIT_IO, f"{path}:{ln}: {e}")
         if fid in out:
@@ -121,7 +121,7 @@ def load_scores(path):
         if len(tok) != 2:
             raise CliError(EXIT_IO, f"{path}:{ln}: expected a frame id and a score")
         try:
-            fid, score = int(tok[0]), float(tok[1])
+            fid, score = int(tok[0]), _finite(tok[1])
         except ValueError as e:
             raise CliError(EXIT_IO, f"{path}:{ln}: bad score line: {e}")
         if fid in out:

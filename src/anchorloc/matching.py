@@ -33,11 +33,23 @@ class FeatureSet:
         return len(self.pixels)
 
 
-@dataclass
-class MatchPair:
-    query_index: int
-    target_index: int
-    distance: float
+MATCH = np.dtype([("query", np.intp), ("target", np.intp), ("distance", float)])  # one row per match
+CANDIDATE_MATCH = np.dtype([("candidate", np.intp), *MATCH.descr])  # candidate frame id, then a MATCH row
+
+
+def records(dtype, *columns):
+    """A structured array of dtype whose fields, in order, hold the columns."""
+    out = np.empty(len(columns[0]), dtype)
+    for name, col in zip(dtype.names, columns):
+        out[name] = col
+    return out
+
+
+def best_per_key(keys, distance):
+    """Rows of the smallest distance per distinct key, the earliest on ties, in ascending key order."""
+    order = np.lexsort((distance, keys))
+    _, first = np.unique(keys[order], return_index=True)
+    return order[first]
 
 
 def _distance_matrix(a, b):
@@ -50,13 +62,14 @@ def _distance_matrix(a, b):
 def match_features(a: FeatureSet, b: FeatureSet, ratio=0.8):
     """Mutual nearest-neighbor matches from a to b passing Lowe's ratio test.
 
-    Returns MatchPairs sorted by ascending distance. A match is kept only
-    when the target's nearest neighbor is the query too.
+    Returns a MATCH array sorted by ascending distance, then query index.
+    A match is kept only when the target's nearest neighbor is the query
+    too.
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError("ratio must be in (0,1]")
     if len(a) == 0 or len(b) == 0:
-        return []
+        return np.empty(0, MATCH)
     D = _distance_matrix(a.descriptors, b.descriptors)
     nn = np.argmin(D, axis=1)
     nn_dist = D[np.arange(len(a)), nn]
@@ -67,9 +80,9 @@ def match_features(a: FeatureSet, b: FeatureSet, ratio=0.8):
         second = np.full(len(a), np.inf)
     back = np.argmin(D, axis=0)
     ok = (nn_dist < ratio * second) & (back[nn] == np.arange(len(a)))
-    pairs = [MatchPair(int(i), int(nn[i]), float(nn_dist[i])) for i in np.nonzero(ok)[0]]
-    pairs.sort(key=lambda m: (m.distance, m.query_index))
-    return pairs
+    q = np.flatnonzero(ok)
+    q = q[np.argsort(nn_dist[q], kind="stable")]
+    return records(MATCH, q, nn[q], nn_dist[q])
 
 
 def global_descriptor(f: FeatureSet):

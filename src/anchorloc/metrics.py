@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import _fmt
+from .model import _finite, _fmt
 
 
 class EmptyIntersection(Exception):
@@ -141,7 +141,7 @@ def load_trajectory(path):
         raw = fh.read().splitlines()
     if not raw or raw[0] != TRAJ_HEADER:
         raise ValueError(f"{path}: not a trajectory file")
-    entries = []
+    entries = {}
     for ln, line in enumerate(raw[1:], start=2):
         tok = line.split()
         if not tok:
@@ -150,11 +150,14 @@ def load_trajectory(path):
             raise ValueError(f"{path}:{ln}: expected 11 fields, got {len(tok)}")
         pose = None
         if tok[2] != "-":
-            vals = [float(v) for v in tok[2:9]]
+            vals = [_finite(v) for v in tok[2:9]]
             pose = Pose(np.array(vals[:4]), np.array(vals[4:]))
-        err = None if tok[10] == "-" else float(tok[10])
-        entries.append(TrajectoryEntry(int(tok[0]), float(tok[1]), tok[9], pose, err))
-    return entries
+        err = None if tok[10] == "-" else _finite(tok[10])
+        fid = int(tok[0])
+        if fid in entries:
+            raise ValueError(f"{path}:{ln}: frame {fid} is listed twice")
+        entries[fid] = TrajectoryEntry(fid, _finite(tok[1]), tok[9], pose, err)
+    return list(entries.values())
 
 
 def export_pointcloud(model, path):

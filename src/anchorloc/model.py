@@ -4,25 +4,33 @@ The same store backs the frozen reference model, the augmented model the
 pipeline grows, and the baselines' query-only reconstructions. Reference
 entities are distinguished by frame status / landmark origin and are never
 mutated after load; solvers enforce this through freeze masks.
+
+lift_matches_to_3d turns match rows into CORRESPONDENCE rows (feature,
+landmark, pixel, world), one per landmark; merge_new_landmarks inserts
+triangulated positions with their tracks. Every file reader parses its
+numbers with _finite, so nan and infinities never load.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .geom import CameraIntrinsics, Pose, quat_to_mat
-from .matching import FeatureSet
+from .matching import FeatureSet, best_per_key, records
 from .solvers.bundle import FreezeMask
-from .solvers.pnp import Correspondence2D3D
 from .solvers.triangulation import TriangulationConfig, triangulate_many
 
 FRAME_STATUSES = ("reference", "anchor", "registered", "failed", "pending")
 
 FORMAT_HEADER = "ANCHORLOC_MODEL"
 FORMAT_VERSION = 1
+
+# one row per 2D-3D correspondence: query feature, landmark id, pixel, world position
+CORRESPONDENCE = np.dtype([("feature", np.intp), ("landmark", np.intp), ("pixel", float, 2), ("world", float, 3)])
 
 
 class ModelFormatError(Exception):
@@ -56,12 +64,6 @@ class Landmark:
         self.position = np.asarray(self.position, dtype=float)
         if self.origin not in ("reference", "augmented"):
             raise ValueError(f"unknown origin {self.origin!r}")
-
-
-@dataclass
-class NewLandmarkCandidate:
-    position: np.ndarray
-    track: list
 
 
 class SfMModel:
@@ -158,31 +160,18 @@ def spatial_neighbors(model: SfMModel, pose: Pose, k: int, max_view_angle_deg: f
 def lift_matches_to_3d(model: SfMModel, query_features: FeatureSet, matches):
     """2D-3D correspondences from 2D matches into tracked target features.
 
-    matches: iterable of (query feature index, target frame id, target
-    feature index, descriptor distance). Matches landing on the same
-    landmark collapse to the one with the smallest descriptor distance.
+    matches: a CANDIDATE_MATCH array. Matches landing on the same landmark
+    collapse to the one with the smallest descriptor distance (best_per_key).
+    Returns a CORRESPONDENCE array in ascending landmark id order.
     """
-    best = {}
-    for qidx, tfid, tfidx, dist in matches:
-        lid = model.obs_to_landmark.get((tfid, tfidx))
-        if lid is None:
-            continue
-        cur = best.get(lid)
-        if cur is None or dist < cur[1]:
-            best[lid] = (qidx, dist)
-    corrs = []
-    for lid in sorted(best):
-        qidx, dist = best[lid]
-        corrs.append(
-            Correspondence2D3D(
-                pixel=query_features.pixels[qidx].copy(),
-                point_id=lid,
-                world=model.landmarks[lid].position.copy(),
-                feature_index=qidx,
-                distance=dist,
-            )
-        )
-    return corrs
+    bound = list(map(model.obs_to_landmark.get, zip(matches["candidate"].tolist(), matches["target"].tolist())))
+    rows = [i for i, lid in enumerate(bound) if lid is not None]
+    lids = np.array([bound[i] for i in rows], dtype=np.intp)
+    pick = best_per_key(lids, matches["distance"][rows])
+    rows, lids = np.array(rows, dtype=np.intp)[pick], lids[pick]
+    feature = matches["query"][rows]
+    world = np.array([model.landmarks[lid].position for lid in lids.tolist()]).reshape(-1, 3)
+    return records(CORRESPONDENCE, feature, lids, query_features.pixels[feature], world)
 
 
 def triangulate_tracks(frames, tracks, intr: CameraIntrinsics, cfg: TriangulationConfig):
@@ -213,21 +202,16 @@ def add_observation(model: SfMModel, lid: int, fid: int, fidx: int) -> bool:
     return True
 
 
-def merge_new_landmarks(model: SfMModel, frame_id: int, candidates) -> int:
-    """Insert accepted triangulations as augmented landmarks.
-
-    A candidate touching any already-bound feature is dropped whole.
-    Returns the number of landmarks added.
+def merge_new_landmarks(model: SfMModel, positions, tracks) -> int:
+    """Insert each position with its track of (frame id, feature index) as an
+    augmented landmark; a track shorter than two or touching an already-bound
+    feature is dropped. Returns the number of landmarks added.
     """
     added = 0
-    for cand in candidates:
-        if any(tuple(key) in model.obs_to_landmark for key in cand.track):
+    for position, track in zip(positions, tracks):
+        if len(track) < 2 or any(key in model.obs_to_landmark for key in track):
             continue
-        if len(cand.track) < 2:
-            continue
-        model.add_landmark(
-            Landmark(model.new_landmark_id(), np.asarray(cand.position, dtype=float), "augmented", [tuple(k) for k in cand.track])
-        )
+        model.add_landmark(Landmark(model.new_landmark_id(), np.array(position, dtype=float), "augmented", list(track)))
         added += 1
     return added
 
@@ -239,6 +223,22 @@ def merge_new_landmarks(model: SfMModel, frame_id: int, candidates) -> int:
 def _fmt(x: float) -> str:
     """The shortest text that reads back as the same float; every file writer uses it."""
     return repr(float(x))
+
+
+def _finite(tok: str) -> float:
+    """The float a token spells, refusing nan and infinities; every file reader uses it."""
+    x = float(tok)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {tok!r}")
+    return x
+
+
+def _id(tok: str) -> int:
+    """A frame or landmark id; matching and lifting keep ids in int64 arrays."""
+    i = int(tok)
+    if not -(2**63) <= i < 2**63:
+        raise ValueError(f"id {tok} does not fit 64 bits")
+    return i
 
 
 def save_model(model: SfMModel, path):
@@ -330,16 +330,16 @@ def load_model(path) -> SfMModel:
                 finish_frame()
                 if len(tok) < 11 or tok[10] not in ("0", "1") or len(tok) != 11 + 7 * int(tok[10]):
                     raise ModelFormatError(f"line {ln}: FRAME wants 10 fields and pose flag 0, or flag 1 and 7 pose values")
-                fid = int(tok[1])
+                fid = _id(tok[1])
                 intr = CameraIntrinsics(
-                    float(tok[4]), float(tok[5]), float(tok[6]), float(tok[7]), int(tok[8]), int(tok[9])
+                    _finite(tok[4]), _finite(tok[5]), _finite(tok[6]), _finite(tok[7]), int(tok[8]), int(tok[9])
                 )
                 pose = None
                 if tok[10] == "1":
-                    vals = [float(v) for v in tok[11:]]
+                    vals = [_finite(v) for v in tok[11:]]
                     pose = Pose(np.array(vals[:4]), np.array(vals[4:]))
                 pending_frame = (
-                    dict(id=fid, timestamp=float(tok[2]), intrinsics=intr, pose=pose, status=tok[3]),
+                    dict(id=fid, timestamp=_finite(tok[2]), intrinsics=intr, pose=pose, status=tok[3]),
                     0,
                     0,
                 )
@@ -355,7 +355,7 @@ def load_model(path) -> SfMModel:
             elif tok[0] == "F":
                 if feat_left <= 0:
                     raise ModelFormatError(f"line {ln}: unexpected feature row")
-                vals = [float(v) for v in tok[1:]]
+                vals = [_finite(v) for v in tok[1:]]
                 if len(vals) != 2 + feat_dim:
                     raise ModelFormatError(f"line {ln}: feature row has {len(vals)} values")
                 feat_rows.append(vals)
@@ -364,8 +364,8 @@ def load_model(path) -> SfMModel:
                 if feat_left:
                     raise ModelFormatError(f"line {ln}: FEATURES block truncated")
                 finish_frame()
-                lid = int(tok[1])
-                pos = np.array([float(v) for v in tok[3:6]])
+                lid = _id(tok[1])
+                pos = np.array([_finite(v) for v in tok[3:6]])
                 n = int(tok[6])
                 if len(tok) != 7 + 2 * n:
                     raise ModelFormatError(f"line {ln}: LANDMARK with {n} observations has {len(tok)} tokens")

@@ -7,6 +7,12 @@ PnP, and triangulation, with a frozen-reference bundle adjustment after
 every batch of newly registered frames. Frames before the earliest
 anchor are covered by a mirrored backward pass.
 
+A frame's matches stay numpy structured arrays from matching to the new
+landmarks: match_lift_pnp stacks the MATCH rows of all candidates into
+CANDIDATE_MATCH rows, lifts them to CORRESPONDENCE rows for PnP, and
+_new_tracks picks the tracks to triangulate from the same rows; both
+selections follow matching.best_per_key.
+
 Each frame is reported as one metrics.TrajectoryEntry carrying its final
 pose and the counts of its registration attempt. The localizer never sees
 ground truth; callers that have it annotate the errors.
@@ -19,14 +25,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .matching import (
+    CANDIDATE_MATCH,
+    MATCH,
     EmptyFeatureSet,
+    best_per_key,
     global_descriptor,
     match_features,
+    records,
     temporal_candidates,
 )
 from .metrics import TrajectoryEntry
 from .model import (
-    NewLandmarkCandidate,
     SfMModel,
     add_observation,
     freeze_mask_for_reference,
@@ -125,17 +134,16 @@ def match_lift_pnp(model: SfMModel, frame, candidate_ids, cfg: PipelineConfig):
     """Match a frame against its candidates, lift to 2D-3D, solve PnP.
 
     Leaves the model untouched. Returns (matches, corrs, pose, inliers):
-    matches as (query index, candidate id, candidate index, distance),
-    and pose None with no inliers when there are too few correspondences
-    or RANSAC fails.
+    matches a CANDIDATE_MATCH array, candidate by candidate; corrs
+    lift_matches_to_3d's CORRESPONDENCE array; pose None with no inliers
+    when there are too few correspondences or RANSAC fails.
     """
-    matches = []
-    for cid in candidate_ids:
-        cand = model.frames.get(cid)
-        if cand is None or len(cand.features) == 0:
-            continue
-        for m in match_features(frame.features, cand.features, cfg.match_ratio):
-            matches.append((m.query_index, cid, m.target_index, m.distance))
+    cands = [f for f in map(model.frames.get, candidate_ids) if f is not None and len(f.features) > 0]
+    found = [match_features(frame.features, c.features, cfg.match_ratio) for c in cands]
+    # stacked field by field: numpy joins plain arrays far faster than structured ones
+    cid = np.repeat(np.array([c.id for c in cands], dtype=np.intp), [len(m) for m in found])
+    fields = (np.concatenate([np.empty(0, MATCH)[k], *(m[k] for m in found)]) for k in MATCH.names)
+    matches = records(CANDIDATE_MATCH, cid, *fields)
 
     corrs = lift_matches_to_3d(model, frame.features, matches)
     if len(corrs) < cfg.min_2d3d:
@@ -143,10 +151,25 @@ def match_lift_pnp(model: SfMModel, frame, candidate_ids, cfg: PipelineConfig):
 
     rcfg = replace(cfg.ransac, rng_seed=_frame_seed(cfg, frame.id))
     try:
-        pose, inliers = ransac_pnp(corrs, frame.intrinsics, rcfg)
+        pose, inliers = ransac_pnp(corrs["world"], corrs["pixel"], frame.intrinsics, rcfg)
     except SolverError:
         return matches, corrs, None, []
     return matches, corrs, pose, inliers
+
+
+def _new_tracks(model: SfMModel, frame_id, matches):
+    """Two-view tracks [(frame_id, query), (candidate, target)] to triangulate, in query
+    order: each unbound query feature with its closest match (best_per_key) into an
+    unbound feature of a posed candidate."""
+    obs = model.obs_to_landmark
+    query, cand, target = (matches[k].tolist() for k in ("query", "candidate", "target"))
+    free = [
+        (frame_id, q) not in obs and (c, t) not in obs and model.frames[c].pose is not None
+        for q, c, t in zip(query, cand, target)
+    ]
+    rows = np.flatnonzero(free)
+    rows = rows[best_per_key(matches["query"][rows], matches["distance"][rows])]
+    return [[(frame_id, query[r]), (cand[r], target[r])] for r in rows.tolist()]
 
 
 def _attempt_registration(model: SfMModel, frame, candidate_ids, cfg: PipelineConfig, status):
@@ -155,7 +178,7 @@ def _attempt_registration(model: SfMModel, frame, candidate_ids, cfg: PipelineCo
 
     Returns (registered flag, n_corrs, n_inliers).
     """
-    all_matches, corrs, pose, inliers = match_lift_pnp(model, frame, candidate_ids, cfg)
+    matches, corrs, pose, inliers = match_lift_pnp(model, frame, candidate_ids, cfg)
     if pose is None:
         return False, len(corrs), 0
 
@@ -163,34 +186,14 @@ def _attempt_registration(model: SfMModel, frame, candidate_ids, cfg: PipelineCo
     frame.status = status
     model.add_frame(frame)
 
-    bound_q = set()
-    for i in inliers:
-        c = corrs[i]
-        if c.feature_index in bound_q:
-            continue
-        if add_observation(model, c.point_id, frame.id, c.feature_index):
-            bound_q.add(c.feature_index)
+    # add_observation keeps the first binding of a feature bound twice
+    for lid, fidx in zip(corrs["landmark"][inliers].tolist(), corrs["feature"][inliers].tolist()):
+        add_observation(model, lid, frame.id, fidx)
 
-    # triangulate new points from still-unbound mutual matches
-    best_partner = {}
-    for qidx, cid, cfidx, dist in all_matches:
-        if (frame.id, qidx) in model.obs_to_landmark:
-            continue
-        if (cid, cfidx) in model.obs_to_landmark:
-            continue
-        partner = model.frames[cid]
-        if partner.pose is None:
-            continue
-        cur = best_partner.get(qidx)
-        if cur is None or dist < cur[2]:
-            best_partner[qidx] = (cid, cfidx, dist)
-
-    tracks = [[(frame.id, qidx), best_partner[qidx][:2]] for qidx in sorted(best_partner)]
+    tracks = _new_tracks(model, frame.id, matches)
     X, code = triangulate_tracks(model.frames, tracks, frame.intrinsics, cfg.triangulation)
-    candidates = [
-        NewLandmarkCandidate(X[k].copy(), tracks[k]) for k in np.flatnonzero(code == ACCEPTED)
-    ]
-    merge_new_landmarks(model, frame.id, candidates)
+    keep = np.flatnonzero(code == ACCEPTED)
+    merge_new_landmarks(model, X[keep], [tracks[k] for k in keep])
 
     return True, len(corrs), len(inliers)
 

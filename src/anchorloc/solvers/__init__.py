@@ -10,7 +10,7 @@ from .errors import (
     ReprojectionTooLarge,
     SolverError,
 )
-from .pnp import Correspondence2D3D, RansacConfig, ransac_pnp, refine_pose
+from .pnp import RansacConfig, ransac_pnp, refine_pose
 from .triangulation import TriangulationConfig, triangulate, triangulate_many
 from .twoview import epipolar_inlier_indices, estimate_relative_pose, refine_relative_pose
 
@@ -18,7 +18,6 @@ __all__ = [
     "BundleConfig",
     "BundleResult",
     "CheiralityFailure",
-    "Correspondence2D3D",
     "DegenerateConfiguration",
     "FreezeMask",
     "InsufficientCorrespondences",

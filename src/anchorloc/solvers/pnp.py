@@ -1,7 +1,9 @@
 """Minimal P3P solver and robust PnP via RANSAC with LM pose refinement.
 
 Grunert's P3P is solved for a block of 3-point samples at once; RANSAC
-draws and scores its hypotheses in such blocks.
+draws and scores its hypotheses in such blocks. ransac_pnp takes the
+correspondences as (n,3) world points and (n,2) pixels, so the solver
+knows no model type.
 """
 
 from __future__ import annotations
@@ -12,15 +14,6 @@ import numpy as np
 
 from ..geom import CameraIntrinsics, Pose, pose_jacobian_many, project_many
 from .errors import InsufficientCorrespondences, NoConsensus
-
-
-@dataclass
-class Correspondence2D3D:
-    pixel: np.ndarray
-    point_id: int
-    world: np.ndarray
-    feature_index: int = -1
-    distance: float = 0.0
 
 
 @dataclass
@@ -361,18 +354,18 @@ def ransac(n, k, cfg: RansacConfig, solve, score):
     return best, best_mask, best_count
 
 
-def ransac_pnp(corrs, intr: CameraIntrinsics, cfg: RansacConfig):
-    """Robust pose from 2D-3D correspondences.
+def ransac_pnp(world, pixels, intr: CameraIntrinsics, cfg: RansacConfig):
+    """Robust pose from 2D-3D correspondences: (n,3) world points, (n,2) pixels.
 
     Deterministic given cfg.rng_seed. Returns (pose, sorted inlier indices).
     Raises InsufficientCorrespondences (< 4 inputs) or NoConsensus when the
     best consensus set is smaller than cfg.min_inliers.
     """
-    n = len(corrs)
+    n = len(world)
     if n < 4:
         raise InsufficientCorrespondences(f"{n} < 4 correspondences")
-    world = np.array([c.world for c in corrs], dtype=float)
-    pixels = np.array([c.pixel for c in corrs], dtype=float)
+    world = np.array(world, dtype=float)
+    pixels = np.array(pixels, dtype=float)
     thresh_sq = cfg.inlier_threshold**2
 
     def solve(idx):

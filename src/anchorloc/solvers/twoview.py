@@ -36,15 +36,27 @@ def _essential_from_eight(x1, x2):
     return U @ D @ Vt
 
 
-def _sampson_sq(E, x1, x2):
-    """Squared Sampson errors of (n,2) matches under E (3,3), or (m,n) under a stack (m,3,3)."""
+def _normalized(pixels, intr: CameraIntrinsics):
+    """Normalized image coordinates of (n,2) pixels, through their unit bearings."""
+    b = _bearing_vectors(pixels, intr)
+    return b[:, :2] / b[:, 2:3]
+
+
+def _sampson_terms(E, x1, x2):
+    """Epipolar residuals x2ᵀ E x1 of (n,2) matches and their squared Sampson
+    denominators, (n,) each under E (3,3), or (m,n) under a stack (m,3,3)."""
     x1h = np.column_stack([x1, np.ones(len(x1))])
     x2h = np.column_stack([x2, np.ones(len(x2))])
     Ex1 = x1h @ np.swapaxes(E, -1, -2)
     Etx2 = x2h @ E
-    num = np.einsum("ij,...ij->...i", x2h, Ex1) ** 2
-    den = Ex1[..., 0] ** 2 + Ex1[..., 1] ** 2 + Etx2[..., 0] ** 2 + Etx2[..., 1] ** 2
-    return num / np.maximum(den, 1e-18)
+    num = np.einsum("ij,...ij->...i", x2h, Ex1)
+    return num, Ex1[..., 0] ** 2 + Ex1[..., 1] ** 2 + Etx2[..., 0] ** 2 + Etx2[..., 1] ** 2
+
+
+def _sampson_sq(E, x1, x2):
+    """Squared Sampson errors of (n,2) matches under E (3,3), or (m,n) under a stack (m,3,3)."""
+    num, den2 = _sampson_terms(E, x1, x2)
+    return num**2 / np.maximum(den2, 1e-18)
 
 
 def _midpoint_depths(R, t, x1, x2):
@@ -99,14 +111,8 @@ def _sampson_residuals(R, t, x1, x2):
     tx[..., 0, 1], tx[..., 0, 2] = -t[..., 2], t[..., 1]
     tx[..., 1, 0], tx[..., 1, 2] = t[..., 2], -t[..., 0]
     tx[..., 2, 0], tx[..., 2, 1] = -t[..., 1], t[..., 0]
-    E = tx @ R
-    x1h = np.column_stack([x1, np.ones(len(x1))])
-    x2h = np.column_stack([x2, np.ones(len(x2))])
-    Ex1 = x1h @ np.swapaxes(E, -1, -2)
-    Etx2 = x2h @ E
-    num = np.einsum("ij,...ij->...i", x2h, Ex1)
-    den = np.sqrt(Ex1[..., 0] ** 2 + Ex1[..., 1] ** 2 + Etx2[..., 0] ** 2 + Etx2[..., 1] ** 2)
-    return num / np.maximum(den, 1e-18)
+    num, den2 = _sampson_terms(tx @ R, x1, x2)
+    return num / np.maximum(np.sqrt(den2), 1e-18)
 
 
 def refine_relative_pose(pose: Pose, pixels1, pixels2, intr: CameraIntrinsics, iterations=30):
@@ -118,10 +124,8 @@ def refine_relative_pose(pose: Pose, pixels1, pixels2, intr: CameraIntrinsics, i
     """
     from ..geom import quat_to_mat, so3_exp_quat
 
-    b1 = _bearing_vectors(np.asarray(pixels1, dtype=float), intr)
-    b2 = _bearing_vectors(np.asarray(pixels2, dtype=float), intr)
-    x1 = b1[:, :2] / b1[:, 2:3]
-    x2 = b2[:, :2] / b2[:, 2:3]
+    x1 = _normalized(pixels1, intr)
+    x2 = _normalized(pixels2, intr)
 
     R = pose.R
     t = pose.t / np.linalg.norm(pose.t)
@@ -167,10 +171,8 @@ def refine_relative_pose(pose: Pose, pixels1, pixels2, intr: CameraIntrinsics, i
 def epipolar_inlier_indices(pose: Pose, pixels1, pixels2, intr: CameraIntrinsics, threshold_px):
     """Indices of matches whose Sampson error under the given relative
     pose is below threshold_px (first-order pixel units)."""
-    b1 = _bearing_vectors(np.asarray(pixels1, dtype=float), intr)
-    b2 = _bearing_vectors(np.asarray(pixels2, dtype=float), intr)
-    x1 = b1[:, :2] / b1[:, 2:3]
-    x2 = b2[:, :2] / b2[:, 2:3]
+    x1 = _normalized(pixels1, intr)
+    x2 = _normalized(pixels2, intr)
     t = pose.t / np.linalg.norm(pose.t)
     r = _sampson_residuals(pose.R, t, x1, x2)
     f = (intr.fx + intr.fy) / 2.0
@@ -190,11 +192,8 @@ def estimate_relative_pose(pixels1, pixels2, intr: CameraIntrinsics, cfg: Ransac
     if n < 8:
         raise InsufficientCorrespondences(f"{n} < 8 matches")
 
-    # normalized image coordinates
-    b1 = _bearing_vectors(pixels1, intr)
-    b2 = _bearing_vectors(pixels2, intr)
-    x1 = b1[:, :2] / b1[:, 2:3]
-    x2 = b2[:, :2] / b2[:, 2:3]
+    x1 = _normalized(pixels1, intr)
+    x2 = _normalized(pixels2, intr)
 
     f = (intr.fx + intr.fy) / 2.0
     thresh = (cfg.inlier_threshold / f) ** 2

@@ -140,3 +140,41 @@ def models_equal(a, b):
         if list(la.track) != list(lb.track):
             return False
     return a.obs_to_landmark == b.obs_to_landmark
+
+
+# ---------------------------------------------------------------------------
+# dict oracles of the per-key selections that model.lift_matches_to_3d and
+# pipeline._new_tracks make over match arrays; matches are (candidate id,
+# query index, target index, distance) tuples in row order
+
+
+def lift_oracle(model, matches):
+    """(landmark id, query index) per landmark, ascending: the first of the
+    closest matches into a feature bound to it."""
+    best = {}
+    for cid, qidx, tfidx, dist in matches:
+        lid = model.obs_to_landmark.get((cid, tfidx))
+        if lid is None:
+            continue
+        cur = best.get(lid)
+        if cur is None or dist < cur[1]:
+            best[lid] = (qidx, dist)
+    return [(lid, best[lid][0]) for lid in sorted(best)]
+
+
+def best_partner_oracle(model, frame_id, matches):
+    """Tracks [(frame_id, query), (candidate, target)] in query order: each
+    unbound query feature with the first of its closest matches into an
+    unbound feature of a posed candidate."""
+    best_partner = {}
+    for cid, qidx, cfidx, dist in matches:
+        if (frame_id, qidx) in model.obs_to_landmark:
+            continue
+        if (cid, cfidx) in model.obs_to_landmark:
+            continue
+        if model.frames[cid].pose is None:
+            continue
+        cur = best_partner.get(qidx)
+        if cur is None or dist < cur[2]:
+            best_partner[qidx] = (cid, cfidx, dist)
+    return [[(frame_id, qidx), best_partner[qidx][:2]] for qidx in sorted(best_partner)]

@@ -23,7 +23,6 @@ from anchorloc.model import Frame
 from anchorloc.pipeline import PipelineConfig, detector_from_scores, run_pipeline
 from anchorloc.solvers import (
     BundleConfig,
-    Correspondence2D3D,
     FreezeMask,
     RansacConfig,
     TriangulationConfig,
@@ -204,8 +203,7 @@ def test_ransac_pnp_recovers_planted_inliers_at_scale(intrinsics):
             # push far past the inlier threshold in a random direction
             off = rng.uniform(5.0, 50.0, 2) * rng.choice([-1.0, 1.0], 2)
             pixels[i] = pixels[i] + off * cfg.inlier_threshold
-        corrs = [Correspondence2D3D(pixels[i], i, pts[i]) for i in range(30)]
-        _, inliers = ransac_pnp(corrs, intrinsics, replace(cfg, rng_seed=trial))
+        _, inliers = ransac_pnp(pts, pixels, intrinsics, replace(cfg, rng_seed=trial))
         assert sorted(inliers) == sorted(set(range(30)) - set(outliers))
 
 

@@ -154,16 +154,26 @@ def test_exit_code_pipeline_error(workdir, tmp_path, capsys):
 
 
 # case -> (file under the fixture's workdir, localize flag taking it, None
-# for build-ref or "eval", prefix of the last line to edit, token index,
-# bad value or None to drop the token)
+# for build-ref, "eval", "eval_trajectory" or "export", prefix of the last
+# line to edit, token index, bad value or None to drop the token)
 BAD_INPUTS = {
     "score": ("data/anchor_scores.txt", "--anchors", "", 1, "high"),
+    "score_nan": ("data/anchor_scores.txt", "--anchors", "", 1, "nan"),
+    "score_inf": ("data/anchor_scores.txt", "--anchors", "", 1, "inf"),
     # a third token: the last line reads "<id> 100039 0.5"
     "score_extra_token": ("data/anchor_scores.txt", "--anchors", "", 1, "100039 0.5"),
     "score_repeat": ("data/anchor_scores.txt", "--anchors", "", 0, "100000"),
     "gt": ("data/gt_query.txt", "--gt", "", 3, "x"),
     "gt_repeat": ("data/gt_query.txt", "--gt", "", 0, "100000"),
+    "gt_inf": ("data/gt_query.txt", "--gt", "", 2, "inf"),
+    # the ground truth read as a trajectory, its last line edited
+    "trajectory_pose_nan": ("data/gt_query.txt", "eval_trajectory", "", 2, "nan"),
+    "trajectory_repeat": ("data/gt_query.txt", "eval_trajectory", "", 0, "100000"),
+    # a model the localizer never reads: its one-camera check would catch this
+    "model_focal_nan": ("ref.txt", "export", "FRAME", 4, "nan"),
     "landmark_feature": ("ref.txt", "--model", "LANDMARK", 8, "999999"),
+    # ids live in int64 arrays while a frame is matched and lifted
+    "landmark_id_range": ("ref.txt", "--model", "LANDMARK", 1, str(2**63)),
     "track_fields": ("data/tracks_db.txt", None, "", 2, None),
     "track_feature": ("data/tracks_db.txt", None, "", 1, "999999"),
     # (last frame, feature 0) is listed on an earlier line too
@@ -203,6 +213,12 @@ def test_exit_code_bad_input_file(workdir, tmp_path, capsys, case):
         traj = tmp_path / "trajectory.txt"
         traj.write_text(f"{TRAJ_HEADER}\n{original} registered -\n")
         code = main(["eval", "--gt", str(bad), str(traj)])
+    elif flag == "eval_trajectory":
+        traj = tmp_path / "trajectory.txt"
+        traj.write_text("\n".join([TRAJ_HEADER, *(f"{line} registered -" for line in lines[1:])]) + "\n")
+        code = main(["eval", "--gt", str(workdir / rel), str(traj)])
+    elif flag == "export":
+        code = main(["export", "--model", str(bad), "--ply", str(tmp_path / "x.ply")])
     else:
         # the later flag overrides the fixture's file
         code = _localize(workdir, "proposed", tmp_path / "out", extra=[flag, str(bad)])

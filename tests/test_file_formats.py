@@ -4,8 +4,10 @@ Each reader, given any file, either raises its documented exception
 (``ModelFormatError`` for models, ``ValueError`` for trajectories,
 ``ConfigError`` for run configs, which the CLI ends with exit code 2, and
 ``CliError`` with exit code 3 for anchor-score and ground-truth files) or
-returns records whose poses have a 4-vector q and a 3-vector t. Files are
-generated from scratch or made by mutating a valid file token by token.
+returns records whose numbers are all finite and whose poses have a
+4-vector q and a 3-vector t. Files are generated from scratch, made by
+mutating a valid file token by token, or made by setting one number of a
+valid file to nan or an infinity, which every reader must refuse.
 """
 
 import pathlib
@@ -47,7 +49,7 @@ def path(tmp_path_factory):
 TOKENS = st.one_of(
     st.sampled_from(
         ["FRAME", "FEATURES", "F", "LANDMARK", "ANCHORLOC_MODEL", TRAJ_HEADER.split()[0], *FRAME_STATUSES,
-         "augmented", "-", "0", "1", "2", "-1", "999999", "0.0", "-0.0", "1e400", "nan", "inf", "1.5"]
+         "augmented", "-", "0", "1", "2", "-1", "999999", "0.0", "-0.0", "1e400", "nan", "inf", "-inf", "1.5"]
     ),
     st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=4),
 )
@@ -93,8 +95,33 @@ def _mutate(text, mutations):
     return "\n".join(lines) + "\n"
 
 
-def _pose_shapes_ok(pose):
-    return pose is None or (pose.q.shape == (4,) and pose.t.shape == (3,))
+# tokens float() reads as nan or an infinity
+NONFINITE = st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400"])
+
+
+def _is_number(tok):
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
+def _inject(text, k, token):
+    """text with its k-th number token (modulo their count) set to token."""
+    lines = [line.split() for line in text.splitlines()]
+    slots = [(i, j) for i, tok in enumerate(lines) for j, t in enumerate(tok) if _is_number(t)]
+    i, j = slots[k % len(slots)]
+    lines[i][j] = token
+    return "\n".join(" ".join(tok) for tok in lines) + "\n"
+
+
+def _finite(*values):
+    return all(np.all(np.isfinite(v)) for v in values)
+
+
+def _pose_ok(pose):
+    return pose is None or (pose.q.shape == (4,) and pose.t.shape == (3,) and _finite(pose.q, pose.t))
 
 
 def _check_model(path):
@@ -104,11 +131,13 @@ def _check_model(path):
     except ModelFormatError:
         return
     for f in model.frames.values():
-        assert _pose_shapes_ok(f.pose)
+        i = f.intrinsics
+        assert _pose_ok(f.pose) and _finite(f.timestamp, i.fx, i.fy, i.cx, i.cy)
         assert len(f.features.pixels) == len(f.features.descriptors)
+        assert _finite(f.features.pixels, f.features.descriptors)
     seen = set()
     for lm in model.landmarks.values():
-        assert lm.position.shape == (3,)
+        assert lm.position.shape == (3,) and _finite(lm.position)
         for fid, fidx in lm.track:
             assert 0 <= fidx < len(model.frames[fid].features)
             assert (fid, fidx) not in seen
@@ -120,8 +149,9 @@ def _check_trajectory(path):
         entries = load_trajectory(path)
     except ValueError:
         return
+    assert len({e.frame_id for e in entries}) == len(entries)
     for e in entries:
-        assert _pose_shapes_ok(e.pose)
+        assert _pose_ok(e.pose) and _finite(e.timestamp, e.error if e.error is not None else 0.0)
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
@@ -190,17 +220,24 @@ def test_load_model_generated(path, lines):
     _check_model(path)
 
 
-trajectories = st.lists(
-    st.builds(
-        TrajectoryEntry,
-        st.integers(-(10**6), 10**6),
-        finite,
-        st.sampled_from(["registered", "anchor", "failed"]),
-        st.none() | poses,
-        st.none() | st.floats(0.0, 1e6),
-    ),
-    max_size=4,
+@FIXED
+@given(models(min_frames=1), st.integers(0, 10**6), NONFINITE)
+def test_load_model_rejects_nonfinite(path, m, k, token):
+    save_model(m, path)
+    path.write_text(_inject(path.read_text(), k, token))
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+trajectory_entries = st.builds(
+    TrajectoryEntry,
+    st.integers(-(10**6), 10**6),
+    finite,
+    st.sampled_from(["registered", "anchor", "failed"]),
+    st.none() | poses,
+    st.none() | st.floats(0.0, 1e6),
 )
+trajectories = st.lists(trajectory_entries, max_size=4)
 
 
 @FIXED
@@ -216,6 +253,16 @@ def test_load_trajectory_mutated(path, es, mutations):
 def test_load_trajectory_generated(path, lines):
     path.write_text("\n".join([TRAJ_HEADER, *lines]) + "\n")
     _check_trajectory(path)
+
+
+@FIXED
+@given(st.lists(trajectory_entries, max_size=4, unique_by=lambda e: e.frame_id), st.integers(0, 10**6), NONFINITE)
+def test_load_trajectory_rejects_nonfinite(path, es, k, token):
+    export_trajectory(es, path)
+    assert len(load_trajectory(path)) == len(es)
+    path.write_text(_inject(path.read_text(), k, token))
+    with pytest.raises(ValueError):
+        load_trajectory(path)
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +327,23 @@ def test_load_scores_mutated(path, scores, mutations):
     if not mutations:
         assert out == scores
     elif out is not None:
-        assert all(isinstance(k, int) and isinstance(v, float) for k, v in out.items())
+        assert all(isinstance(k, int) and isinstance(v, float) and _finite(v) for k, v in out.items())
 
 
 @FIXED
 @given(st.lists(st.lists(TOKENS, max_size=4).map(" ".join), max_size=6))
 def test_load_scores_generated(path, lines):
     path.write_text("\n".join(["ANCHORLOC_SCORES 1", *lines]) + "\n")
-    _load_or_exit_io(load_scores, path)
+    out = _load_or_exit_io(load_scores, path)
+    assert _finite(list((out or {}).values()))
+
+
+@FIXED
+@given(st.dictionaries(frame_ids, st.floats(0.0, 1.0), max_size=4), st.integers(0, 10**6), NONFINITE)
+def test_load_scores_rejects_nonfinite(path, scores, k, token):
+    save_scores(scores, path)
+    path.write_text(_inject(path.read_text(), k, token))
+    assert _load_or_exit_io(load_scores, path) is None
 
 
 ground_truth = st.lists(
@@ -300,7 +356,7 @@ ground_truth = st.lists(
 def _check_ground_truth(path):
     out = _load_or_exit_io(load_ground_truth, path)
     for ts, pose in (out or {}).values():
-        assert isinstance(ts, float) and _pose_shapes_ok(pose)
+        assert isinstance(ts, float) and _finite(ts) and _pose_ok(pose)
     return out
 
 
@@ -319,3 +375,11 @@ def test_load_ground_truth_mutated(path, frames, mutations):
 def test_load_ground_truth_generated(path, lines):
     path.write_text("\n".join(["ANCHORLOC_GT 1", *lines]) + "\n")
     _check_ground_truth(path)
+
+
+@FIXED
+@given(ground_truth, st.integers(0, 10**6), NONFINITE)
+def test_load_ground_truth_rejects_nonfinite(path, frames, k, token):
+    save_ground_truth(frames, path)
+    path.write_text(_inject(path.read_text(), k, token))
+    assert _load_or_exit_io(load_ground_truth, path) is None

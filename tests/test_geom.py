@@ -184,6 +184,9 @@ def test_intrinsics_validation():
         CameraIntrinsics(-1.0, 500.0, 320.0, 240.0, 640, 480)
     with pytest.raises(ValueError):
         CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 0, 480)
+    for fx, fy in ((np.nan, 500.0), (500.0, np.nan)):
+        with pytest.raises(ValueError):
+            CameraIntrinsics(fx, fy, 320.0, 240.0, 640, 480)
 
 
 def test_in_bounds(intrinsics):

@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from anchorloc.geom import CameraIntrinsics, Pose
 from anchorloc.matching import (
+    CANDIDATE_MATCH,
     EmptyFeatureSet,
     FeatureSet,
+    best_per_key,
     global_descriptor,
     match_features,
     retrieve_top_k,
     temporal_candidates,
 )
-from conftest import no_features
+from anchorloc.model import Frame, Landmark, SfMModel, lift_matches_to_3d
+from anchorloc.pipeline import _new_tracks
+from conftest import best_partner_oracle, lift_oracle, no_features
 
 
 def _unit_rows(rng, n, d=8):
@@ -26,7 +33,7 @@ def test_match_identity():
     a = _fs(rng, 30)
     pairs = match_features(a, a, 0.8)
     assert len(pairs) == 30
-    assert all(m.query_index == m.target_index and m.distance < 1e-6 for m in pairs)
+    assert np.array_equal(pairs["query"], pairs["target"]) and np.all(pairs["distance"] < 1e-6)
 
 
 def test_match_ratio_rejects_ambiguous():
@@ -36,7 +43,7 @@ def test_match_ratio_rejects_ambiguous():
     b = FeatureSet(
         np.vstack([a.pixels, a.pixels]), np.vstack([a.descriptors, a.descriptors])
     )
-    assert match_features(a, b, 0.8) == []
+    assert len(match_features(a, b, 0.8)) == 0
 
 
 def test_match_mutual_check():
@@ -46,7 +53,7 @@ def test_match_mutual_check():
     a = FeatureSet(np.zeros((2, 2)), qa)
     b = FeatureSet(np.zeros((2, 2)), tb)
     pairs = match_features(a, b, 1.0)
-    assert [(m.query_index, m.target_index) for m in pairs] == [(0, 0)]
+    assert list(zip(pairs["query"].tolist(), pairs["target"].tolist())) == [(0, 0)]
 
 
 def test_match_sorted_by_distance():
@@ -55,15 +62,15 @@ def test_match_sorted_by_distance():
     noisy = a.descriptors + rng.normal(scale=0.02, size=a.descriptors.shape)
     b = FeatureSet(a.pixels, noisy / np.linalg.norm(noisy, axis=1)[:, None])
     pairs = match_features(a, b, 0.9)
-    dists = [m.distance for m in pairs]
+    dists = pairs["distance"].tolist()
     assert dists == sorted(dists)
 
 
 def test_match_empty_inputs():
     rng = np.random.default_rng(3)
     a = _fs(rng, 4)
-    assert match_features(a, no_features(8), 0.8) == []
-    assert match_features(no_features(8), a, 0.8) == []
+    assert len(match_features(a, no_features(8), 0.8)) == 0
+    assert len(match_features(no_features(8), a, 0.8)) == 0
 
 
 def test_match_ratio_validation():
@@ -84,9 +91,51 @@ def test_planted_matches_recall_precision():
     a = FeatureSet(np.zeros((200, 2)), na / np.linalg.norm(na, axis=1)[:, None])
     b = FeatureSet(np.zeros((200, 2)), nb / np.linalg.norm(nb, axis=1)[:, None])
     pairs = match_features(a, b, 0.8)
-    correct = sum(1 for m in pairs if m.query_index == m.target_index)
+    correct = int((pairs["query"] == pairs["target"]).sum())
     assert correct / 200 >= 0.9  # recall
     assert correct / len(pairs) >= 0.95  # precision
+
+
+def test_best_per_key_ties_go_to_the_earliest_row():
+    keys = np.array([5, 2, 5, 2, 5, 9])
+    dist = np.array([0.3, 0.1, 0.2, 0.1, 0.2, 0.0])
+    assert best_per_key(keys, dist).tolist() == [1, 2, 5]
+    assert len(best_per_key(keys[:0], dist[:0])) == 0
+
+
+QUERY_ID = 9
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(st.data())
+def test_per_key_selections_match_dict_oracles(data):
+    # candidates 0-2, frame 2 unposed, and the query frame, four features
+    # each; three distance values force ties
+    intr = CameraIntrinsics(400.0, 400.0, 320.0, 240.0, 640, 480)
+    model = SfMModel()
+    for fid in (0, 1, 2, QUERY_ID):
+        fs = FeatureSet(np.arange(8.0).reshape(4, 2) + fid, np.zeros((4, 2)))
+        model.add_frame(Frame(fid, 0.0, intr, fs, None if fid == 2 else Pose(), "pending" if fid == 2 else "reference"))
+    keys = [(fid, i) for fid in (0, 1, 2, QUERY_ID) for i in range(4)]
+    slot = data.draw(st.lists(st.sampled_from([None, 0, 1, 2, 3]), min_size=len(keys), max_size=len(keys)))
+    lids = data.draw(st.permutations([3, 11, 7, 0]))
+    for s, lid in enumerate(lids):
+        track = [key for key, k in zip(keys, slot) if k == s]
+        if track:
+            model.add_landmark(Landmark(lid, np.full(3, float(lid)), "reference", track))
+    rows = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from([0, 1, 2]), st.integers(0, 3), st.integers(0, 3), st.sampled_from([0.1, 0.2, 0.3])),
+            max_size=30,
+        )
+    )
+    matches = np.array(rows, dtype=CANDIDATE_MATCH)
+
+    corrs = lift_matches_to_3d(model, model.frames[QUERY_ID].features, matches)
+    assert list(zip(corrs["landmark"].tolist(), corrs["feature"].tolist())) == lift_oracle(model, rows)
+    assert np.array_equal(corrs["pixel"], model.frames[QUERY_ID].features.pixels[corrs["feature"]])
+    assert np.array_equal(corrs["world"], np.repeat(corrs["landmark"][:, None], 3, axis=1).astype(float))
+    assert _new_tracks(model, QUERY_ID, matches) == best_partner_oracle(model, QUERY_ID, rows)
 
 
 def test_global_descriptor_basics():

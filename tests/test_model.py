@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from anchorloc.geom import CameraIntrinsics, Pose
-from anchorloc.matching import FeatureSet
+from anchorloc.matching import CANDIDATE_MATCH, FeatureSet
 from anchorloc.model import (
     Frame,
     Landmark,
     ModelFormatError,
-    NewLandmarkCandidate,
     SfMModel,
     add_observation,
     freeze_mask_for_reference,
@@ -112,10 +111,12 @@ def test_lift_matches_collapses_to_best():
     m.add_frame(_frame(0, "reference"))
     m.add_landmark(Landmark(7, np.array([1.0, 2.0, 3.0]), "reference", [(0, 0), (0, 1)]))
     q = FeatureSet(np.array([[5.0, 5.0], [9.0, 9.0]]), np.zeros((2, 4)))
-    matches = [(0, 0, 0, 0.5), (1, 0, 1, 0.2), (0, 0, 2, 0.1)]  # (0,2) unbound
+    # (candidate, query, target, distance); (0, 2) is unbound
+    matches = np.array([(0, 0, 0, 0.5), (0, 1, 1, 0.2), (0, 0, 2, 0.1)], dtype=CANDIDATE_MATCH)
     corrs = lift_matches_to_3d(m, q, matches)
     assert len(corrs) == 1
-    assert corrs[0].point_id == 7 and corrs[0].feature_index == 1
+    assert corrs["landmark"][0] == 7 and corrs["feature"][0] == 1
+    assert np.array_equal(corrs["pixel"][0], [9.0, 9.0]) and np.array_equal(corrs["world"][0], [1.0, 2.0, 3.0])
 
 
 def test_add_observation_existing_binding_wins():
@@ -130,12 +131,12 @@ def test_add_observation_existing_binding_wins():
 def test_merge_new_landmarks_skips_bound_and_short_tracks():
     m = SfMModel()
     m.add_landmark(Landmark(0, np.zeros(3), "augmented", [(1, 0)]))
-    cands = [
-        NewLandmarkCandidate(np.ones(3), [(1, 0), (2, 0)]),  # touches a bound feature
-        NewLandmarkCandidate(np.ones(3), [(2, 1)]),  # track too short
-        NewLandmarkCandidate(np.ones(3), [(1, 1), (2, 2)]),  # accepted
+    tracks = [
+        [(1, 0), (2, 0)],  # touches a bound feature
+        [(2, 1)],  # track too short
+        [(1, 1), (2, 2)],  # accepted
     ]
-    assert merge_new_landmarks(m, 1, cands) == 1
+    assert merge_new_landmarks(m, np.ones((3, 3)), tracks) == 1
     assert len(m.landmarks) == 2
     lm = m.landmarks[max(m.landmarks)]
     assert lm.origin == "augmented" and lm.track == [(1, 1), (2, 2)]

@@ -3,7 +3,6 @@ import pytest
 
 from anchorloc.geom import Pose
 from anchorloc.solvers import (
-    Correspondence2D3D,
     InsufficientCorrespondences,
     NoConsensus,
     RansacConfig,
@@ -21,12 +20,10 @@ from conftest import points_in_front, project, random_pose, rotation_angle
 
 
 def _corrs(intr, pose, pts, pixels=None):
+    """ransac_pnp's (world, pixels) arguments, the pixels projected unless given."""
     if pixels is None:
         pixels = np.array([project(intr, pose, p) for p in pts])
-    return [
-        Correspondence2D3D(pixel=uv, point_id=i, world=p, feature_index=i)
-        for i, (p, uv) in enumerate(zip(pts, pixels))
-    ]
+    return pts, pixels
 
 
 def test_p3p_recovers_exact_pose(intrinsics):
@@ -142,7 +139,7 @@ def test_ransac_pnp_noise_free(intrinsics):
     pose = random_pose(rng)
     pts = points_in_front(rng, pose, 60)
     corrs = _corrs(intrinsics, pose, pts)
-    est, inliers = ransac_pnp(corrs, intrinsics, RansacConfig(rng_seed=5))
+    est, inliers = ransac_pnp(*corrs, intrinsics, RansacConfig(rng_seed=5))
     assert len(inliers) == 60
     assert rotation_angle(est.R, pose.R) < 1e-6
 
@@ -157,7 +154,7 @@ def test_ransac_pnp_rejects_planted_outliers(intrinsics):
     for i in out:
         # push outliers far beyond the inlier threshold
         pixels[i] = pixels[i] + rng.uniform(5, 50, 2) * rng.choice([-1.0, 1.0], 2) * cfg.inlier_threshold
-    est, inliers = ransac_pnp(_corrs(intrinsics, pose, pts, pixels), intrinsics, cfg)
+    est, inliers = ransac_pnp(*_corrs(intrinsics, pose, pts, pixels), intrinsics, cfg)
     assert set(inliers) == set(range(50)) - set(out)
     assert rotation_angle(est.R, pose.R) < 1e-6
 
@@ -171,8 +168,8 @@ def test_ransac_pnp_deterministic(intrinsics):
     )
     corrs = _corrs(intrinsics, pose, pts, pixels)
     cfg = RansacConfig(rng_seed=99)
-    a_pose, a_inl = ransac_pnp(corrs, intrinsics, cfg)
-    b_pose, b_inl = ransac_pnp(corrs, intrinsics, cfg)
+    a_pose, a_inl = ransac_pnp(*corrs, intrinsics, cfg)
+    b_pose, b_inl = ransac_pnp(*corrs, intrinsics, cfg)
     assert np.array_equal(a_pose.q, b_pose.q)
     assert np.array_equal(a_pose.t, b_pose.t)
     assert np.array_equal(a_inl, b_inl)
@@ -183,16 +180,12 @@ def test_ransac_pnp_error_paths(intrinsics):
     pose = random_pose(rng)
     pts = points_in_front(rng, pose, 3)
     with pytest.raises(InsufficientCorrespondences):
-        ransac_pnp(_corrs(intrinsics, pose, pts), intrinsics, RansacConfig())
+        ransac_pnp(*_corrs(intrinsics, pose, pts), intrinsics, RansacConfig())
     # pure noise: no consensus of min_inliers
-    junk = [
-        Correspondence2D3D(
-            pixel=rng.uniform(0, 640, 2), point_id=i, world=rng.normal(scale=5, size=3)
-        )
-        for i in range(20)
-    ]
+    junk = [(rng.uniform(0, 640, 2), rng.normal(scale=5, size=3)) for _ in range(20)]
+    pixels, world = (np.array(c) for c in zip(*junk))
     with pytest.raises(NoConsensus):
-        ransac_pnp(junk, intrinsics, RansacConfig(rng_seed=1, max_iterations=50))
+        ransac_pnp(world, pixels, intrinsics, RansacConfig(rng_seed=1, max_iterations=50))
 
 
 def test_ransac_config_validation():
