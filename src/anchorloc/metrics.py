@@ -114,6 +114,8 @@ def compare_methods(reports) -> str:
 # file exports
 
 TRAJ_HEADER = "ANCHORLOC_TRAJ 1"
+# the statuses the three localizers report, and so all that export_trajectory writes
+TRAJ_STATUSES = ("anchor", "registered", "failed")
 
 
 def export_trajectory(entries, path):
@@ -152,6 +154,8 @@ def load_trajectory(path):
         if tok[2] != "-":
             vals = [_finite(v) for v in tok[2:9]]
             pose = Pose(np.array(vals[:4]), np.array(vals[4:]))
+        if tok[9] not in TRAJ_STATUSES:
+            raise ValueError(f"{path}:{ln}: unknown status {tok[9]!r}")
         err = None if tok[10] == "-" else _finite(tok[10])
         fid = int(tok[0])
         if fid in entries:

@@ -62,6 +62,8 @@ class BundleResult:
     iterations: int
     accepted_steps: int
     all_frozen: bool = False
+    free_cameras: int = 0  # nF: unfrozen posed frames with an observation
+    free_points: int = 0  # nL: unfrozen landmarks with two or more observations
 
 
 def _gather_problem(model, mask: FreezeMask):
@@ -367,4 +369,4 @@ def bundle_adjust(model, mask: FreezeMask, cfg: BundleConfig):
         lid = lm_ids[slot]
         model.landmarks[lid].position = Xs[slot].copy()
 
-    return BundleResult(cost_before, cost, iterations, accepted, all_frozen=False)
+    return BundleResult(cost_before, cost, iterations, accepted, free_cameras=nF, free_points=nL)

@@ -25,6 +25,9 @@ from .matching import FeatureSet
 from .model import Frame, Landmark, SfMModel, triangulate_tracks
 from .solvers.triangulation import ACCEPTED, TriangulationConfig
 
+# tracks triangulated per call, so a large group's stacked arrays never exist at once
+_TRACK_CHUNK = 128
+
 
 class ConfigInvalid(Exception):
     pass
@@ -308,7 +311,7 @@ def reference_model_from_tracks(frames, tracks) -> SfMModel:
     lists, triangulating each track from its (noisy) pixels.
 
     The frames share one camera model. Tracks of one length are
-    triangulated together; landmarks go in by id.
+    triangulated together, _TRACK_CHUNK at a time; landmarks go in by id.
     """
     model = SfMModel()
     for fr in frames:
@@ -325,9 +328,11 @@ def reference_model_from_tracks(frames, tracks) -> SfMModel:
         if len(track) >= 2:
             by_length.setdefault(len(track), []).append(lid)
     positions = {}
-    for lids in by_length.values():
-        X, code = triangulate_tracks(model.frames, [tracks[lid] for lid in lids], intr, tri_cfg)
-        positions.update((lid, X[k].copy()) for k, lid in enumerate(lids) if code[k] == ACCEPTED)
+    for group in by_length.values():
+        for s in range(0, len(group), _TRACK_CHUNK):
+            lids = group[s : s + _TRACK_CHUNK]
+            X, code = triangulate_tracks(model.frames, [tracks[lid] for lid in lids], intr, tri_cfg)
+            positions.update((lid, X[k].copy()) for k, lid in enumerate(lids) if code[k] == ACCEPTED)
     for lid in sorted(positions):
         model.add_landmark(Landmark(lid, positions[lid], "reference", list(tracks[lid])))
     return model

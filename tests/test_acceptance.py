@@ -94,6 +94,7 @@ def scenario():
         "onthefly": onthefly,
         "elapsed": elapsed,
         "stage_elapsed": stages,
+        "config": pipe_cfg,
     }
 
 
@@ -141,6 +142,12 @@ def test_scenario_frozen_reference_bit_identity(scenario):
 def test_scenario_bundle_cost_never_increases(scenario):
     for ev in scenario["proposed"].ba_events:
         assert ev.cost_after <= ev.cost_before
+
+
+def test_scenario_bundle_window_bounds_free_cameras(scenario):
+    window = scenario["config"].ba_window
+    free = [ev.free_cameras for ev in scenario["proposed"].ba_events]
+    assert max(free) == window
 
 
 def test_scenario_retrieval_aliased_sector_top1_below_080(scenario):

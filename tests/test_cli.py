@@ -114,7 +114,7 @@ def test_exit_code_config_error(workdir, tmp_path, capsys):
     bad.write_text("scene.landmark_count = abc\n")
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "d")]) == 2
     # values the localizer cannot use end before it starts
-    for line in ("pipeline.match_ratio = 1.5", "pipeline.ransac.max_iterations = -5"):
+    for line in ("pipeline.match_ratio = 1.5", "pipeline.ransac.max_iterations = -5", "pipeline.ba_window = 0"):
         bad.write_text(CFG + line + "\n")
         assert _localize(workdir, "proposed", tmp_path / "out", extra=["--config", str(bad)]) == 2
     assert not (tmp_path / "out").exists()
@@ -166,9 +166,11 @@ BAD_INPUTS = {
     "gt": ("data/gt_query.txt", "--gt", "", 3, "x"),
     "gt_repeat": ("data/gt_query.txt", "--gt", "", 0, "100000"),
     "gt_inf": ("data/gt_query.txt", "--gt", "", 2, "inf"),
-    # the ground truth read as a trajectory, its last line edited
+    # the ground truth written as a trajectory of registered frames, its last line edited
     "trajectory_pose_nan": ("data/gt_query.txt", "eval_trajectory", "", 2, "nan"),
     "trajectory_repeat": ("data/gt_query.txt", "eval_trajectory", "", 0, "100000"),
+    # export_trajectory writes only anchor, registered and failed
+    "trajectory_status_bogus": ("data/gt_query.txt", "eval_trajectory", "", 9, "bogus"),
     # a model the localizer never reads: its one-camera check would catch this
     "model_focal_nan": ("ref.txt", "export", "FRAME", 4, "nan"),
     "landmark_feature": ("ref.txt", "--model", "LANDMARK", 8, "999999"),
@@ -193,6 +195,8 @@ BAD_INPUTS = {
 def test_exit_code_bad_input_file(workdir, tmp_path, capsys, case):
     rel, flag, prefix, k, value = BAD_INPUTS[case]
     lines = (workdir / rel).read_text().splitlines()
+    if flag == "eval_trajectory":
+        lines = [TRAJ_HEADER, *(f"{line} registered -" for line in lines[1:])]
     i = max(i for i in range(len(lines)) if lines[i].startswith(prefix))
     original = lines[i]
     tok = original.split()
@@ -214,9 +218,7 @@ def test_exit_code_bad_input_file(workdir, tmp_path, capsys, case):
         traj.write_text(f"{TRAJ_HEADER}\n{original} registered -\n")
         code = main(["eval", "--gt", str(bad), str(traj)])
     elif flag == "eval_trajectory":
-        traj = tmp_path / "trajectory.txt"
-        traj.write_text("\n".join([TRAJ_HEADER, *(f"{line} registered -" for line in lines[1:])]) + "\n")
-        code = main(["eval", "--gt", str(workdir / rel), str(traj)])
+        code = main(["eval", "--gt", str(workdir / rel), str(bad)])
     elif flag == "export":
         code = main(["export", "--model", str(bad), "--ply", str(tmp_path / "x.ply")])
     else:

@@ -22,7 +22,7 @@ from anchorloc.cli import EXIT_IO, CliError, load_ground_truth, load_scores, sav
 from anchorloc.config import _SECTIONS, ConfigError, parse_run_config
 from anchorloc.geom import CameraIntrinsics, Pose
 from anchorloc.matching import FeatureSet
-from anchorloc.metrics import TRAJ_HEADER, TrajectoryEntry, export_trajectory, load_trajectory
+from anchorloc.metrics import TRAJ_HEADER, TRAJ_STATUSES, TrajectoryEntry, export_trajectory, load_trajectory
 from anchorloc.model import (
     FRAME_STATUSES,
     Frame,
@@ -151,6 +151,7 @@ def _check_trajectory(path):
         return
     assert len({e.frame_id for e in entries}) == len(entries)
     for e in entries:
+        assert e.status in TRAJ_STATUSES
         assert _pose_ok(e.pose) and _finite(e.timestamp, e.error if e.error is not None else 0.0)
 
 
@@ -233,7 +234,7 @@ trajectory_entries = st.builds(
     TrajectoryEntry,
     st.integers(-(10**6), 10**6),
     finite,
-    st.sampled_from(["registered", "anchor", "failed"]),
+    st.sampled_from(TRAJ_STATUSES),
     st.none() | poses,
     st.none() | st.floats(0.0, 1e6),
 )

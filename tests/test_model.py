@@ -1,3 +1,6 @@
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,9 @@ from anchorloc.model import (
     save_model,
     spatial_neighbors,
 )
+from anchorloc.solvers import BundleConfig, bundle_adjust
 from conftest import models_equal, no_features
+from test_solvers_bundle import _ring_model
 
 
 def _intr():
@@ -73,6 +78,45 @@ def test_freeze_mask_and_digest():
     assert frozen_state_digest(m, mask) == d0
     m.landmarks[0].position = np.nextafter(m.landmarks[0].position, np.inf)  # a single-ulp frozen change shows up
     assert frozen_state_digest(m, mask) != d0
+
+
+def _windowed_model():
+    """A ring of 8 cameras with noisy pixels: 0 and 1 reference, the others
+    query frames registered in the order 7, 2, 6, 3, 5, 4. Landmarks 0-9
+    are reference, the rest augmented; 30-39 are unseen by 3, 4 and 5."""
+    ring = _ring_model(n_cams=8, n_pts=40, noise=0.5)
+    model = SfMModel()
+    for fid in (0, 1, 7, 2, 6, 3, 5, 4):
+        model.add_frame(replace(ring.frames[fid], status="reference" if fid < 2 else "registered"))
+    for lid, lm in ring.landmarks.items():
+        track = [o for o in lm.track if lid < 30 or o[0] not in (3, 4, 5)]
+        model.add_landmark(Landmark(lid, lm.position, "reference" if lid < 10 else "augmented", track))
+    return model
+
+
+def test_freeze_mask_window_frees_last_registered_frames():
+    model = _windowed_model()
+    mask = freeze_mask_for_reference(model, window=3)
+    assert mask.frozen_frame_ids == {0, 1, 7, 2, 6}
+    assert mask.frozen_landmark_ids == set(range(10)) | set(range(30, 40))
+    # a window wider than the sequence frees every query frame and augmented landmark
+    assert freeze_mask_for_reference(model, window=50) == freeze_mask_for_reference(model)
+
+
+def test_windowed_bundle_keeps_frozen_blocks_bit_identical():
+    model = _windowed_model()
+    before = copy.deepcopy(model)
+    mask = freeze_mask_for_reference(model, window=3)
+    digest = frozen_state_digest(model, mask)
+    res = bundle_adjust(model, mask, BundleConfig())
+    assert res.accepted_steps > 0 and (res.free_cameras, res.free_points) == (3, 20)
+    assert frozen_state_digest(model, mask) == digest
+    for fid, fr in model.frames.items():
+        old = before.frames[fid].pose
+        same = np.array_equal(fr.pose.q, old.q) and np.array_equal(fr.pose.t, old.t)
+        assert same == (fid in mask.frozen_frame_ids)
+    for lid, lm in model.landmarks.items():
+        assert np.array_equal(lm.position, before.landmarks[lid].position) == (lid in mask.frozen_landmark_ids)
 
 
 def test_spatial_neighbors_ranking_and_gate():
