@@ -119,23 +119,20 @@ class SfMModel:
 # queries and mutations
 
 
-def freeze_mask_for_reference(model: SfMModel, window: int | None = None) -> FreezeMask:
-    """Everything loaded with the reference model stays fixed in BA.
-
-    With a window, so does every query frame but the last `window` in
-    registration order (the insertion order of model.frames) and every
-    augmented landmark that none of those frames observes: the local
-    bundle adjustment of ORB-SLAM (Mur-Artal et al., T-RO 2015). Without
-    one, every query frame and augmented landmark is free.
+def freeze_mask_for_reference(model: SfMModel, window: int) -> FreezeMask:
+    """Everything loaded with the reference model stays fixed in BA, and so
+    does every query frame but the last `window` in registration order (the
+    insertion order of model.frames) and every augmented landmark that none
+    of those frames observes: the local bundle adjustment of ORB-SLAM
+    (Mur-Artal et al., T-RO 2015). A window at least as long as the
+    sequence frees every query frame and every observed augmented landmark.
     """
+    query = [fid for fid, f in model.frames.items() if f.status != "reference"]
     frozen_frames = {f.id for f in model.frames.values() if f.status == "reference"}
-    frozen_landmarks = {l.id for l in model.landmarks.values() if l.origin == "reference"}
-    if window is not None:
-        query = [fid for fid, f in model.frames.items() if f.status != "reference"]
-        frozen_frames.update(query[:-window])
-        bound = model.obs_to_landmark
-        seen = {bound.get((fid, k)) for fid in query[-window:] for k in range(len(model.frames[fid].features))}
-        frozen_landmarks.update(l.id for l in model.landmarks.values() if l.origin == "augmented" and l.id not in seen)
+    frozen_frames.update(query[:-window])
+    bound = model.obs_to_landmark
+    seen = {bound.get((fid, k)) for fid in query[-window:] for k in range(len(model.frames[fid].features))}
+    frozen_landmarks = {l.id for l in model.landmarks.values() if l.origin == "reference" or l.id not in seen}
     return FreezeMask(frozen_frame_ids=frozen_frames, frozen_landmark_ids=frozen_landmarks)
 
 

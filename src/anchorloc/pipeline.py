@@ -4,11 +4,11 @@ Flow: detect anchor frames, register them to the reference model, then
 walk the sequence in time order from the earliest anchor, registering
 each frame via spatially-, retrieval-, and temporally-guided matching,
 PnP, and triangulation. After every batch of newly registered frames a
-windowed frozen-reference bundle adjustment refines the last
-PipelineConfig.ba_window registered query frames and the augmented
-landmarks they observe, holding the reference and older frames fixed
-(the local BA of ORB-SLAM). Frames before the earliest anchor are
-covered by a mirrored backward pass.
+windowed frozen-reference bundle adjustment refines the last _BA_WINDOW
+registered query frames and the augmented landmarks they observe,
+holding the reference and older frames fixed (the local BA of ORB-SLAM).
+Frames before the earliest anchor are covered by a mirrored backward
+pass.
 
 A frame's matches stay numpy structured arrays from matching to the new
 landmarks: match_lift_pnp stacks the MATCH rows of all candidates into
@@ -78,7 +78,6 @@ class PipelineConfig:
     k_retrieval: int = 20
     k_spatial: int = 10
     ba_period: int = 10
-    ba_window: int = 30
     min_2d3d: int = 15
     anchor_threshold: float = 0.5
     match_ratio: float = 0.8
@@ -88,7 +87,7 @@ class PipelineConfig:
     triangulation: TriangulationConfig = field(default_factory=TriangulationConfig)
 
     def __post_init__(self):
-        for name in ("n_temporal", "k_retrieval", "k_spatial", "ba_period", "ba_window", "min_2d3d"):
+        for name in ("n_temporal", "k_retrieval", "k_spatial", "ba_period", "min_2d3d"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 < self.match_ratio <= 1.0:
@@ -205,14 +204,18 @@ def _attempt_registration(model: SfMModel, frame, candidate_ids, cfg: PipelineCo
     return True, len(corrs), len(inliers)
 
 
+# K, the query frames each bundle adjustment frees; BENCH_10.json records the sweep that chose it
+_BA_WINDOW = 15
+
+
 def _run_bundle(model, cfg: PipelineConfig, label, ba_events):
     """Windowed frozen-reference BA, the local BA of ORB-SLAM (Mur-Artal et
-    al., T-RO 2015): only the last cfg.ba_window query frames in
+    al., T-RO 2015): only the last _BA_WINDOW query frames in
     registration order and the augmented landmarks they observe are free,
     so the reduced camera system stays at most 6K x 6K however long the
     sequence. Everything else is fixed by the mask, which the digests
     before and after audit."""
-    mask = freeze_mask_for_reference(model, cfg.ba_window)
+    mask = freeze_mask_for_reference(model, _BA_WINDOW)
     before = frozen_state_digest(model, mask)
     res = bundle_adjust(model, mask, cfg.bundle)
     after = frozen_state_digest(model, mask)

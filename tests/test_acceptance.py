@@ -20,7 +20,7 @@ from anchorloc.geom import Pose, pose_jacobian_many, project_many
 from anchorloc.matching import global_descriptor, retrieve_top_k
 from anchorloc.metrics import TrajectoryEntry, compute_metrics, position_error
 from anchorloc.model import Frame
-from anchorloc.pipeline import PipelineConfig, detector_from_scores, run_pipeline
+from anchorloc.pipeline import _BA_WINDOW, PipelineConfig, detector_from_scores, run_pipeline
 from anchorloc.solvers import (
     BundleConfig,
     FreezeMask,
@@ -94,7 +94,6 @@ def scenario():
         "onthefly": onthefly,
         "elapsed": elapsed,
         "stage_elapsed": stages,
-        "config": pipe_cfg,
     }
 
 
@@ -145,9 +144,8 @@ def test_scenario_bundle_cost_never_increases(scenario):
 
 
 def test_scenario_bundle_window_bounds_free_cameras(scenario):
-    window = scenario["config"].ba_window
     free = [ev.free_cameras for ev in scenario["proposed"].ba_events]
-    assert max(free) == window
+    assert max(free) == _BA_WINDOW
 
 
 def test_scenario_retrieval_aliased_sector_top1_below_080(scenario):

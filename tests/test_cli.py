@@ -114,7 +114,7 @@ def test_exit_code_config_error(workdir, tmp_path, capsys):
     bad.write_text("scene.landmark_count = abc\n")
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "d")]) == 2
     # values the localizer cannot use end before it starts
-    for line in ("pipeline.match_ratio = 1.5", "pipeline.ransac.max_iterations = -5", "pipeline.ba_window = 0"):
+    for line in ("pipeline.match_ratio = 1.5", "pipeline.ransac.max_iterations = -5"):
         bad.write_text(CFG + line + "\n")
         assert _localize(workdir, "proposed", tmp_path / "out", extra=["--config", str(bad)]) == 2
     assert not (tmp_path / "out").exists()

@@ -21,7 +21,6 @@ def test_parse_full_config(tmp_path):
         scene.db_sweep_z_offsets = 0, 18
         scene.pixel_noise = 0.5
         pipeline.ba_period = 5
-        pipeline.ba_window = 5
         pipeline.ransac.inlier_threshold = 3.5
         pipeline.bundle.max_lm_iterations = 30
         pipeline.triangulation.min_angle_deg = 1.0
@@ -34,7 +33,6 @@ def test_parse_full_config(tmp_path):
     assert scene.query_pans == [(230, 252, 28.0)]
     assert scene.db_sweep_z_offsets == (0.0, 18.0)
     assert pipe.ba_period == 5
-    assert pipe.ba_window == 5
     assert pipe.ransac.inlier_threshold == 3.5
     assert pipe.bundle.max_lm_iterations == 30
     assert pipe.triangulation.min_angle_deg == 1.0

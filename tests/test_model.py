@@ -70,7 +70,7 @@ def test_freeze_mask_and_digest():
     m.add_frame(_frame(1, "registered"))
     m.add_landmark(Landmark(0, np.ones(3), "reference", [(0, 0)]))
     m.add_landmark(Landmark(1, np.ones(3), "augmented", [(1, 0)]))
-    mask = freeze_mask_for_reference(m)
+    mask = freeze_mask_for_reference(m, window=len(m.frames))
     assert mask.frozen_frame_ids == {0}
     assert mask.frozen_landmark_ids == {0}
     d0 = frozen_state_digest(m, mask)
@@ -100,7 +100,8 @@ def test_freeze_mask_window_frees_last_registered_frames():
     assert mask.frozen_frame_ids == {0, 1, 7, 2, 6}
     assert mask.frozen_landmark_ids == set(range(10)) | set(range(30, 40))
     # a window wider than the sequence frees every query frame and augmented landmark
-    assert freeze_mask_for_reference(model, window=50) == freeze_mask_for_reference(model)
+    wide = freeze_mask_for_reference(model, window=50)
+    assert wide.frozen_frame_ids == {0, 1} and wide.frozen_landmark_ids == set(range(10))
 
 
 def test_windowed_bundle_keeps_frozen_blocks_bit_identical():

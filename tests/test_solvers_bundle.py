@@ -353,7 +353,7 @@ def test_gather_problem_skips_reference_only_tracks(monkeypatch):
     from anchorloc.model import freeze_mask_for_reference
 
     model = _model_with_reference_only_landmarks()
-    mask = freeze_mask_for_reference(model)
+    mask = freeze_mask_for_reference(model, window=len(model.frames))
     reads_free = {l for l, lm in model.landmarks.items() if any(f in (5, 6) for f, _ in lm.track)}
     assert any(l in mask.frozen_landmark_ids and l not in reads_free for l in model.landmarks)
 
