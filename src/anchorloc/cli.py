@@ -2,7 +2,8 @@
 
 Subcommands: synth, build-ref, localize, eval, export. Every command is
 deterministic given its config file; flags override config-file keys.
-Exit codes: 0 success, 2 config error, 3 I/O error, 4 pipeline-fatal.
+Exit codes: 0 success, 2 config error, 3 I/O error, 4 pipeline-fatal;
+EXIT_CODES maps exceptions to them in one place, main.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .metrics import (
     load_trajectory,
     position_error,
 )
-from .model import Frame, ModelFormatError, _finite, _fmt, load_model, save_model
+from .model import Frame, load_model, save_model
 from .pipeline import (
     AllAnchorsFailed,
     NoAnchorsFound,
@@ -39,13 +40,28 @@ from .synth import (
     generate_scene,
     reference_model_from_tracks,
 )
+from .textio import FormatError, file_id, finite, fmt, read_keyed, write_records
 
 GT_HEADER = "ANCHORLOC_GT 1"
 SCORES_HEADER = "ANCHORLOC_SCORES 1"
+TRACKS_HEADER = "ANCHORLOC_TRACKS 1"
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_PIPELINE = 4
+
+# the one place exceptions become exit codes; any other exception is a bug
+# and ends in a traceback
+EXIT_CODES = {
+    ConfigError: EXIT_CONFIG,
+    ConfigInvalid: EXIT_CONFIG,
+    OSError: EXIT_IO,
+    FormatError: EXIT_IO,
+    EmptyIntersection: EXIT_IO,
+    NoAnchorsFound: EXIT_PIPELINE,
+    AllAnchorsFailed: EXIT_PIPELINE,
+    InitializationFailure: EXIT_PIPELINE,
+}
 
 
 class CliError(Exception):
@@ -55,46 +71,20 @@ class CliError(Exception):
 
 
 def save_ground_truth(frames, path):
-    lines = [GT_HEADER]
-    for sf in frames:
-        parts = [str(sf.id), _fmt(sf.timestamp)]
-        parts += [_fmt(v) for v in sf.pose.q] + [_fmt(v) for v in sf.pose.t]
-        lines.append(" ".join(parts))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = (" ".join([str(sf.id), fmt(sf.timestamp), *map(fmt, sf.pose.q), *map(fmt, sf.pose.t)]) for sf in frames)
+    write_records(path, GT_HEADER, lines)
 
 
-def _read_lines(path):
-    """The lines of a text file; a file that is not UTF-8 is an I/O error."""
-    with open(path) as fh:
-        try:
-            return fh.read().splitlines()
-        except UnicodeDecodeError as e:
-            raise CliError(EXIT_IO, f"{path}: not UTF-8 text: {e}") from e
+def _ground_truth_record(tok):
+    if len(tok) != 9:
+        raise ValueError("expected 9 fields")
+    vals = [finite(v) for v in tok[1:]]
+    return file_id(tok[0]), (vals[0], Pose(np.array(vals[1:5]), np.array(vals[5:])))
 
 
 def load_ground_truth(path):
     """frame id -> (timestamp, Pose)."""
-    raw = _read_lines(path)
-    if not raw or raw[0] != GT_HEADER:
-        raise CliError(EXIT_IO, f"{path}: not a ground-truth file")
-    out = {}
-    for ln, line in enumerate(raw[1:], start=2):
-        tok = line.split()
-        if not tok:
-            continue
-        if len(tok) != 9:
-            raise CliError(EXIT_IO, f"{path}:{ln}: expected 9 fields")
-        try:
-            fid = int(tok[0])
-            vals = [_finite(v) for v in tok[2:]]
-            entry = (_finite(tok[1]), Pose(np.array(vals[:4]), np.array(vals[4:])))
-        except ValueError as e:
-            raise CliError(EXIT_IO, f"{path}:{ln}: {e}")
-        if fid in out:
-            raise CliError(EXIT_IO, f"{path}:{ln}: frame {fid} is listed twice")
-        out[fid] = entry
-    return out
+    return read_keyed(path, GT_HEADER, _ground_truth_record)
 
 
 def gt_centers(gt):
@@ -102,32 +92,17 @@ def gt_centers(gt):
 
 
 def save_scores(scores, path):
-    lines = [SCORES_HEADER]
-    for fid in sorted(scores):
-        lines.append(f"{fid} {_fmt(scores[fid])}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_records(path, SCORES_HEADER, (f"{fid} {fmt(scores[fid])}" for fid in sorted(scores)))
+
+
+def _score_record(tok):
+    if len(tok) != 2:
+        raise ValueError("expected a frame id and a score")
+    return file_id(tok[0]), finite(tok[1])
 
 
 def load_scores(path):
-    raw = _read_lines(path)
-    if not raw or raw[0] != SCORES_HEADER:
-        raise CliError(EXIT_IO, f"{path}: not an anchor-score file")
-    out = {}
-    for ln, line in enumerate(raw[1:], start=2):
-        tok = line.split()
-        if not tok:
-            continue
-        if len(tok) != 2:
-            raise CliError(EXIT_IO, f"{path}:{ln}: expected a frame id and a score")
-        try:
-            fid, score = int(tok[0]), _finite(tok[1])
-        except ValueError as e:
-            raise CliError(EXIT_IO, f"{path}:{ln}: bad score line: {e}")
-        if fid in out:
-            raise CliError(EXIT_IO, f"{path}:{ln}: frame {fid} is listed twice")
-        out[fid] = score
-    return out
+    return read_keyed(path, SCORES_HEADER, _score_record)
 
 
 def _frames_to_model(frames, intr, status, with_pose):
@@ -142,14 +117,9 @@ def _frames_to_model(frames, intr, status, with_pose):
 
 
 def cmd_synth(args):
-    try:
-        scene, _ = parse_run_config(args.config)
-        if args.seed is not None:
-            scene = dataclasses.replace(scene, rng_seed=args.seed)
-    except (ConfigInvalid, ConfigError) as e:
-        raise CliError(EXIT_CONFIG, str(e))
-    except OSError as e:
-        raise CliError(EXIT_IO, str(e))
+    scene, _ = parse_run_config(args.config)
+    if args.seed is not None:
+        scene = dataclasses.replace(scene, rng_seed=args.seed)
 
     dataset = generate_scene(scene)
     os.makedirs(args.out, exist_ok=True)
@@ -160,13 +130,8 @@ def cmd_synth(args):
     save_ground_truth(dataset.database, os.path.join(args.out, "gt_database.txt"))
     save_ground_truth(dataset.query, os.path.join(args.out, "gt_query.txt"))
     save_scores(anchor_scores(dataset, "query"), os.path.join(args.out, "anchor_scores.txt"))
-
-    lines = ["ANCHORLOC_TRACKS 1"]
-    for sf in dataset.database:
-        for fidx, lid in enumerate(sf.feat_landmark_ids):
-            lines.append(f"{sf.id} {fidx} {int(lid)}")
-    with open(os.path.join(args.out, "tracks_db.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    tracks = (f"{sf.id} {fidx} {int(lid)}" for sf in dataset.database for fidx, lid in enumerate(sf.feat_landmark_ids))
+    write_records(os.path.join(args.out, "tracks_db.txt"), TRACKS_HEADER, tracks)
 
     print(f"seed={scene.rng_seed} landmarks={len(dataset.landmark_positions)} "
           f"database_frames={len(dataset.database)} query_frames={len(dataset.query)}")
@@ -183,30 +148,26 @@ def _require_one_camera(frames, what):
             )
 
 
+def _require_new_ids(model, sequence, what):
+    """The augmented model holds each reference and sequence frame under its own id."""
+    shared = sorted(model.frames.keys() & {f.id for f in sequence})
+    if shared:
+        raise CliError(EXIT_IO, f"{what}: frame id {shared[0]} is both a reference and a sequence frame")
+
+
 def cmd_build_ref(args):
-    try:
-        db = load_model(os.path.join(args.dataset, "database.txt"))
-        raw = _read_lines(os.path.join(args.dataset, "tracks_db.txt"))
-    except (OSError, ModelFormatError) as e:
-        raise CliError(EXIT_IO, str(e))
+    db = load_model(os.path.join(args.dataset, "database.txt"))
     _require_one_camera(db.frames.values(), "database.txt")
-    if not raw or raw[0] != "ANCHORLOC_TRACKS 1":
-        raise CliError(EXIT_IO, "tracks_db.txt: bad header")
-    tracks, seen = {}, set()
-    for ln, line in enumerate(raw[1:], start=2):
-        tok = line.split()
-        if not tok:
-            continue
-        try:
-            fid, fidx, lid = (int(v) for v in tok)
-        except ValueError as e:
-            raise CliError(EXIT_IO, f"tracks_db.txt:{ln}: expected frame, feature and landmark ids: {e}")
+
+    def track_record(tok):  # (frame id, feature index) -> landmark id
+        fid, fidx, lid = (file_id(v) for v in tok)
         if fid not in db.frames or not 0 <= fidx < len(db.frames[fid].features):
-            raise CliError(EXIT_IO, f"tracks_db.txt:{ln}: ({fid}, {fidx}) names no database feature")
-        if (fid, fidx) in seen:
-            raise CliError(EXIT_IO, f"tracks_db.txt:{ln}: ({fid}, {fidx}) is listed twice")
-        seen.add((fid, fidx))
-        tracks.setdefault(lid, []).append((fid, fidx))
+            raise ValueError(f"({fid}, {fidx}) names no database feature")
+        return (fid, fidx), lid
+
+    tracks = {}
+    for key, lid in read_keyed(os.path.join(args.dataset, "tracks_db.txt"), TRACKS_HEADER, track_record).items():
+        tracks.setdefault(lid, []).append(key)
     model = reference_model_from_tracks(list(db.frames.values()), tracks)
     save_model(model, args.out)
     print(f"reference model: {len(model.frames)} frames, {len(model.landmarks)} landmarks")
@@ -220,37 +181,27 @@ def _load_sequence(path):
 
 def _write_event_log(path, entries):
     """One line per frame, in report order: id status n_candidates n_corrs n_inliers error."""
-    lines = [
+    lines = (
         f"{e.frame_id} {e.status} {e.n_candidates} {e.n_corrs} {e.n_inliers} "
-        + (_fmt(e.error) if e.error is not None else "-")
+        + (fmt(e.error) if e.error is not None else "-")
         for e in entries
-    ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    )
+    write_records(path, None, lines)
 
 
 def cmd_localize(args):
-    try:
-        _, pipe_cfg = parse_run_config(args.config)
-    except ConfigError as e:
-        raise CliError(EXIT_CONFIG, str(e))
-    except OSError as e:
-        raise CliError(EXIT_IO, str(e))
-
+    _, pipe_cfg = parse_run_config(args.config)
     required = {"proposed": ("model", "anchors"), "single": ("model",), "onthefly": ("gt",)}[args.method]
     for flag in required:
         if not getattr(args, flag):
             raise CliError(EXIT_CONFIG, f"--{flag} is required for --method {args.method}")
-    try:
-        sequence = _load_sequence(args.sequence)
-        gt = gt_centers(load_ground_truth(args.gt)) if args.gt else None
-        model = None if args.method == "onthefly" else load_model(args.model)
-        if args.method == "proposed":
-            scores = load_scores(args.anchors)
-    except (OSError, ModelFormatError) as e:
-        raise CliError(EXIT_IO, str(e))
+    sequence = _load_sequence(args.sequence)
+    gt = gt_centers(load_ground_truth(args.gt)) if args.gt else None
+    model = None if args.method == "onthefly" else load_model(args.model)
     if args.method == "proposed":
+        scores = load_scores(args.anchors)
         _require_one_camera([*model.frames.values(), *sequence], f"{args.model} and {args.sequence}")
+        _require_new_ids(model, sequence, f"{args.model} and {args.sequence}")
     elif args.method == "onthefly":
         _require_one_camera(sequence, args.sequence)
 
@@ -259,19 +210,13 @@ def cmd_localize(args):
     log_path = os.path.join(args.out, f"events_{args.method}.log")
 
     if args.method == "proposed":
-        try:
-            result = run_pipeline(model, sequence, detector_from_scores(scores), pipe_cfg)
-        except (NoAnchorsFound, AllAnchorsFailed) as e:
-            raise CliError(EXIT_PIPELINE, str(e))
+        result = run_pipeline(model, sequence, detector_from_scores(scores), pipe_cfg)
         entries = result.frame_events
         save_model(result.model, os.path.join(args.out, "augmented_model.txt"))
     elif args.method == "single":
         entries = single_image_localize(model, sequence, pipe_cfg).frames
     else:  # onthefly
-        try:
-            entries = onthefly_sfm(sequence, pipe_cfg, gt)[1].frames
-        except InitializationFailure as e:
-            raise CliError(EXIT_PIPELINE, str(e))
+        entries = onthefly_sfm(sequence, pipe_cfg, gt)[1].frames
     if gt is not None:
         for e in entries:
             if e.pose is not None and e.frame_id in gt:
@@ -285,31 +230,24 @@ def cmd_localize(args):
 
 
 def cmd_eval(args):
-    try:
-        gt = gt_centers(load_ground_truth(args.gt))
-        reports = []
-        for path in args.trajectories:
-            entries = load_trajectory(path)
-            name = os.path.basename(path)
-            if name.startswith("trajectory_") and name.endswith(".txt"):
-                name = name[len("trajectory_") : -len(".txt")]
-            reports.append(compute_metrics(entries, gt, method=name))
-    except (OSError, ValueError, EmptyIntersection) as e:
-        raise CliError(EXIT_IO, str(e))
+    gt = gt_centers(load_ground_truth(args.gt))
+    reports = []
+    for path in args.trajectories:
+        entries = load_trajectory(path)
+        name = os.path.basename(path)
+        if name.startswith("trajectory_") and name.endswith(".txt"):
+            name = name[len("trajectory_") : -len(".txt")]
+        reports.append(compute_metrics(entries, gt, method=name))
     table = compare_methods(reports)
     print(table)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(table + "\n")
+        write_records(args.out, None, [table])
     return 0
 
 
 def cmd_export(args):
-    try:
-        model = load_model(args.model)
-        export_pointcloud(model, args.ply)
-    except (OSError, ModelFormatError) as e:
-        raise CliError(EXIT_IO, str(e))
+    model = load_model(args.model)
+    export_pointcloud(model, args.ply)
     print(f"wrote {len(model.landmarks)} points -> {args.ply}")
     return 0
 
@@ -353,16 +291,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
+    except (CliError, *EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+        return e.code if isinstance(e, CliError) else next(c for t, c in EXIT_CODES.items() if isinstance(e, t))
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import dataclasses
 from .pipeline import PipelineConfig
 from .solvers import BundleConfig, RansacConfig, TriangulationConfig
 from .synth import SceneConfig
+from .textio import FormatError, read_lines
 
 
 class ConfigError(Exception):
@@ -68,12 +69,8 @@ _SECTIONS = {
 def parse_run_config(path):
     """Returns (SceneConfig, PipelineConfig). Rejects unknown keys."""
     kv = {prefix: {} for prefix in _SECTIONS}
-    with open(path) as fh:
-        try:
-            lines = fh.read().split("\n")
-        except UnicodeDecodeError as e:
-            raise ConfigError(f"{path}: not UTF-8 text: {e}") from e
-        for ln, raw in enumerate(lines, start=1):
+    try:
+        for ln, raw in read_lines(path):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -88,6 +85,8 @@ def parse_run_config(path):
                 kv[prefix][field.name] = _coerce(field, value)
             except (ConfigError, ValueError, OverflowError) as e:
                 raise ConfigError(f"{path}:{ln}: bad value for {key!r}: {e}") from e
+    except FormatError as e:  # a config that is not UTF-8 text is a config error
+        raise ConfigError(str(e)) from e
 
     try:
         scene = SceneConfig(**kv["scene."])

@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import _finite, _fmt
+from .geom import Pose
+from .textio import file_id, finite, fmt, read_keyed, write_records
 
 
 class EmptyIntersection(Exception):
@@ -124,60 +125,40 @@ def export_trajectory(entries, path):
     Pose fields are '-' for unregistered frames, error is '-' when no
     ground truth is known.
     """
-    lines = [TRAJ_HEADER]
+    lines = []
     for e in sorted(entries, key=lambda e: (e.timestamp, e.frame_id)):
         if e.pose is not None:
-            pose_part = " ".join(_fmt(v) for v in list(e.pose.q) + list(e.pose.t))
+            pose_part = " ".join(fmt(v) for v in list(e.pose.q) + list(e.pose.t))
         else:
             pose_part = "- - - - - - -"
-        err_part = _fmt(e.error) if e.error is not None else "-"
-        lines.append(f"{e.frame_id} {_fmt(e.timestamp)} {pose_part} {e.status} {err_part}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        err_part = fmt(e.error) if e.error is not None else "-"
+        lines.append(f"{e.frame_id} {fmt(e.timestamp)} {pose_part} {e.status} {err_part}")
+    write_records(path, TRAJ_HEADER, lines)
+
+
+def _trajectory_record(tok):
+    if len(tok) != 11:
+        raise ValueError(f"expected 11 fields, got {len(tok)}")
+    pose = None
+    if tok[2] != "-":
+        vals = [finite(v) for v in tok[2:9]]
+        pose = Pose(np.array(vals[:4]), np.array(vals[4:]))
+    if tok[9] not in TRAJ_STATUSES:
+        raise ValueError(f"unknown status {tok[9]!r}")
+    err = None if tok[10] == "-" else finite(tok[10])
+    fid = file_id(tok[0])
+    return fid, TrajectoryEntry(fid, finite(tok[1]), tok[9], pose, err)
 
 
 def load_trajectory(path):
-    from .geom import Pose
-
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0] != TRAJ_HEADER:
-        raise ValueError(f"{path}: not a trajectory file")
-    entries = {}
-    for ln, line in enumerate(raw[1:], start=2):
-        tok = line.split()
-        if not tok:
-            continue
-        if len(tok) != 11:
-            raise ValueError(f"{path}:{ln}: expected 11 fields, got {len(tok)}")
-        pose = None
-        if tok[2] != "-":
-            vals = [_finite(v) for v in tok[2:9]]
-            pose = Pose(np.array(vals[:4]), np.array(vals[4:]))
-        if tok[9] not in TRAJ_STATUSES:
-            raise ValueError(f"{path}:{ln}: unknown status {tok[9]!r}")
-        err = None if tok[10] == "-" else _finite(tok[10])
-        fid = int(tok[0])
-        if fid in entries:
-            raise ValueError(f"{path}:{ln}: frame {fid} is listed twice")
-        entries[fid] = TrajectoryEntry(fid, _finite(tok[1]), tok[9], pose, err)
-    return list(entries.values())
+    return list(read_keyed(path, TRAJ_HEADER, _trajectory_record).values())
 
 
 def export_pointcloud(model, path):
     """Landmark positions as ASCII PLY."""
     lms = [model.landmarks[k] for k in sorted(model.landmarks)]
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {len(lms)}",
-        "property double x",
-        "property double y",
-        "property double z",
-        "end_header",
-    ]
-    for lm in lms:
-        lines.append(" ".join(_fmt(v) for v in lm.position))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
+    header = "\n".join(
+        ["ply", "format ascii 1.0", f"element vertex {len(lms)}", "property double x", "property double y",
+         "property double z", "end_header"]
+    )
+    write_records(path, header, (" ".join(fmt(v) for v in lm.position) for lm in lms))

@@ -7,14 +7,13 @@ mutated after load; solvers enforce this through freeze masks.
 
 lift_matches_to_3d turns match rows into CORRESPONDENCE rows (feature,
 landmark, pixel, world), one per landmark; merge_new_landmarks inserts
-triangulated positions with their tracks. Every file reader parses its
-numbers with _finite, so nan and infinities never load.
+triangulated positions with their tracks. Models persist as text through
+textio, which every file of the package goes through.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,18 +22,14 @@ from .geom import CameraIntrinsics, Pose, quat_to_mat
 from .matching import FeatureSet, best_per_key, records
 from .solvers.bundle import FreezeMask
 from .solvers.triangulation import TriangulationConfig, triangulate_many
+from .textio import FormatError, file_id, finite, fmt, read_records, write_records
 
 FRAME_STATUSES = ("reference", "anchor", "registered", "failed", "pending")
 
-FORMAT_HEADER = "ANCHORLOC_MODEL"
-FORMAT_VERSION = 1
+FORMAT_HEADER = "ANCHORLOC_MODEL 1"
 
 # one row per 2D-3D correspondence: query feature, landmark id, pixel, world position
 CORRESPONDENCE = np.dtype([("feature", np.intp), ("landmark", np.intp), ("pixel", float, 2), ("world", float, 3)])
-
-
-class ModelFormatError(Exception):
-    pass
 
 
 @dataclass
@@ -229,174 +224,107 @@ def merge_new_landmarks(model: SfMModel, positions, tracks) -> int:
 # persistence: versioned line-oriented text, exact round trips
 
 
-def _fmt(x: float) -> str:
-    """The shortest text that reads back as the same float; every file writer uses it."""
-    return repr(float(x))
-
-
-def _finite(tok: str) -> float:
-    """The float a token spells, refusing nan and infinities; every file reader uses it."""
-    x = float(tok)
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite number {tok!r}")
-    return x
-
-
-def _id(tok: str) -> int:
-    """A frame or landmark id; matching and lifting keep ids in int64 arrays."""
-    i = int(tok)
-    if not -(2**63) <= i < 2**63:
-        raise ValueError(f"id {tok} does not fit 64 bits")
-    return i
-
-
 def save_model(model: SfMModel, path):
-    lines = [f"{FORMAT_HEADER} {FORMAT_VERSION}"]
+    write_records(path, FORMAT_HEADER, _model_lines(model))
+
+
+def _model_lines(model: SfMModel):
     for fid in sorted(model.frames):
         f = model.frames[fid]
         i = f.intrinsics
-        parts = [
-            "FRAME",
-            str(fid),
-            _fmt(f.timestamp),
-            f.status,
-            _fmt(i.fx),
-            _fmt(i.fy),
-            _fmt(i.cx),
-            _fmt(i.cy),
-            str(i.width),
-            str(i.height),
-        ]
+        parts = ["FRAME", str(fid), fmt(f.timestamp), f.status]
+        parts += [fmt(i.fx), fmt(i.fy), fmt(i.cx), fmt(i.cy), str(i.width), str(i.height)]
         if f.pose is not None:
             parts.append("1")
-            parts.extend(_fmt(v) for v in f.pose.q)
-            parts.extend(_fmt(v) for v in f.pose.t)
+            parts.extend(fmt(v) for v in f.pose.q)
+            parts.extend(fmt(v) for v in f.pose.t)
         else:
             parts.append("0")
-        lines.append(" ".join(parts))
+        yield " ".join(parts)
         dim = f.features.descriptors.shape[1] if len(f.features) else 0
-        lines.append(f"FEATURES {fid} {len(f.features)} {dim}")
+        yield f"FEATURES {fid} {len(f.features)} {dim}"
         for uv, d in zip(f.features.pixels, f.features.descriptors):
-            lines.append(
-                "F " + _fmt(uv[0]) + " " + _fmt(uv[1]) + " " + " ".join(_fmt(v) for v in d)
-            )
+            yield "F " + fmt(uv[0]) + " " + fmt(uv[1]) + " " + " ".join(fmt(v) for v in d)
     for lid in sorted(model.landmarks):
         l = model.landmarks[lid]
         parts = ["LANDMARK", str(lid), l.origin]
-        parts.extend(_fmt(v) for v in l.position)
+        parts.extend(fmt(v) for v in l.position)
         parts.append(str(len(l.track)))
         for fid, fidx in l.track:
             parts.append(str(fid))
             parts.append(str(fidx))
-        lines.append(" ".join(parts))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        yield " ".join(parts)
 
 
 def load_model(path) -> SfMModel:
     model = SfMModel()
-    with open(path) as fh:
-        try:
-            raw = fh.read().splitlines()
-        except UnicodeDecodeError as e:
-            raise ModelFormatError(f"not UTF-8 text: {e}") from e
-    if not raw:
-        raise ModelFormatError("line 1: empty file")
-    head = raw[0].split()
-    if len(head) != 2 or head[0] != FORMAT_HEADER:
-        raise ModelFormatError("line 1: bad header")
-    if head[1] != str(FORMAT_VERSION):
-        raise ModelFormatError(f"line 1: version {head[1]} unsupported")
-
-    pending_frame = None  # (frame args) awaiting its FEATURES block
-    feat_rows = None
-    feat_left = 0
-    feat_dim = 0
+    frame = None  # the keyword arguments of the FRAME awaiting its features
+    feat_rows, feat_left, feat_dim = [], 0, 0
 
     def finish_frame():
-        nonlocal pending_frame, feat_rows
-        if pending_frame is None:
-            return
-        args, nfeat, dim = pending_frame
-        pix = np.array([r[:2] for r in feat_rows], dtype=float).reshape(-1, 2)
-        if feat_rows:
-            desc = np.array([r[2:] for r in feat_rows], dtype=float)
-        else:
-            desc = np.zeros((0, dim))
-        fs = FeatureSet(pix, desc)
-        model.add_frame(Frame(features=fs, **args))
-        pending_frame = None
-        feat_rows = None
+        nonlocal frame
+        if frame is not None:
+            pix = np.array([r[:2] for r in feat_rows], dtype=float).reshape(-1, 2)
+            desc = np.array([r[2:] for r in feat_rows], dtype=float) if feat_rows else np.zeros((0, feat_dim))
+            model.add_frame(Frame(features=FeatureSet(pix, desc), **frame))
+            frame = None
 
-    for ln, line in enumerate(raw[1:], start=2):
-        if not line.strip():
-            continue
-        tok = line.split()
-        try:
+    # every fault of a record is a ValueError or IndexError, reported at its line
+    ln = 1
+    try:
+        for ln, tok in read_records(path, FORMAT_HEADER):
             if tok[0] == "FRAME":
                 if feat_left:
-                    raise ModelFormatError(f"line {ln}: FEATURES block truncated")
+                    raise ValueError("FEATURES block truncated")
                 finish_frame()
                 if len(tok) < 11 or tok[10] not in ("0", "1") or len(tok) != 11 + 7 * int(tok[10]):
-                    raise ModelFormatError(f"line {ln}: FRAME wants 10 fields and pose flag 0, or flag 1 and 7 pose values")
-                fid = _id(tok[1])
-                intr = CameraIntrinsics(
-                    _finite(tok[4]), _finite(tok[5]), _finite(tok[6]), _finite(tok[7]), int(tok[8]), int(tok[9])
-                )
+                    raise ValueError("FRAME wants 10 fields and pose flag 0, or flag 1 and 7 pose values")
+                fid = file_id(tok[1])
+                fx, fy, cx, cy = (finite(v) for v in tok[4:8])
+                intr = CameraIntrinsics(fx, fy, cx, cy, int(tok[8]), int(tok[9]))
                 pose = None
                 if tok[10] == "1":
-                    vals = [_finite(v) for v in tok[11:]]
+                    vals = [finite(v) for v in tok[11:]]
                     pose = Pose(np.array(vals[:4]), np.array(vals[4:]))
-                pending_frame = (
-                    dict(id=fid, timestamp=_finite(tok[2]), intrinsics=intr, pose=pose, status=tok[3]),
-                    0,
-                    0,
-                )
-                feat_rows = []
+                frame = dict(id=fid, timestamp=finite(tok[2]), intrinsics=intr, pose=pose, status=tok[3])
+                feat_rows, feat_dim = [], 0
             elif tok[0] == "FEATURES":
-                if pending_frame is None or int(tok[1]) != pending_frame[0]["id"]:
-                    raise ModelFormatError(f"line {ln}: FEATURES without matching FRAME")
+                if frame is None or int(tok[1]) != frame["id"]:
+                    raise ValueError("FEATURES without matching FRAME")
                 feat_left = int(tok[2])
                 feat_dim = int(tok[3])
                 if feat_left < 0 or feat_dim < 0:
-                    raise ModelFormatError(f"line {ln}: negative feature count or dimension")
-                pending_frame = (pending_frame[0], feat_left, feat_dim)
+                    raise ValueError("negative feature count or dimension")
             elif tok[0] == "F":
                 if feat_left <= 0:
-                    raise ModelFormatError(f"line {ln}: unexpected feature row")
-                vals = [_finite(v) for v in tok[1:]]
+                    raise ValueError("unexpected feature row")
+                vals = [finite(v) for v in tok[1:]]
                 if len(vals) != 2 + feat_dim:
-                    raise ModelFormatError(f"line {ln}: feature row has {len(vals)} values")
+                    raise ValueError(f"feature row has {len(vals)} values")
                 feat_rows.append(vals)
                 feat_left -= 1
             elif tok[0] == "LANDMARK":
                 if feat_left:
-                    raise ModelFormatError(f"line {ln}: FEATURES block truncated")
+                    raise ValueError("FEATURES block truncated")
                 finish_frame()
-                lid = _id(tok[1])
-                pos = np.array([_finite(v) for v in tok[3:6]])
+                lid = file_id(tok[1])
+                pos = np.array([finite(v) for v in tok[3:6]])
                 n = int(tok[6])
                 if len(tok) != 7 + 2 * n:
-                    raise ModelFormatError(f"line {ln}: LANDMARK with {n} observations has {len(tok)} tokens")
+                    raise ValueError(f"LANDMARK with {n} observations has {len(tok)} tokens")
                 track = []
                 for i in range(n):
                     fid, fidx = int(tok[7 + 2 * i]), int(tok[8 + 2 * i])
                     fr = model.frames.get(fid)
                     if fr is None or not 0 <= fidx < len(fr.features):
-                        raise ModelFormatError(f"line {ln}: track entry ({fid}, {fidx}) names no feature")
+                        raise ValueError(f"track entry ({fid}, {fidx}) names no feature")
                     track.append((fid, fidx))
                 model.add_landmark(Landmark(lid, pos, tok[2], track))
             else:
-                raise ModelFormatError(f"line {ln}: unknown record {tok[0]!r}")
-        except ModelFormatError:
-            raise
-        except (ValueError, IndexError) as e:
-            raise ModelFormatError(f"line {ln}: {e}") from e
-    if feat_left:
-        raise ModelFormatError(f"line {len(raw)}: FEATURES block truncated")
-    try:
+                raise ValueError(f"unknown record {tok[0]!r}")
+        if feat_left:
+            raise ValueError("FEATURES block truncated")
         finish_frame()
-    except ValueError as e:
-        raise ModelFormatError(f"line {len(raw)}: {e}") from e
+    except (ValueError, IndexError) as e:
+        raise FormatError(f"{path}: line {ln}: {e}") from e
     return model
-

@@ -65,6 +65,8 @@ class SceneConfig:
     min_depth_factor: float = 0.15
 
     def __post_init__(self):
+        if self.rng_seed < 0:
+            raise ConfigInvalid("rng_seed must be non-negative")
         if self.landmark_count < 1 or self.n_database_frames < 2 or self.n_query_frames < 1:
             raise ConfigInvalid("counts must be positive")
         if not 0.0 <= self.outlier_rate < 1.0:

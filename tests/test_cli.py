@@ -113,6 +113,10 @@ def test_exit_code_config_error(workdir, tmp_path, capsys):
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "d")]) == 2
     bad.write_text("scene.landmark_count = abc\n")
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "d")]) == 2
+    # a negative scene seed, from the config or from --seed
+    bad.write_text("scene.rng_seed = -3\n")
+    assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "d")]) == 2
+    assert main(["synth", "--config", str(workdir / "run.cfg"), "--seed", "-1", "--out", str(tmp_path / "d")]) == 2
     # values the localizer cannot use end before it starts
     for line in ("pipeline.match_ratio = 1.5", "pipeline.ransac.max_iterations = -5"):
         bad.write_text(CFG + line + "\n")
@@ -267,6 +271,16 @@ def test_localize_mixed_cameras(workdir, tmp_path, capsys, method, code):
     seq.write_text((workdir / "data" / "query.txt").read_text().replace(" 420.0 420.0 ", " 421.0 420.0 ", 1))
     assert _localize(workdir, method, tmp_path / "out", extra=["--sequence", str(seq)]) == code
     capsys.readouterr()
+
+
+def test_localize_sequence_reusing_reference_id(workdir, tmp_path, capsys):
+    """The augmented model holds reference and sequence frames under one id each."""
+    seq = tmp_path / "query.txt"
+    text = (workdir / "data" / "query.txt").read_text()
+    seq.write_text(text.replace("FRAME 100000 ", "FRAME 5 ", 1).replace("FEATURES 100000 ", "FEATURES 5 ", 1))
+    assert _localize(workdir, "proposed", tmp_path / "out", extra=["--sequence", str(seq)]) == 3
+    assert "frame id 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("method, flag", [("proposed", "--anchors"), ("onthefly", "--gt")])

@@ -1,13 +1,12 @@
 """Property tests of the readers of every input file.
 
-Each reader, given any file, either raises its documented exception
-(``ModelFormatError`` for models, ``ValueError`` for trajectories,
-``ConfigError`` for run configs, which the CLI ends with exit code 2, and
-``CliError`` with exit code 3 for anchor-score and ground-truth files) or
-returns records whose numbers are all finite and whose poses have a
-4-vector q and a 3-vector t. Files are generated from scratch, made by
-mutating a valid file token by token, or made by setting one number of a
-valid file to nan or an infinity, which every reader must refuse.
+Each reader, given any file, either raises the one format error,
+``textio.FormatError``, which the CLI ends with exit code 3 (run configs
+raise ``ConfigError`` instead, which it ends with exit code 2), or returns
+records whose numbers are all finite and whose poses have a 4-vector q and
+a 3-vector t. Files are generated from scratch, made by mutating a valid
+file token by token, or made by setting one number of a valid file to nan
+or an infinity, which every reader must refuse.
 """
 
 import pathlib
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorloc.cli import EXIT_IO, CliError, load_ground_truth, load_scores, save_ground_truth, save_scores
+from anchorloc.cli import load_ground_truth, load_scores, save_ground_truth, save_scores
 from anchorloc.config import _SECTIONS, ConfigError, parse_run_config
 from anchorloc.geom import CameraIntrinsics, Pose
 from anchorloc.matching import FeatureSet
@@ -27,11 +26,11 @@ from anchorloc.model import (
     FRAME_STATUSES,
     Frame,
     Landmark,
-    ModelFormatError,
     SfMModel,
     load_model,
     save_model,
 )
+from anchorloc.textio import FormatError
 from conftest import models_equal
 
 # derandomized: every run draws the same examples, so the suite stays deterministic
@@ -128,7 +127,7 @@ def _check_model(path):
     """Load path; a model that loads must be well formed."""
     try:
         model = load_model(path)
-    except ModelFormatError:
+    except FormatError:
         return
     for f in model.frames.values():
         i = f.intrinsics
@@ -147,7 +146,7 @@ def _check_model(path):
 def _check_trajectory(path):
     try:
         entries = load_trajectory(path)
-    except ValueError:
+    except FormatError:
         return
     assert len({e.frame_id for e in entries}) == len(entries)
     for e in entries:
@@ -226,7 +225,7 @@ def test_load_model_generated(path, lines):
 def test_load_model_rejects_nonfinite(path, m, k, token):
     save_model(m, path)
     path.write_text(_inject(path.read_text(), k, token))
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(FormatError):
         load_model(path)
 
 
@@ -262,8 +261,27 @@ def test_load_trajectory_rejects_nonfinite(path, es, k, token):
     export_trajectory(es, path)
     assert len(load_trajectory(path)) == len(es)
     path.write_text(_inject(path.read_text(), k, token))
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         load_trajectory(path)
+
+
+@FIXED
+@given(st.lists(trajectory_entries, min_size=1, max_size=4, unique_by=lambda e: e.frame_id), st.integers(0, 10**6),
+       TOKENS)
+def test_load_trajectory_checks_status(path, es, k, token):
+    """A valid trajectory with the status token (token 9) of one line set to token."""
+    export_trajectory(es, path)
+    lines = path.read_text().splitlines()
+    i = 1 + k % len(es)
+    tok = lines[i].split()
+    tok[9] = token
+    lines[i] = " ".join(tok)
+    path.write_text("\n".join(lines) + "\n")
+    if token in TRAJ_STATUSES:
+        assert load_trajectory(path)[i - 1].status == token
+    else:
+        with pytest.raises(FormatError):
+            load_trajectory(path)
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +326,10 @@ def test_parse_run_config_mutated(path, cfg, mutations):
 
 
 def _load_or_exit_io(load, path):
-    """load(path), or None where it raises the CLI's I/O error."""
+    """load(path), or None where it raises the format error, which the CLI ends with exit code 3."""
     try:
         return load(path)
-    except CliError as e:
-        assert e.code == EXIT_IO
+    except FormatError:
         return None
 
 

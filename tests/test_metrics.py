@@ -13,6 +13,7 @@ from anchorloc.metrics import (
     position_error,
 )
 from anchorloc.model import Landmark, SfMModel
+from anchorloc.textio import FormatError
 
 
 def _entry(fid, center=None, status="registered", err=None):
@@ -114,10 +115,10 @@ def test_trajectory_round_trip(tmp_path):
 def test_load_trajectory_rejects_bad_files(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("nope\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         load_trajectory(p)
     p.write_text("ANCHORLOC_TRAJ 1\n1 2 3\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         load_trajectory(p)
 
 

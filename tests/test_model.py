@@ -9,7 +9,6 @@ from anchorloc.matching import CANDIDATE_MATCH, FeatureSet
 from anchorloc.model import (
     Frame,
     Landmark,
-    ModelFormatError,
     SfMModel,
     add_observation,
     freeze_mask_for_reference,
@@ -21,6 +20,7 @@ from anchorloc.model import (
     spatial_neighbors,
 )
 from anchorloc.solvers import BundleConfig, bundle_adjust
+from anchorloc.textio import FormatError
 from conftest import models_equal, no_features
 from test_solvers_bundle import _ring_model
 
@@ -205,19 +205,19 @@ def test_save_load_round_trip_exact(tmp_path):
 def test_load_model_format_errors(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("")
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(FormatError):
         load_model(p)
     p.write_text("WRONG 1\n")
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(FormatError):
         load_model(p)
     p.write_text("ANCHORLOC_MODEL 99\n")
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(FormatError):
         load_model(p)
     p.write_text("ANCHORLOC_MODEL x\n")
-    with pytest.raises(ModelFormatError, match="line 1"):
+    with pytest.raises(FormatError, match="line 1"):
         load_model(p)
     p.write_text("ANCHORLOC_MODEL 1\nGARBAGE x y\n")
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(FormatError):
         load_model(p)
     # truncated FEATURES block
     p.write_text(
@@ -226,7 +226,7 @@ def test_load_model_format_errors(tmp_path):
         "FEATURES 0 2 4\n"
         "F 1.0 2.0 0.0 0.0 0.0 0.0\n"
     )
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(FormatError):
         load_model(p)
     # landmark tracks must name an existing frame and one of its features
     frame = (
@@ -239,20 +239,20 @@ def test_load_model_format_errors(tmp_path):
     assert load_model(p).landmarks[0].track == [(0, 0)]
     for track in ("7 0", "0 1", "0 -1"):
         p.write_text(frame + f"LANDMARK 0 reference 1.0 2.0 3.0 1 {track}\n")
-        with pytest.raises(ModelFormatError, match="line 5"):
+        with pytest.raises(FormatError, match="line 5"):
             load_model(p)
     # a LANDMARK record ends with its declared track, which names each
     # observation once: a repeat would count twice in bundle adjustment
     for track in ("1 0 0 5", "2 0 0 0 0"):
         p.write_text(frame + f"LANDMARK 0 reference 1.0 2.0 3.0 {track}\n")
-        with pytest.raises(ModelFormatError, match="line 5"):
+        with pytest.raises(FormatError, match="line 5"):
             load_model(p)
     # a FRAME record has 10 fields, a pose flag 0 or 1 and, with flag 1,
     # exactly 7 pose values
     fields = "FRAME 0 0.0 pending 400.0 400.0 320.0 240.0 640 480"
     for pose in ("2", "1 1.0 0.0 0.0", "1 1.0 0.0 0.0 0.0 1.0 2.0", "1 1.0 0.0 0.0 0.0 1.0 2.0 3.0 4.0", "0 1.0"):
         p.write_text(f"ANCHORLOC_MODEL 1\n{fields} {pose}\nFEATURES 0 0 4\n")
-        with pytest.raises(ModelFormatError, match="line 2"):
+        with pytest.raises(FormatError, match="line 2"):
             load_model(p)
     p.write_text(f"ANCHORLOC_MODEL 1\n{fields} 1 1.0 0.0 0.0 0.0 1.0 2.0 3.0\nFEATURES 0 0 4\n")
     assert load_model(p).frames[0].pose.t.tolist() == [1.0, 2.0, 3.0]
@@ -260,10 +260,10 @@ def test_load_model_format_errors(tmp_path):
     p.write_text(
         "ANCHORLOC_MODEL 1\nFRAME 0 0.0 pending 400.0 400.0 320.0 240.0 640 480 0\nFEATURES 0 2 -1\nF 1.0\nF 2.0\n"
     )
-    with pytest.raises(ModelFormatError, match="line 3"):
+    with pytest.raises(FormatError, match="line 3"):
         load_model(p)
     # the last FRAME record is checked like every other one
     for last in ("FRAME 1 1.0 bogus", "FRAME 0 1.0 pending"):
         p.write_text(frame + last + " 400.0 400.0 320.0 240.0 640 480 0\nFEATURES " + last.split()[1] + " 0 4\n")
-        with pytest.raises(ModelFormatError, match="line 6"):
+        with pytest.raises(FormatError, match="line 6"):
             load_model(p)
