@@ -16,6 +16,11 @@ from .matching import EmptyFeatureSet, global_descriptor, match_features, retrie
 from .metrics import TrajectoryEntry
 from .model import SfMModel, merge_new_landmarks
 from .pipeline import (
+    BA_PERIOD,
+    K_RETRIEVAL,
+    MATCH_RATIO,
+    MIN_2D3D,
+    TRIANGULATION,
     PipelineConfig,
     _attempt_registration,
     _db_retrieval_index,
@@ -52,7 +57,6 @@ INIT_EPIPOLAR_PX = 1.5
 
 @dataclass
 class BaselineReport:
-    method: str
     frames: list  # TrajectoryEntry per frame, in timestamp order
 
 
@@ -67,13 +71,13 @@ def single_image_localize(model: SfMModel, sequence, cfg: PipelineConfig) -> Bas
     for frame in sorted(sequence, key=lambda f: f.timestamp):
         pose, corrs, inliers = None, [], []
         if len(frame.features) > 0:
-            cands = retrieve_candidates(db_index, frame, cfg.k_retrieval)
+            cands = retrieve_candidates(db_index, frame, K_RETRIEVAL)
             _, corrs, pose, inliers = match_lift_pnp(model, frame, cands, cfg)
         status = "failed" if pose is None else "registered"
         results.append(
             TrajectoryEntry(frame.id, frame.timestamp, status, pose, n_corrs=len(corrs), n_inliers=len(inliers))
         )
-    return BaselineReport("single_image", results)
+    return BaselineReport(results)
 
 
 def _find_init_pair(frames, cfg: PipelineConfig, max_gap=50):
@@ -88,19 +92,15 @@ def _find_init_pair(frames, cfg: PipelineConfig, max_gap=50):
             j = i + gap
             if j >= len(frames):
                 continue
-            pairs = match_features(frames[i].features, frames[j].features, cfg.match_ratio)
-            if len(pairs) >= cfg.min_2d3d:
+            pairs = match_features(frames[i].features, frames[j].features, MATCH_RATIO)
+            if len(pairs) >= MIN_2D3D:
                 scored.append((len(pairs), i, j, pairs))
     scored.sort(key=lambda s: s[:3], reverse=True)
     for n, i, j, pairs in scored:
         a, b = frames[i], frames[j]
         px1 = a.features.pixels[pairs["query"]]
         px2 = b.features.pixels[pairs["target"]]
-        rcfg = replace(
-            cfg.ransac,
-            rng_seed=_frame_seed(cfg, a.id * 31 + b.id),
-            inlier_threshold=min(cfg.ransac.inlier_threshold, INIT_EPIPOLAR_PX),
-        )
+        rcfg = replace(cfg.ransac, rng_seed=_frame_seed(cfg, a.id * 31 + b.id), inlier_threshold=INIT_EPIPOLAR_PX)
         try:
             rel, inliers = estimate_relative_pose(px1, px2, a.intrinsics, rcfg)
         except SolverError:
@@ -109,9 +109,9 @@ def _find_init_pair(frames, cfg: PipelineConfig, max_gap=50):
         # re-gate every match at the standard threshold: the tight seed
         # gate above rejects good matches the refined pose can keep
         inliers = epipolar_inlier_indices(rel, px1, px2, a.intrinsics, cfg.ransac.inlier_threshold)
-        _, code = _two_view_points(rel, px1[inliers], px2[inliers], a.intrinsics, cfg.triangulation)
+        _, code = _two_view_points(rel, px1[inliers], px2[inliers], a.intrinsics, TRIANGULATION)
         support = int((code == ACCEPTED).sum())
-        if support >= max(cfg.min_2d3d, len(inliers) // 2):
+        if support >= max(MIN_2D3D, len(inliers) // 2):
             return i, j, pairs, rel, inliers
     raise InitializationFailure("no frame pair with sufficient matches and parallax")
 
@@ -147,8 +147,6 @@ def _prune_landmarks(model: SfMModel, max_reprojection_px):
 
 def _rescale_about(model: SfMModel, origin, scale):
     for fr in model.frames.values():
-        if fr.pose is None:
-            continue
         c = origin + scale * (fr.pose.center() - origin)
         R = fr.pose.R
         fr.pose = Pose(fr.pose.q.copy(), -R @ c)
@@ -159,8 +157,6 @@ def _rescale_about(model: SfMModel, origin, scale):
 def _apply_similarity(model: SfMModel, sim):
     Rs = sim.R
     for fr in model.frames.values():
-        if fr.pose is None:
-            continue
         c = sim.apply(fr.pose.center())
         R = fr.pose.R @ Rs.T
         fr.pose = Pose.from_rt(R, -R @ c)
@@ -196,20 +192,19 @@ def onthefly_sfm(sequence, cfg: PipelineConfig, gt):
     # the eight-point seed pose can be a couple of degrees off on
     # low-parallax wall geometry, so triangulate with a relaxed gate,
     # polish the pair with a bundle step, then drop what stayed bad
-    tri_cfg = cfg.triangulation
-    seed_tri = replace(tri_cfg, max_reprojection_px=4.0 * tri_cfg.max_reprojection_px)
+    seed_tri = replace(TRIANGULATION, max_reprojection_px=4.0 * TRIANGULATION.max_reprojection_px)
     qs, ts = pairs["query"][inliers], pairs["target"][inliers]
     X, code = _two_view_points(rel, a.features.pixels[qs], b.features.pixels[ts], a.intrinsics, seed_tri)
     keep = np.flatnonzero(code == ACCEPTED)
     merge_new_landmarks(model, X[keep], [[(a.id, q), (b.id, t)] for q, t in zip(qs[keep].tolist(), ts[keep].tolist())])
-    if len(model.landmarks) < cfg.min_2d3d:
+    if len(model.landmarks) < MIN_2D3D:
         raise InitializationFailure("two-view seed produced too few points")
 
     baseline0 = float(np.linalg.norm(b.pose.center() - a.pose.center()))
     gauge = FreezeMask(frozen_frame_ids={a.id})
-    bundle_adjust(model, gauge, cfg.bundle)
-    _prune_landmarks(model, tri_cfg.max_reprojection_px)
-    if len(model.landmarks) < cfg.min_2d3d:
+    bundle_adjust(model, gauge)
+    _prune_landmarks(model, TRIANGULATION.max_reprojection_px)
+    if len(model.landmarks) < MIN_2D3D:
         raise InitializationFailure("two-view seed produced too few points")
     base = float(np.linalg.norm(model.frames[b.id].pose.center() - model.frames[a.id].pose.center()))
     if base > 1e-12:
@@ -232,7 +227,7 @@ def onthefly_sfm(sequence, cfg: PipelineConfig, gt):
     new_since_ba = 0
 
     def _run_ba():
-        bundle_adjust(model, gauge, cfg.bundle)
+        bundle_adjust(model, gauge)
         base = float(
             np.linalg.norm(model.frames[b.id].pose.center() - model.frames[a.id].pose.center())
         )
@@ -268,7 +263,7 @@ def onthefly_sfm(sequence, cfg: PipelineConfig, gt):
                     for f in frames
                     if f.status == "registered" and f.id != frame.id and _gdesc(f) is not None
                 ]
-                cand_ids = retrieve_top_k(g, index, cfg.k_retrieval)
+                cand_ids = retrieve_top_k(g, index, K_RETRIEVAL)
             ok = False
             if len(frame.features) > 0 and cand_ids:
                 ok, _, _ = _attempt_registration(model, frame, cand_ids, cfg, "registered")
@@ -277,7 +272,7 @@ def onthefly_sfm(sequence, cfg: PipelineConfig, gt):
                 continue
             progress = True
             new_since_ba += 1
-            if new_since_ba >= cfg.ba_period:
+            if new_since_ba >= BA_PERIOD:
                 _run_ba()
                 new_since_ba = 0
     if new_since_ba:
@@ -300,4 +295,4 @@ def onthefly_sfm(sequence, cfg: PipelineConfig, gt):
         )
         for f in frames
     ]
-    return model, BaselineReport("onthefly_sfm", results)
+    return model, BaselineReport(results)

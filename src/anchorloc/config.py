@@ -1,10 +1,12 @@
 """Flat key-value run configuration files.
 
 Lines look like ``scene.landmark_count = 4000``; '#' starts a comment.
-Every key must map to a known scene/pipeline field, otherwise parsing
-fails; values are coerced to the field's type. Texture-poor arcs and
-query pans are written as colon-joined triples, comma-separated; sweep
-elevations are a comma-separated pair.
+The keys are the scene's fields (``scene.*``) and the localizers' RANSAC
+seed (``pipeline.ransac.rng_seed``); any other key fails to parse. The
+method's other parameters are module constants (see README.md). Values
+are coerced to the field's type. Texture-poor arcs and query pans are
+written as colon-joined triples, comma-separated; sweep elevations are a
+comma-separated pair.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 
 from .pipeline import PipelineConfig
-from .solvers import BundleConfig, RansacConfig, TriangulationConfig
+from .solvers import RansacConfig
 from .synth import SceneConfig
 from .textio import FormatError, read_lines
 
@@ -52,17 +54,10 @@ def _coerce(field: dataclasses.Field, value: str):
     raise ConfigError(f"cannot parse value for {field.name}")
 
 
-def _fields(cls, skip=()):
-    return {f.name: f for f in dataclasses.fields(cls) if f.name not in skip}
-
-
-# key prefix -> the fields it may set; nested sections before "pipeline."
+# key prefix -> the fields it may set
 _SECTIONS = {
-    "scene.": _fields(SceneConfig),
-    "pipeline.ransac.": _fields(RansacConfig),
-    "pipeline.bundle.": _fields(BundleConfig),
-    "pipeline.triangulation.": _fields(TriangulationConfig),
-    "pipeline.": _fields(PipelineConfig, skip=("ransac", "bundle", "triangulation")),
+    "scene.": {f.name: f for f in dataclasses.fields(SceneConfig)},
+    "pipeline.ransac.": {f.name: f for f in dataclasses.fields(RansacConfig) if f.name == "rng_seed"},
 }
 
 
@@ -90,12 +85,7 @@ def parse_run_config(path):
 
     try:
         scene = SceneConfig(**kv["scene."])
-        pipeline = PipelineConfig(
-            ransac=RansacConfig(**kv["pipeline.ransac."]),
-            bundle=BundleConfig(**kv["pipeline.bundle."]),
-            triangulation=TriangulationConfig(**kv["pipeline.triangulation."]),
-            **kv["pipeline."],
-        )
+        pipeline = PipelineConfig(ransac=RansacConfig(**kv["pipeline.ransac."]))
     except Exception as e:  # dataclass invariants double as validation
         raise ConfigError(str(e)) from e
     return scene, pipeline

@@ -59,7 +59,7 @@ def _distance_matrix(a, b):
     return np.sqrt(np.maximum(d2, 0.0))
 
 
-def match_features(a: FeatureSet, b: FeatureSet, ratio=0.8):
+def match_features(a: FeatureSet, b: FeatureSet, ratio):
     """Mutual nearest-neighbor matches from a to b passing Lowe's ratio test.
 
     Returns a MATCH array sorted by ascending distance, then query index.

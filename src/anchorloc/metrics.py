@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ class EvaluationReport:
     total: int
     mae: float
     median: float
-    per_frame_errors: dict = field(default_factory=dict)
 
     @property
     def fraction(self):
@@ -53,17 +52,15 @@ def position_error(pose, center) -> float:
     return float(np.linalg.norm(pose.center() - np.asarray(center)))
 
 
-def compute_metrics(entries, gt, method="method", total=None) -> EvaluationReport:
+def compute_metrics(entries, gt, method="method") -> EvaluationReport:
     """Positional error statistics for a set of localized frames.
 
     entries: iterable of TrajectoryEntry (pose None for failures).
     gt: frame id -> ground-truth camera center. Error statistics cover
-    registered frames with ground truth; the registered fraction uses
-    the full frame count (total, default len(entries)).
+    registered frames with ground truth; the registered fraction is over
+    all entries.
     """
     entries = list(entries)
-    if total is None:
-        total = len(entries)
     if not any(e.frame_id in gt for e in entries):
         raise EmptyIntersection("no frame overlaps the ground truth")
 
@@ -83,7 +80,7 @@ def compute_metrics(entries, gt, method="method", total=None) -> EvaluationRepor
     else:
         mae = float("nan")
         median = float("nan")
-    return EvaluationReport(method, registered, total, mae, median, errors)
+    return EvaluationReport(method, registered, len(entries), mae, median)
 
 
 def compare_methods(reports) -> str:

@@ -143,7 +143,7 @@ def frozen_state_digest(model: SfMModel, mask: FreezeMask) -> str:
     return h.hexdigest()
 
 
-def spatial_neighbors(model: SfMModel, pose: Pose, k: int, max_view_angle_deg: float = 60.0):
+def spatial_neighbors(model: SfMModel, pose: Pose, k: int, max_view_angle_deg: float):
     """k reference frames nearest to pose's center, gated on view angle.
 
     Ties in distance go to the smaller frame id.

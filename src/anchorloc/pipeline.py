@@ -49,7 +49,6 @@ from .model import (
     triangulate_tracks,
 )
 from .solvers import (
-    BundleConfig,
     RansacConfig,
     SolverError,
     TriangulationConfig,
@@ -72,26 +71,31 @@ class AllAnchorsFailed(Exception):
     pass
 
 
+# The method's fixed parameters. A frame is an anchor when its detector
+# score is at least ANCHOR_THRESHOLD. Its candidates are the K_SPATIAL
+# reference frames nearest its prior pose within MAX_VIEW_ANGLE_DEG of its
+# view direction, the K_RETRIEVAL best by global descriptor, and the
+# N_TEMPORAL nearest query frames in time. Matches pass Lowe's ratio test
+# at MATCH_RATIO, and a frame needs MIN_2D3D correspondences for PnP. A
+# bundle adjustment follows every BA_PERIOD registered frames, and after
+# BA_PERIOD failures in a row the prior pose resets to the nearest anchor.
+ANCHOR_THRESHOLD = 0.5
+K_SPATIAL = 10
+MAX_VIEW_ANGLE_DEG = 60.0
+K_RETRIEVAL = 20
+N_TEMPORAL = 25
+MATCH_RATIO = 0.8
+MIN_2D3D = 15
+BA_PERIOD = 10
+# the gates for the landmarks the localizers triangulate
+TRIANGULATION = TriangulationConfig()
+
+
 @dataclass
 class PipelineConfig:
-    n_temporal: int = 25
-    k_retrieval: int = 20
-    k_spatial: int = 10
-    ba_period: int = 10
-    min_2d3d: int = 15
-    anchor_threshold: float = 0.5
-    match_ratio: float = 0.8
-    max_view_angle_deg: float = 60.0
-    ransac: RansacConfig = field(default_factory=RansacConfig)
-    bundle: BundleConfig = field(default_factory=BundleConfig)
-    triangulation: TriangulationConfig = field(default_factory=TriangulationConfig)
+    """What a run may vary: the RANSAC settings, whose rng_seed the run config sets."""
 
-    def __post_init__(self):
-        for name in ("n_temporal", "k_retrieval", "k_spatial", "ba_period", "min_2d3d"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not 0.0 < self.match_ratio <= 1.0:
-            raise ValueError("match_ratio must be in (0,1]")
+    ransac: RansacConfig = field(default_factory=RansacConfig)
 
 
 @dataclass
@@ -145,14 +149,14 @@ def match_lift_pnp(model: SfMModel, frame, candidate_ids, cfg: PipelineConfig):
     when there are too few correspondences or RANSAC fails.
     """
     cands = [f for f in map(model.frames.get, candidate_ids) if f is not None and len(f.features) > 0]
-    found = [match_features(frame.features, c.features, cfg.match_ratio) for c in cands]
+    found = [match_features(frame.features, c.features, MATCH_RATIO) for c in cands]
     # stacked field by field: numpy joins plain arrays far faster than structured ones
     cid = np.repeat(np.array([c.id for c in cands], dtype=np.intp), [len(m) for m in found])
     fields = (np.concatenate([np.empty(0, MATCH)[k], *(m[k] for m in found)]) for k in MATCH.names)
     matches = records(CANDIDATE_MATCH, cid, *fields)
 
     corrs = lift_matches_to_3d(model, frame.features, matches)
-    if len(corrs) < cfg.min_2d3d:
+    if len(corrs) < MIN_2D3D:
         return matches, corrs, None, []
 
     rcfg = replace(cfg.ransac, rng_seed=_frame_seed(cfg, frame.id))
@@ -197,7 +201,7 @@ def _attempt_registration(model: SfMModel, frame, candidate_ids, cfg: PipelineCo
         add_observation(model, lid, frame.id, fidx)
 
     tracks = _new_tracks(model, frame.id, matches)
-    X, code = triangulate_tracks(model.frames, tracks, frame.intrinsics, cfg.triangulation)
+    X, code = triangulate_tracks(model.frames, tracks, frame.intrinsics, TRIANGULATION)
     keep = np.flatnonzero(code == ACCEPTED)
     merge_new_landmarks(model, X[keep], [tracks[k] for k in keep])
 
@@ -208,7 +212,7 @@ def _attempt_registration(model: SfMModel, frame, candidate_ids, cfg: PipelineCo
 _BA_WINDOW = 15
 
 
-def _run_bundle(model, cfg: PipelineConfig, label, ba_events):
+def _run_bundle(model, label, ba_events):
     """Windowed frozen-reference BA, the local BA of ORB-SLAM (Mur-Artal et
     al., T-RO 2015): only the last _BA_WINDOW query frames in
     registration order and the augmented landmarks they observe are free,
@@ -217,7 +221,7 @@ def _run_bundle(model, cfg: PipelineConfig, label, ba_events):
     before and after audit."""
     mask = freeze_mask_for_reference(model, _BA_WINDOW)
     before = frozen_state_digest(model, mask)
-    res = bundle_adjust(model, mask, cfg.bundle)
+    res = bundle_adjust(model, mask)
     after = frozen_state_digest(model, mask)
     ba_events.append(
         BAEvent(
@@ -252,7 +256,7 @@ def register_anchors(model: SfMModel, sequence, anchor_ids, cfg: PipelineConfig)
         if len(frame.features) == 0:
             frame.status = "failed"
             continue
-        cands = retrieve_candidates(db_index, frame, cfg.k_retrieval)
+        cands = retrieve_candidates(db_index, frame, K_RETRIEVAL)
         ok, _, _ = _attempt_registration(model, frame, cands, cfg, "anchor")
         if ok:
             registered.append(aid)
@@ -260,7 +264,7 @@ def register_anchors(model: SfMModel, sequence, anchor_ids, cfg: PipelineConfig)
             frame.status = "failed"
     if not registered:
         raise AllAnchorsFailed("no anchor could be registered to the reference model")
-    _run_bundle(model, cfg, "anchors", ba_events)
+    _run_bundle(model, "anchors", ba_events)
     return registered, ba_events
 
 
@@ -274,16 +278,9 @@ def retrieve_candidates(db_index, frame, k):
     return retrieve_top_k(g, db_index, k)
 
 
-def _nearest_anchor_pose(model, registered_anchors, timestamp):
-    best = None
-    for aid in registered_anchors:
-        fr = model.frames.get(aid)
-        if fr is None or fr.pose is None:
-            continue
-        d = abs(fr.timestamp - timestamp)
-        if best is None or d < best[0]:
-            best = (d, fr.pose)
-    return None if best is None else best[1]
+def _nearest_anchor_pose(model, anchor_ids, timestamp):
+    """Pose of the anchor nearest in time; a tie goes to the earlier in anchor_ids."""
+    return min((model.frames[a] for a in anchor_ids), key=lambda fr: abs(fr.timestamp - timestamp)).pose
 
 
 def _set_final_poses(model: SfMModel, entries):
@@ -296,19 +293,15 @@ def _set_final_poses(model: SfMModel, entries):
 def recursive_localize(model: SfMModel, sequence, anchor_ids, cfg: PipelineConfig):
     """Time-ordered frame-by-frame registration with periodic frozen BA.
 
-    sequence: Frame objects (anchors already registered into the model).
-    Returns a LocalizationResult with one entry per frame it attempted,
-    holding the frame's pose after the last BA.
+    sequence: Frame objects. anchor_ids: register_anchors' result, the
+    anchors registered into the model (at least one). Returns a
+    LocalizationResult with one entry per frame it attempted, holding the
+    frame's pose after the last BA.
     """
     db_index = _db_retrieval_index(model)
     seq = sorted(sequence, key=lambda f: f.timestamp)
-    registered_anchors = [fid for fid in anchor_ids if fid in model.frames and model.frames[fid].pose is not None]
-    if not registered_anchors:
-        raise AllAnchorsFailed("recursive localization needs a registered anchor")
-    t0 = min(model.frames[a].timestamp for a in registered_anchors)
-    start_pose = model.frames[
-        min(registered_anchors, key=lambda a: model.frames[a].timestamp)
-    ].pose
+    first = min((model.frames[a] for a in anchor_ids), key=lambda fr: fr.timestamp)
+    t0, start_pose = first.timestamp, first.pose
 
     frame_events = []
     ba_events = []
@@ -326,9 +319,9 @@ def recursive_localize(model: SfMModel, sequence, anchor_ids, cfg: PipelineConfi
         reverse = pass_name == "backward"
         for frame in frames:
             cands = []
-            cands.extend(spatial_neighbors(model, prior_pose, cfg.k_spatial, cfg.max_view_angle_deg))
-            cands.extend(retrieve_candidates(db_index, frame, cfg.k_retrieval))
-            cands.extend(temporal_candidates(frame.timestamp, seq, cfg.n_temporal, reverse=reverse))
+            cands.extend(spatial_neighbors(model, prior_pose, K_SPATIAL, MAX_VIEW_ANGLE_DEG))
+            cands.extend(retrieve_candidates(db_index, frame, K_RETRIEVAL))
+            cands.extend(temporal_candidates(frame.timestamp, seq, N_TEMPORAL, reverse=reverse))
             seen = set()
             cand_ids = [c for c in cands if not (c in seen or seen.add(c))]
 
@@ -339,16 +332,14 @@ def recursive_localize(model: SfMModel, sequence, anchor_ids, cfg: PipelineConfi
                 prior_pose = frame.pose
                 consecutive_failures = 0
                 new_since_ba += 1
-                if new_since_ba >= cfg.ba_period:
-                    _run_bundle(model, cfg, f"after-{frame.id}", ba_events)
+                if new_since_ba >= BA_PERIOD:
+                    _run_bundle(model, f"after-{frame.id}", ba_events)
                     new_since_ba = 0
             else:
                 frame.status = "failed"
                 consecutive_failures += 1
-                if consecutive_failures >= cfg.ba_period:
-                    anchor_pose = _nearest_anchor_pose(model, registered_anchors, frame.timestamp)
-                    if anchor_pose is not None:
-                        prior_pose = anchor_pose
+                if consecutive_failures >= BA_PERIOD:
+                    prior_pose = _nearest_anchor_pose(model, anchor_ids, frame.timestamp)
             frame_events.append(
                 TrajectoryEntry(
                     frame.id, frame.timestamp, frame.status,
@@ -357,7 +348,7 @@ def recursive_localize(model: SfMModel, sequence, anchor_ids, cfg: PipelineConfi
             )
 
     if new_since_ba > 0:
-        _run_bundle(model, cfg, "final", ba_events)
+        _run_bundle(model, "final", ba_events)
     _set_final_poses(model, frame_events)
     return LocalizationResult(frame_events, ba_events, model)
 
@@ -373,7 +364,7 @@ def run_pipeline(model: SfMModel, sequence, detector, cfg: PipelineConfig):
     """
     model = model.copy()
     sequence = [replace(f) for f in sequence]
-    anchors = detect_anchors(sequence, detector, cfg.anchor_threshold)
+    anchors = detect_anchors(sequence, detector, ANCHOR_THRESHOLD)
     registered, anchor_ba = register_anchors(model, sequence, anchors, cfg)
     result = recursive_localize(model, sequence, registered, cfg)
     result.ba_events = anchor_ba + result.ba_events

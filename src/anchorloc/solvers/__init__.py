@@ -1,5 +1,5 @@
 from .alignment import SimilarityTransform, umeyama_similarity
-from .bundle import BundleConfig, BundleResult, FreezeMask, bundle_adjust
+from .bundle import BundleResult, FreezeMask, bundle_adjust
 from .errors import (
     CheiralityFailure,
     DegenerateConfiguration,
@@ -15,7 +15,6 @@ from .triangulation import TriangulationConfig, triangulate, triangulate_many
 from .twoview import epipolar_inlier_indices, estimate_relative_pose, refine_relative_pose
 
 __all__ = [
-    "BundleConfig",
     "BundleResult",
     "CheiralityFailure",
     "DegenerateConfiguration",

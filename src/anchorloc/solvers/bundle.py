@@ -33,6 +33,18 @@ from .errors import NumericalFailure
 _BAD_OBS_PENALTY = 1e8
 _PAIR_CHUNK = 1024
 
+# Levenberg-Marquardt schedule: at most MAX_LM_ITERATIONS iterations from
+# damping INITIAL_DAMPING, raised by DAMPING_UP after a rejected step and
+# lowered by DAMPING_DOWN after an accepted one; a step that lowers the
+# cost by at most CONVERGENCE_TOL of it ends the run. Residuals beyond
+# HUBER_DELTA pixels get the Huber loss's linear weight.
+MAX_LM_ITERATIONS = 30
+INITIAL_DAMPING = 1e-4
+DAMPING_UP = 10.0
+DAMPING_DOWN = 10.0
+CONVERGENCE_TOL = 1e-8
+HUBER_DELTA = 2.0
+
 
 @dataclass
 class FreezeMask:
@@ -41,27 +53,11 @@ class FreezeMask:
 
 
 @dataclass
-class BundleConfig:
-    max_lm_iterations: int = 30
-    initial_damping: float = 1e-4
-    damping_up: float = 10.0
-    damping_down: float = 10.0
-    convergence_tol: float = 1e-8
-    huber_delta: float = 2.0  # pixels
-
-    def __post_init__(self):
-        for name in ("max_lm_iterations", "initial_damping", "damping_up", "damping_down", "convergence_tol", "huber_delta"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
-@dataclass
 class BundleResult:
     cost_before: float
     cost_after: float
     iterations: int
     accepted_steps: int
-    all_frozen: bool = False
     free_cameras: int = 0  # nF: unfrozen posed frames with an observation
     free_points: int = 0  # nL: unfrozen landmarks with two or more observations
 
@@ -238,17 +234,16 @@ def _retract(quats, ts, delta):
     return q_new, t_new
 
 
-def bundle_adjust(model, mask: FreezeMask, cfg: BundleConfig):
+def bundle_adjust(model, mask: FreezeMask):
     """Refine all non-frozen poses and landmark positions in place.
 
     Returns a BundleResult; cost never increases over accepted steps.
     """
     frame_ids, lm_ids, frame_free, lm_free, obs_cam, obs_lm, obs_px, intr = _gather_problem(model, mask)
 
-    if not frame_free.any() and not lm_free.any():
-        return BundleResult(0.0, 0.0, 0, 0, all_frozen=True)
+    # only observations touching a free block are kept, so none means nothing is free
     if len(obs_cam) == 0:
-        return BundleResult(0.0, 0.0, 0, 0, all_frozen=True)
+        return BundleResult(0.0, 0.0, 0, 0)
 
     quats = np.array([model.frames[fid].pose.q for fid in frame_ids])
     ts = np.array([model.frames[fid].pose.t for fid in frame_ids])
@@ -271,19 +266,17 @@ def bundle_adjust(model, mask: FreezeMask, cfg: BundleConfig):
     d6 = np.arange(6)
     d3 = np.arange(3)
 
-    lam = cfg.initial_damping
-    cost, *_ = _evaluate(quats, ts, Xs, intr, obs_cam, obs_lm, obs_px, cfg.huber_delta)
+    lam = INITIAL_DAMPING
+    cost, *_ = _evaluate(quats, ts, Xs, intr, obs_cam, obs_lm, obs_px, HUBER_DELTA)
     cost_before = cost
     accepted = 0
     iterations = 0
     converged = False
 
-    for _ in range(cfg.max_lm_iterations):
+    for _ in range(MAX_LM_ITERATIONS):
         iterations += 1
-        _, r, enorm, R, good = _evaluate(
-            quats, ts, Xs, intr, obs_cam, obs_lm, obs_px, cfg.huber_delta
-        )
-        w = np.where(enorm <= cfg.huber_delta, 1.0, cfg.huber_delta / np.maximum(enorm, 1e-12))
+        _, r, enorm, R, good = _evaluate(quats, ts, Xs, intr, obs_cam, obs_lm, obs_px, HUBER_DELTA)
+        w = np.where(enorm <= HUBER_DELTA, 1.0, HUBER_DELTA / np.maximum(enorm, 1e-12))
         sw = np.where(good, np.sqrt(w), 0.0)
         rw = r * sw[:, None]
 
@@ -329,7 +322,7 @@ def bundle_adjust(model, mask: FreezeMask, cfg: BundleConfig):
                     delta_c = np.zeros((0, 6))
                 delta_l = _back_substitute(Vinv, gl, W, cpl, delta_c)
             except np.linalg.LinAlgError:
-                lam *= cfg.damping_up
+                lam *= DAMPING_UP
                 if lam > 1e14:
                     raise NumericalFailure("normal equations singular after damping escalation")
                 continue
@@ -342,20 +335,18 @@ def bundle_adjust(model, mask: FreezeMask, cfg: BundleConfig):
             X_try = Xs.copy()
             X_try[free_lm_slots] += delta_l
 
-            new_cost, *_ = _evaluate(
-                q_try, t_try, X_try, intr, obs_cam, obs_lm, obs_px, cfg.huber_delta
-            )
+            new_cost, *_ = _evaluate(q_try, t_try, X_try, intr, obs_cam, obs_lm, obs_px, HUBER_DELTA)
             if new_cost <= cost:
                 quats, ts, Xs = q_try, t_try, X_try
                 decrease = cost - new_cost
                 cost = new_cost
-                lam = max(lam / cfg.damping_down, 1e-12)
+                lam = max(lam / DAMPING_DOWN, 1e-12)
                 accepted += 1
                 stepped = True
-                if decrease <= cfg.convergence_tol * max(cost, 1e-12):
+                if decrease <= CONVERGENCE_TOL * max(cost, 1e-12):
                     converged = True
                 break
-            lam *= cfg.damping_up
+            lam *= DAMPING_UP
             if lam > 1e14:
                 break
         if not stepped or converged:

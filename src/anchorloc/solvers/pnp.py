@@ -16,21 +16,21 @@ from ..geom import CameraIntrinsics, Pose, pose_jacobian_many, project_many
 from .errors import InsufficientCorrespondences, NoConsensus
 
 
+# RANSAC draws at most this many samples, stops early once it is this
+# confident of an all-inlier sample, and accepts a consensus of this size
+RANSAC_MAX_ITERATIONS = 1000
+RANSAC_CONFIDENCE = 0.999
+RANSAC_MIN_INLIERS = 15
+
+
 @dataclass
 class RansacConfig:
-    max_iterations: int = 1000
     inlier_threshold: float = 4.0  # pixels
-    min_inliers: int = 15
-    confidence: float = 0.999
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
         if self.inlier_threshold <= 0:
             raise ValueError("inlier_threshold must be positive")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must be in (0,1)")
 
 
 def _bearing_vectors(pixels, intr: CameraIntrinsics):
@@ -309,22 +309,22 @@ def refine_pose(pose: Pose, world, pixels, intr: CameraIntrinsics, iterations=10
     return pose
 
 
-def ransac(n, k, cfg: RansacConfig, solve, score):
+def ransac(n, k, seed, solve, score):
     """Adaptive RANSAC over k-point minimal samples of n data (Fischler & Bolles, CACM 1981).
 
     solve(idx) takes a (B,k) block of samples and returns (rows, hyps): a
     tuple of arrays stacking the candidate hypotheses along axis 0, and the
     ascending sample row of each. score(*hyps) returns their (m,n) inlier
-    masks. Samples are drawn one rng.choice at a time from cfg.rng_seed,
-    solved a block at a time and scanned in draw order, so the result equals
+    masks. Samples are drawn one rng.choice at a time from seed, solved a
+    block at a time and scanned in draw order, so the result equals
     one-sample-at-a-time RANSAC. The run stops once the best inlier ratio w
-    reaches cfg.confidence (1 - (1 - w**k)**iterations) or after
-    cfg.max_iterations samples. Returns (best hyps, their mask, their
+    reaches RANSAC_CONFIDENCE (1 - (1 - w**k)**iterations) or after
+    RANSAC_MAX_ITERATIONS samples. Returns (best hyps, their mask, their
     count); best is None when no sample gave an inlier.
     """
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(seed)
     best, best_mask, best_count = None, None, 0
-    max_iter = cfg.max_iterations
+    max_iter = RANSAC_MAX_ITERATIONS
     it = 0
     while it < max_iter:
         # sample j of the block is iteration it + j + 1
@@ -347,9 +347,9 @@ def ransac(n, k, cfg: RansacConfig, solve, score):
                 max_iter = sample_it
             else:
                 denom = np.log1p(-min(w**k, 1.0 - 1e-15))
-                need = np.ceil(np.log(1.0 - cfg.confidence) / denom)
-                need = cfg.max_iterations if not np.isfinite(need) else int(need)
-                max_iter = min(cfg.max_iterations, max(need, sample_it))
+                need = np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / denom)
+                need = RANSAC_MAX_ITERATIONS if not np.isfinite(need) else int(need)
+                max_iter = min(RANSAC_MAX_ITERATIONS, max(need, sample_it))
         it += size
     return best, best_mask, best_count
 
@@ -359,7 +359,7 @@ def ransac_pnp(world, pixels, intr: CameraIntrinsics, cfg: RansacConfig):
 
     Deterministic given cfg.rng_seed. Returns (pose, sorted inlier indices).
     Raises InsufficientCorrespondences (< 4 inputs) or NoConsensus when the
-    best consensus set is smaller than cfg.min_inliers.
+    best consensus set is smaller than RANSAC_MIN_INLIERS.
     """
     n = len(world)
     if n < 4:
@@ -378,9 +378,9 @@ def ransac_pnp(world, pixels, intr: CameraIntrinsics, cfg: RansacConfig):
         err = ((uv - pixels) ** 2).sum(axis=-1)
         return (z > 0) & (err < thresh_sq)
 
-    best, best_mask, best_count = ransac(n, 3, cfg, solve, score)
-    if best is None or best_count < cfg.min_inliers:
-        raise NoConsensus(f"best inlier count {best_count} < {cfg.min_inliers}")
+    best, best_mask, best_count = ransac(n, 3, cfg.rng_seed, solve, score)
+    if best is None or best_count < RANSAC_MIN_INLIERS:
+        raise NoConsensus(f"best inlier count {best_count} < {RANSAC_MIN_INLIERS}")
 
     best_pose = Pose.from_rt(*best)
     pose = refine_pose(best_pose, world[best_mask], pixels[best_mask], intr)

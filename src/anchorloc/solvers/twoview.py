@@ -6,7 +6,7 @@ import numpy as np
 
 from ..geom import CameraIntrinsics, Pose, mat_to_quat
 from .errors import DegenerateConfiguration, InsufficientCorrespondences, NoConsensus
-from .pnp import RansacConfig, _bearing_vectors, ransac
+from .pnp import RANSAC_MIN_INLIERS, RansacConfig, _bearing_vectors, ransac
 
 
 # _midpoint_depths leaves a match to np.linalg.lstsq when |R f1 × f2| is
@@ -204,8 +204,8 @@ def estimate_relative_pose(pixels1, pixels2, intr: CameraIntrinsics, cfg: Ransac
     def score(E):
         return _sampson_sq(E, x1, x2) < thresh
 
-    _, best_mask, best_count = ransac(n, 8, cfg, solve, score)
-    if best_mask is None or best_count < max(cfg.min_inliers, 8):
+    _, best_mask, best_count = ransac(n, 8, cfg.rng_seed, solve, score)
+    if best_mask is None or best_count < RANSAC_MIN_INLIERS:
         raise NoConsensus(f"best inlier count {best_count}")
 
     E = _essential_from_eight(x1[best_mask], x2[best_mask])

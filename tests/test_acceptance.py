@@ -22,7 +22,6 @@ from anchorloc.metrics import TrajectoryEntry, compute_metrics, position_error
 from anchorloc.model import Frame
 from anchorloc.pipeline import _BA_WINDOW, PipelineConfig, detector_from_scores, run_pipeline
 from anchorloc.solvers import (
-    BundleConfig,
     FreezeMask,
     RansacConfig,
     TriangulationConfig,
@@ -267,7 +266,7 @@ def test_bundle_perturb_and_recover():
     pose = model.frames[2].pose
     tweak = np.concatenate([np.radians(0.5) * np.array([0.0, 1.0, 0.0]), np.zeros(3)])
     model.frames[2].pose = Pose(pose.q.copy(), pose.t * 1.01).retract(tweak)
-    res = bundle_adjust(model, mask, BundleConfig(max_lm_iterations=25))
+    res = bundle_adjust(model, mask)
     assert res.cost_after <= res.cost_before
     assert res.iterations <= 25
     assert mean_reprojection_error(model) < 1e-6

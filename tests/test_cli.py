@@ -117,8 +117,8 @@ def test_exit_code_config_error(workdir, tmp_path, capsys):
     bad.write_text("scene.rng_seed = -3\n")
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "d")]) == 2
     assert main(["synth", "--config", str(workdir / "run.cfg"), "--seed", "-1", "--out", str(tmp_path / "d")]) == 2
-    # values the localizer cannot use end before it starts
-    for line in ("pipeline.match_ratio = 1.5", "pipeline.ransac.max_iterations = -5"):
+    # a RANSAC seed that is no integer ends the run before the localizer starts
+    for line in ("pipeline.ransac.rng_seed = 1.5", "pipeline.ransac.rng_seed = abc"):
         bad.write_text(CFG + line + "\n")
         assert _localize(workdir, "proposed", tmp_path / "out", extra=["--config", str(bad)]) == 2
     assert not (tmp_path / "out").exists()

@@ -1,6 +1,30 @@
 import pytest
 
-from anchorloc.config import ConfigError, parse_run_config
+from anchorloc.config import _SECTIONS, ConfigError, parse_run_config
+
+# the pipeline keys that are now module constants (see README.md)
+REMOVED_KEYS = [
+    "pipeline.n_temporal",
+    "pipeline.k_retrieval",
+    "pipeline.k_spatial",
+    "pipeline.ba_period",
+    "pipeline.min_2d3d",
+    "pipeline.anchor_threshold",
+    "pipeline.match_ratio",
+    "pipeline.max_view_angle_deg",
+    "pipeline.ransac.max_iterations",
+    "pipeline.ransac.inlier_threshold",
+    "pipeline.ransac.min_inliers",
+    "pipeline.ransac.confidence",
+    "pipeline.bundle.max_lm_iterations",
+    "pipeline.bundle.initial_damping",
+    "pipeline.bundle.damping_up",
+    "pipeline.bundle.damping_down",
+    "pipeline.bundle.convergence_tol",
+    "pipeline.bundle.huber_delta",
+    "pipeline.triangulation.min_angle_deg",
+    "pipeline.triangulation.max_reprojection_px",
+]
 
 
 def _write(tmp_path, text):
@@ -20,10 +44,7 @@ def test_parse_full_config(tmp_path):
         scene.query_pans = 230:252:28
         scene.db_sweep_z_offsets = 0, 18
         scene.pixel_noise = 0.5
-        pipeline.ba_period = 5
-        pipeline.ransac.inlier_threshold = 3.5
-        pipeline.bundle.max_lm_iterations = 30
-        pipeline.triangulation.min_angle_deg = 1.0
+        pipeline.ransac.rng_seed = 5
         """,
     )
     scene, pipe = parse_run_config(p)
@@ -32,16 +53,14 @@ def test_parse_full_config(tmp_path):
     assert scene.texture_poor_arcs == [(120.0, 210.0, 0.15), (300.0, 330.0, 0.5)]
     assert scene.query_pans == [(230, 252, 28.0)]
     assert scene.db_sweep_z_offsets == (0.0, 18.0)
-    assert pipe.ba_period == 5
-    assert pipe.ransac.inlier_threshold == 3.5
-    assert pipe.bundle.max_lm_iterations == 30
-    assert pipe.triangulation.min_angle_deg == 1.0
+    assert pipe.ransac.rng_seed == 5
+    assert pipe.ransac.inlier_threshold == 4.0
 
 
 def test_defaults_when_empty(tmp_path):
     scene, pipe = parse_run_config(_write(tmp_path, "# nothing here\n"))
     assert scene.landmark_count == 4000
-    assert pipe.ba_period == 10
+    assert pipe.ransac.rng_seed == 0
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -57,6 +76,15 @@ def test_unknown_keys_rejected(tmp_path):
     ):
         with pytest.raises(ConfigError):
             parse_run_config(_write(tmp_path, line + "\n"))
+
+
+def test_only_scene_keys_and_the_ransac_seed_accepted(tmp_path):
+    keys = [prefix + name for prefix, fields in _SECTIONS.items() for name in fields]
+    assert [k for k in keys if not k.startswith("scene.")] == ["pipeline.ransac.rng_seed"]
+    assert len(REMOVED_KEYS) == 20
+    for key in REMOVED_KEYS:
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_run_config(_write(tmp_path, f"{key} = 1\n"))
 
 
 def test_malformed_lines_rejected(tmp_path):
@@ -80,8 +108,9 @@ def test_invalid_values_surface_as_config_errors(tmp_path):
     # dataclass invariants are reported as ConfigError, not raw exceptions
     with pytest.raises(ConfigError):
         parse_run_config(_write(tmp_path, "scene.outlier_rate = 1.5\n"))
-    with pytest.raises(ConfigError):
-        parse_run_config(_write(tmp_path, "pipeline.ba_period = 0\n"))
+    for value in ("1.5", "abc"):
+        with pytest.raises(ConfigError, match="rng_seed"):
+            parse_run_config(_write(tmp_path, f"pipeline.ransac.rng_seed = {value}\n"))
 
 
 def test_shipped_configs_parse():

@@ -30,6 +30,8 @@ from anchorloc.model import (
     load_model,
     save_model,
 )
+from anchorloc.pipeline import PipelineConfig, _frame_seed
+from anchorloc.solvers import RansacConfig
 from anchorloc.textio import FormatError
 from conftest import models_equal
 
@@ -305,8 +307,9 @@ def _check_config(path):
         _, pipe = parse_run_config(path)
     except ConfigError:
         return
-    assert 0.0 < pipe.match_ratio <= 1.0
-    assert pipe.ransac.max_iterations >= 1
+    assert pipe == PipelineConfig(RansacConfig(rng_seed=pipe.ransac.rng_seed))
+    # any seed gives every frame a RANSAC stream
+    np.random.default_rng(_frame_seed(pipe, 0))
 
 
 @FIXED

@@ -50,7 +50,7 @@ def test_failed_frames_excluded_from_errors():
     entries = [_entry(0, [3.0, 0.0, 0.0]), _entry(1, status="failed")]
     rep = compute_metrics(entries, gt)
     assert rep.registered == 1
-    assert rep.per_frame_errors == {0: 3.0}
+    assert rep.mae == rep.median == 3.0
 
 
 def test_anchor_status_counts_as_registered():
@@ -62,12 +62,6 @@ def test_anchor_status_counts_as_registered():
 def test_empty_intersection_raises():
     with pytest.raises(EmptyIntersection):
         compute_metrics([_entry(5, np.zeros(3))], {1: np.zeros(3)})
-
-
-def test_explicit_total_overrides_entry_count():
-    gt = {0: np.zeros(3)}
-    rep = compute_metrics([_entry(0, np.zeros(3))], gt, total=10)
-    assert rep.total == 10 and rep.fraction == 0.1
 
 
 def test_compare_methods_table():
@@ -141,7 +135,7 @@ def test_position_error_is_center_distance():
     assert position_error(pose, np.array([3.0, 4.0, 0.0])) == 0.0
     # compute_metrics reports the same figure
     rep = compute_metrics([_entry(0, [3.0, 4.0, 0.0])], {0: np.zeros(3)})
-    assert rep.per_frame_errors == {0: position_error(pose, np.zeros(3))}
+    assert rep.mae == rep.median == position_error(pose, np.zeros(3))
 
 
 def test_entry_counts_default_to_zero():

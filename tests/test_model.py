@@ -19,7 +19,7 @@ from anchorloc.model import (
     save_model,
     spatial_neighbors,
 )
-from anchorloc.solvers import BundleConfig, bundle_adjust
+from anchorloc.solvers import bundle_adjust
 from anchorloc.textio import FormatError
 from conftest import models_equal, no_features
 from test_solvers_bundle import _ring_model
@@ -109,7 +109,7 @@ def test_windowed_bundle_keeps_frozen_blocks_bit_identical():
     before = copy.deepcopy(model)
     mask = freeze_mask_for_reference(model, window=3)
     digest = frozen_state_digest(model, mask)
-    res = bundle_adjust(model, mask, BundleConfig())
+    res = bundle_adjust(model, mask)
     assert res.accepted_steps > 0 and (res.free_cameras, res.free_points) == (3, 20)
     assert frozen_state_digest(model, mask) == digest
     for fid, fr in model.frames.items():
@@ -128,9 +128,9 @@ def test_spatial_neighbors_ranking_and_gate():
     # a frame looking the opposite way is filtered by the view-angle gate
     flipped = Pose.from_rt(np.diag([1.0, -1.0, -1.0]), np.zeros(3))
     m.add_frame(_frame(99, "reference", pose=flipped))
-    got = spatial_neighbors(m, Pose(np.array([1.0, 0, 0, 0]), np.zeros(3)), 3)
+    got = spatial_neighbors(m, Pose(np.array([1.0, 0, 0, 0]), np.zeros(3)), 3, 60.0)
     assert got == [0, 1, 2]
-    assert 99 not in spatial_neighbors(m, Pose(), 10)
+    assert 99 not in spatial_neighbors(m, Pose(), 10, 60.0)
 
 
 def test_spatial_neighbors_matches_per_frame_loop():

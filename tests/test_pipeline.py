@@ -6,6 +6,8 @@ from anchorloc.matching import FeatureSet
 from anchorloc.metrics import position_error
 from anchorloc.model import Frame
 from anchorloc.pipeline import (
+    _BA_WINDOW,
+    BA_PERIOD,
     AllAnchorsFailed,
     NoAnchorsFound,
     PipelineConfig,
@@ -45,9 +47,8 @@ def test_pipeline_registers_whole_sweep(small_scene, small_reference, small_scor
 
 def test_pipeline_runs_periodic_frozen_bundles(small_scene, small_reference, small_scores):
     seq = query_frames(small_scene)
-    cfg = PipelineConfig(ba_period=10)
-    result = run_pipeline(small_reference, seq, detector_from_scores(small_scores), cfg)
-    assert len(result.ba_events) >= len(seq) // cfg.ba_period // 2
+    result = run_pipeline(small_reference, seq, detector_from_scores(small_scores), PipelineConfig())
+    assert len(result.ba_events) >= len(seq) // BA_PERIOD // 2
     for ev in result.ba_events:
         assert ev.cost_after <= ev.cost_before
         assert ev.frozen_digest_before == ev.frozen_digest_after
@@ -109,8 +110,20 @@ def test_register_anchors_all_failed(small_reference):
         register_anchors(small_reference, frames, [], PipelineConfig())
 
 
-def test_pipeline_config_validation():
-    with pytest.raises(ValueError):
-        PipelineConfig(ba_period=0)
-    with pytest.raises(ValueError):
-        PipelineConfig(min_2d3d=-1)
+def test_backward_pass_registers_frames_before_the_first_anchor(small_scene, small_reference):
+    """With the first anchors mid-sweep, the mirrored backward pass registers
+    every frame before them, under the same BA guarantees as the forward pass."""
+    seq = query_frames(small_scene)
+    gt = query_gt(small_scene)
+    detector = detector_from_scores({100040: 1.0, 100041: 1.0})
+    result = run_pipeline(small_reference, seq, detector, PipelineConfig())
+    status = {e.frame_id: e.status for e in result.frame_events}
+    assert status[100040] == status[100041] == "anchor"
+    assert all(status[f.id] == "registered" for f in seq if f.id < 100040)
+    assert _registered_ids(result) == {f.id for f in seq}
+    errs = [position_error(e.pose, gt[e.frame_id]) for e in result.frame_events]
+    assert np.median(errs) < 1.0
+    for ev in result.ba_events:
+        assert ev.frozen_digest_before == ev.frozen_digest_after
+        assert ev.cost_after <= ev.cost_before
+    assert max(ev.free_cameras for ev in result.ba_events) == _BA_WINDOW

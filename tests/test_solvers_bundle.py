@@ -8,7 +8,7 @@ import pytest
 from anchorloc.geom import CameraIntrinsics, Pose, project_many
 from anchorloc.matching import FeatureSet
 from anchorloc.model import Frame, Landmark, SfMModel, frozen_state_digest
-from anchorloc.solvers import BundleConfig, FreezeMask, bundle, bundle_adjust
+from anchorloc.solvers import FreezeMask, bundle, bundle_adjust
 from conftest import mean_reprojection_error, project
 
 
@@ -60,7 +60,7 @@ def test_bundle_cost_non_increasing_and_recovers_perturbation():
     pose = model.frames[2].pose
     tweak = np.concatenate([np.radians(0.5) * np.array([1.0, 0.0, 0.0]), np.zeros(3)])
     model.frames[2].pose = Pose(pose.q.copy(), pose.t * 1.01).retract(tweak)
-    res = bundle_adjust(model, mask, BundleConfig(max_lm_iterations=25))
+    res = bundle_adjust(model, mask)
     assert res.cost_after <= res.cost_before
     assert mean_reprojection_error(model) < 1e-6
 
@@ -73,7 +73,7 @@ def test_bundle_frozen_blocks_bit_identical():
         frozen_landmark_ids=set(list(model.landmarks)[:30]),
     )
     before = frozen_state_digest(model, mask)
-    bundle_adjust(model, mask, BundleConfig())
+    bundle_adjust(model, mask)
     assert frozen_state_digest(model, mask) == before
 
 
@@ -81,10 +81,14 @@ def test_bundle_all_frozen_is_a_no_op():
     model = _ring_model()
     mask = FreezeMask(set(model.frames), set(model.landmarks))
     q0 = {fid: f.pose.q.copy() for fid, f in model.frames.items()}
-    res = bundle_adjust(model, mask, BundleConfig())
-    assert res.all_frozen
+    t0 = {fid: f.pose.t.copy() for fid, f in model.frames.items()}
+    x0 = {lid: lm.position.copy() for lid, lm in model.landmarks.items()}
+    res = bundle_adjust(model, mask)
+    assert (res.iterations, res.accepted_steps, res.free_cameras, res.free_points) == (0, 0, 0, 0)
     for fid, f in model.frames.items():
-        assert np.array_equal(f.pose.q, q0[fid])
+        assert np.array_equal(f.pose.q, q0[fid]) and np.array_equal(f.pose.t, t0[fid])
+    for lid, lm in model.landmarks.items():
+        assert np.array_equal(lm.position, x0[lid])
 
 
 def test_bundle_reduces_noisy_cost():
@@ -94,18 +98,9 @@ def test_bundle_reduces_noisy_cost():
     for lm in model.landmarks.values():
         lm.position = lm.position + rng.normal(scale=0.05, size=3)
     mask = FreezeMask(frozen_frame_ids=set(model.frames), frozen_landmark_ids=set())
-    res = bundle_adjust(model, mask, BundleConfig())
+    res = bundle_adjust(model, mask)
     assert res.cost_after < res.cost_before
     assert mean_reprojection_error(model) < 1e-6
-
-
-def test_bundle_config_validation():
-    import pytest
-
-    with pytest.raises(ValueError):
-        BundleConfig(max_lm_iterations=0)
-    with pytest.raises(ValueError):
-        BundleConfig(huber_delta=-1.0)
 
 
 # --- the vectorized Schur reduction against the per-landmark loop it replaced
@@ -200,10 +195,10 @@ def test_bundle_through_loop_reference_takes_same_steps(monkeypatch):
     model = _ring_model(noise=0.5)
     mask = FreezeMask(frozen_frame_ids={0}, frozen_landmark_ids=set(list(model.landmarks)[:5]))
     reference = copy.deepcopy(model)
-    res = bundle_adjust(model, mask, BundleConfig())
+    res = bundle_adjust(model, mask)
     monkeypatch.setattr(bundle, "_reduce", _reduce_loop)
     monkeypatch.setattr(bundle, "_back_substitute", _back_substitute_loop)
-    res_ref = bundle_adjust(reference, mask, BundleConfig())
+    res_ref = bundle_adjust(reference, mask)
     assert res.accepted_steps > 0
     assert (res.iterations, res.accepted_steps) == (res_ref.iterations, res_ref.accepted_steps)
     np.testing.assert_allclose(res.cost_after, res_ref.cost_after, rtol=1e-10)
@@ -241,7 +236,7 @@ def test_bundle_memory_peak_stays_bounded():
     mask = FreezeMask(frozen_frame_ids={0}, frozen_landmark_ids=set())
     tracemalloc.start()
     try:
-        res = bundle_adjust(model, mask, BundleConfig(max_lm_iterations=2))
+        res = bundle_adjust(model, mask)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -269,7 +264,7 @@ def test_bundle_rejects_mixed_intrinsics():
     model = _ring_model()
     model.frames[3].intrinsics = CameraIntrinsics(410.0, 400.0, 320.0, 240.0, 640, 480)
     with pytest.raises(ValueError, match="intrinsics"):
-        bundle_adjust(model, FreezeMask(frozen_frame_ids={0}), BundleConfig())
+        bundle_adjust(model, FreezeMask(frozen_frame_ids={0}))
 
 
 def test_bundle_zero_depth_observation_stays_finite():
@@ -289,7 +284,7 @@ def test_bundle_zero_depth_observation_stays_finite():
         model.add_landmark(Landmark(i, X, "augmented", [(c, i) for c in range(3)]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = bundle_adjust(model, FreezeMask(frozen_frame_ids={0}), BundleConfig())
+        res = bundle_adjust(model, FreezeMask(frozen_frame_ids={0}))
     assert res.accepted_steps > 0
     assert np.isfinite(res.cost_after) and res.cost_after <= res.cost_before
     for f in model.frames.values():
@@ -364,9 +359,9 @@ def test_gather_problem_skips_reference_only_tracks(monkeypatch):
         assert np.array_equal(g, r)
 
     reference = copy.deepcopy(model)
-    res = bundle_adjust(model, mask, BundleConfig())
+    res = bundle_adjust(model, mask)
     monkeypatch.setattr(bundle, "_gather_problem", _gather_problem_all_tracks)
-    res_ref = bundle_adjust(reference, mask, BundleConfig())
+    res_ref = bundle_adjust(reference, mask)
     assert res.accepted_steps > 0 and res == res_ref
     for fid, fr in model.frames.items():
         other = reference.frames[fid].pose

@@ -181,15 +181,15 @@ def test_ransac_pnp_error_paths(intrinsics):
     pts = points_in_front(rng, pose, 3)
     with pytest.raises(InsufficientCorrespondences):
         ransac_pnp(*_corrs(intrinsics, pose, pts), intrinsics, RansacConfig())
-    # pure noise: no consensus of min_inliers
+    # pure noise: no consensus of RANSAC_MIN_INLIERS
     junk = [(rng.uniform(0, 640, 2), rng.normal(scale=5, size=3)) for _ in range(20)]
     pixels, world = (np.array(c) for c in zip(*junk))
     with pytest.raises(NoConsensus):
-        ransac_pnp(world, pixels, intrinsics, RansacConfig(rng_seed=1, max_iterations=50))
+        ransac_pnp(world, pixels, intrinsics, RansacConfig(rng_seed=1))
 
 
 def test_ransac_config_validation():
     with pytest.raises(ValueError):
         RansacConfig(inlier_threshold=0.0)
     with pytest.raises(ValueError):
-        RansacConfig(confidence=1.0)
+        RansacConfig(inlier_threshold=-1.0)

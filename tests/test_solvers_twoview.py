@@ -10,6 +10,7 @@ from anchorloc.solvers import (
     estimate_relative_pose,
     refine_relative_pose,
 )
+from anchorloc.solvers.pnp import RANSAC_CONFIDENCE, RANSAC_MAX_ITERATIONS, RANSAC_MIN_INLIERS
 from conftest import project, rotation_angle
 
 
@@ -61,7 +62,7 @@ def test_estimate_relative_pose_no_consensus(intrinsics):
     px2 = rng.uniform(0, 640, (30, 2))
     with pytest.raises(NoConsensus):
         estimate_relative_pose(
-            px1, px2, intrinsics, RansacConfig(rng_seed=2, max_iterations=60, inlier_threshold=0.5)
+            px1, px2, intrinsics, RansacConfig(rng_seed=2, inlier_threshold=0.5)
         )
 
 
@@ -120,7 +121,7 @@ def _estimate_relative_pose_loop(pixels1, pixels2, intr, cfg):
     rng = np.random.default_rng(cfg.rng_seed)
     best_mask = None
     best_count = 0
-    max_iter = cfg.max_iterations
+    max_iter = RANSAC_MAX_ITERATIONS
     it = 0
     while it < max_iter:
         it += 1
@@ -136,11 +137,11 @@ def _estimate_relative_pose_loop(pixels1, pixels2, intr, cfg):
                 max_iter = it
             else:
                 denom = np.log1p(-min(w**8, 1.0 - 1e-15))
-                need = np.ceil(np.log(1.0 - cfg.confidence) / denom)
-                need = cfg.max_iterations if not np.isfinite(need) else int(need)
-                max_iter = min(cfg.max_iterations, max(need, it))
+                need = np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / denom)
+                need = RANSAC_MAX_ITERATIONS if not np.isfinite(need) else int(need)
+                max_iter = min(RANSAC_MAX_ITERATIONS, max(need, it))
 
-    if best_mask is None or best_count < max(cfg.min_inliers, 8):
+    if best_mask is None or best_count < max(RANSAC_MIN_INLIERS, 8):
         raise NoConsensus(f"best inlier count {best_count}")
     E = _essential_from_eight(x1[best_mask], x2[best_mask])
     mask = _sampson_sq(E, x1, x2) < thresh
@@ -194,11 +195,11 @@ def test_estimate_relative_pose_matches_one_sample_loop(intrinsics, outliers):
 
 
 def test_estimate_relative_pose_no_consensus_matches_one_sample_loop(intrinsics):
-    """Pure noise runs all max_iterations, partly in a short last block, in both forms."""
+    """Pure noise runs all RANSAC_MAX_ITERATIONS, partly in a short last block, in both forms."""
     rng = np.random.default_rng(5)
     px1 = rng.uniform(0, 640, (40, 2))
     px2 = rng.uniform(0, 640, (40, 2))
-    cfg = RansacConfig(rng_seed=9, max_iterations=150, inlier_threshold=0.5)
+    cfg = RansacConfig(rng_seed=9, inlier_threshold=0.5)
     ref = _outcome(_estimate_relative_pose_loop, px1, px2, intrinsics, cfg)
     assert ref[0] is NoConsensus
     assert _outcome(estimate_relative_pose, px1, px2, intrinsics, cfg) == ref
