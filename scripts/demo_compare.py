@@ -8,16 +8,21 @@ with each checkout's ``src/``, each in its own Python process and temporary
 directory. Then it compares every output file token by token: a token that
 reads as a float (it holds a '.', an exponent, nan or inf) may differ by at
 most 1e-9; every other token, such as a frame id, a status or a count, must
-be equal. It prints one line per file, the largest float difference or
-``identical`` for equal bytes, and exits 1 when a file is missing on one
-side, a non-float token differs or a float differs by more than 1e-9.
+be equal. The base64 float64 block that ends a model file's FEATURES
+record is decoded first and compared value by value. It prints one line
+per file, the largest float difference or ``identical`` for equal bytes,
+and exits 1 when a file is missing on one side, a non-float token differs
+or a float differs by more than 1e-9.
 Use it where a change moves the last bits of results by design, so that
 ``demo_sha256.py`` cannot show equality.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import math
+import struct
 import subprocess
 import sys
 import tempfile
@@ -53,9 +58,24 @@ def _float(token):
         return None
 
 
+def _tokens(data: bytes):
+    """The file's tokens, with each FEATURES block spelled out as one token per value."""
+    out = []
+    for line in data.decode().splitlines():
+        tok = line.split()
+        if len(tok) == 5 and tok[0] == "FEATURES" and tok[4] != "-":
+            try:
+                raw = base64.b64decode(tok[4], validate=True)
+                tok[4:] = map(repr, struct.unpack(f"<{len(raw) // 8}d", raw))
+            except (binascii.Error, struct.error):
+                pass  # not a block: compared as it stands
+        out.extend(tok)
+    return out
+
+
 def compare_tokens(a: bytes, b: bytes):
     """Largest float difference between two files, or None when another token differs."""
-    ta, tb = a.decode().split(), b.decode().split()
+    ta, tb = _tokens(a), _tokens(b)
     if len(ta) != len(tb):
         return None
     worst = 0.0

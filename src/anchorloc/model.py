@@ -8,7 +8,9 @@ mutated after load; solvers enforce this through freeze masks.
 lift_matches_to_3d turns match rows into CORRESPONDENCE rows (feature,
 landmark, pixel, world), one per landmark; merge_new_landmarks inserts
 triangulated positions with their tracks. Models persist as text through
-textio, which every file of the package goes through.
+textio, which every file of the package goes through: FRAME and LANDMARK
+records spell their numbers out, and each frame's FEATURES record carries
+its pixels and descriptors as one block of float64 bits.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ from .geom import CameraIntrinsics, Pose, quat_to_mat
 from .matching import FeatureSet, best_per_key, records
 from .solvers.bundle import FreezeMask
 from .solvers.triangulation import TriangulationConfig, triangulate_many
-from .textio import FormatError, file_id, finite, fmt, read_records, write_records
+from .textio import FormatError, decode_floats, encode_floats, file_id, finite, fmt, read_records, write_records
 
 FRAME_STATUSES = ("reference", "anchor", "registered", "failed", "pending")
 
-FORMAT_HEADER = "ANCHORLOC_MODEL 1"
+FORMAT_HEADER = "ANCHORLOC_MODEL 2"
 
 # one row per 2D-3D correspondence: query feature, landmark id, pixel, world position
 CORRESPONDENCE = np.dtype([("feature", np.intp), ("landmark", np.intp), ("pixel", float, 2), ("world", float, 3)])
@@ -222,6 +224,10 @@ def merge_new_landmarks(model: SfMModel, positions, tracks) -> int:
 
 # ---------------------------------------------------------------------------
 # persistence: versioned line-oriented text, exact round trips
+#
+#   FRAME <id> <timestamp> <status> <fx> <fy> <cx> <cy> <width> <height> 0|1 [<q0..q3> <t0..t2>]
+#   FEATURES <id> <n> <dim> <block: the n rows u, v, descriptor as encode_floats>
+#   LANDMARK <id> <origin> <x> <y> <z> <m> <frame id> <feature index> ... (m pairs)
 
 
 def save_model(model: SfMModel, path):
@@ -241,10 +247,9 @@ def _model_lines(model: SfMModel):
         else:
             parts.append("0")
         yield " ".join(parts)
-        dim = f.features.descriptors.shape[1] if len(f.features) else 0
-        yield f"FEATURES {fid} {len(f.features)} {dim}"
-        for uv, d in zip(f.features.pixels, f.features.descriptors):
-            yield "F " + fmt(uv[0]) + " " + fmt(uv[1]) + " " + " ".join(fmt(v) for v in d)
+        n = len(f.features)
+        dim = f.features.descriptors.shape[1] if n else 0
+        yield f"FEATURES {fid} {n} {dim} {encode_floats(np.hstack((f.features.pixels, f.features.descriptors)))}"
     for lid in sorted(model.landmarks):
         l = model.landmarks[lid]
         parts = ["LANDMARK", str(lid), l.origin]
@@ -258,25 +263,14 @@ def _model_lines(model: SfMModel):
 
 def load_model(path) -> SfMModel:
     model = SfMModel()
-    frame = None  # the keyword arguments of the FRAME awaiting its features
-    feat_rows, feat_left, feat_dim = [], 0, 0
-
-    def finish_frame():
-        nonlocal frame
-        if frame is not None:
-            pix = np.array([r[:2] for r in feat_rows], dtype=float).reshape(-1, 2)
-            desc = np.array([r[2:] for r in feat_rows], dtype=float) if feat_rows else np.zeros((0, feat_dim))
-            model.add_frame(Frame(features=FeatureSet(pix, desc), **frame))
-            frame = None
-
+    frame = None  # the keyword arguments of the FRAME awaiting its FEATURES record
     # every fault of a record is a ValueError or IndexError, reported at its line
     ln = 1
     try:
         for ln, tok in read_records(path, FORMAT_HEADER):
+            if frame is not None and tok[0] != "FEATURES":
+                raise ValueError(f"FRAME {frame['id']} has no FEATURES record")
             if tok[0] == "FRAME":
-                if feat_left:
-                    raise ValueError("FEATURES block truncated")
-                finish_frame()
                 if len(tok) < 11 or tok[10] not in ("0", "1") or len(tok) != 11 + 7 * int(tok[10]):
                     raise ValueError("FRAME wants 10 fields and pose flag 0, or flag 1 and 7 pose values")
                 fid = file_id(tok[1])
@@ -287,26 +281,19 @@ def load_model(path) -> SfMModel:
                     vals = [finite(v) for v in tok[11:]]
                     pose = Pose(np.array(vals[:4]), np.array(vals[4:]))
                 frame = dict(id=fid, timestamp=finite(tok[2]), intrinsics=intr, pose=pose, status=tok[3])
-                feat_rows, feat_dim = [], 0
             elif tok[0] == "FEATURES":
                 if frame is None or int(tok[1]) != frame["id"]:
                     raise ValueError("FEATURES without matching FRAME")
-                feat_left = int(tok[2])
-                feat_dim = int(tok[3])
-                if feat_left < 0 or feat_dim < 0:
+                if len(tok) != 5:
+                    raise ValueError("FEATURES wants a frame id, a count, a dimension and a block")
+                n, dim = int(tok[2]), int(tok[3])
+                if n < 0 or dim < 0:
                     raise ValueError("negative feature count or dimension")
-            elif tok[0] == "F":
-                if feat_left <= 0:
-                    raise ValueError("unexpected feature row")
-                vals = [finite(v) for v in tok[1:]]
-                if len(vals) != 2 + feat_dim:
-                    raise ValueError(f"feature row has {len(vals)} values")
-                feat_rows.append(vals)
-                feat_left -= 1
+                rows = decode_floats(tok[4], n * (2 + dim)).reshape(n, 2 + dim)
+                # C-contiguous copies, as a model built in memory holds: matching's products keep their bits
+                model.add_frame(Frame(features=FeatureSet(rows[:, :2].copy(), rows[:, 2:].copy()), **frame))
+                frame = None
             elif tok[0] == "LANDMARK":
-                if feat_left:
-                    raise ValueError("FEATURES block truncated")
-                finish_frame()
                 lid = file_id(tok[1])
                 pos = np.array([finite(v) for v in tok[3:6]])
                 n = int(tok[6])
@@ -322,9 +309,8 @@ def load_model(path) -> SfMModel:
                 model.add_landmark(Landmark(lid, pos, tok[2], track))
             else:
                 raise ValueError(f"unknown record {tok[0]!r}")
-        if feat_left:
-            raise ValueError("FEATURES block truncated")
-        finish_frame()
+        if frame is not None:
+            raise ValueError(f"FRAME {frame['id']} has no FEATURES record")
     except (ValueError, IndexError) as e:
         raise FormatError(f"{path}: line {ln}: {e}") from e
     return model

@@ -243,7 +243,10 @@ def _db_retrieval_index(model: SfMModel):
 def register_anchors(model: SfMModel, sequence, anchor_ids, cfg: PipelineConfig):
     """Register anchors to the reference model; one frozen BA at the end.
 
-    Returns (list of registered anchor ids, list of BAEvents).
+    An anchor that has no features or does not register stays pending, so
+    the recursion tries it again as an ordinary frame: a detector's false
+    hit costs no frame. Returns (list of registered anchor ids, list of
+    BAEvents).
     """
     if not anchor_ids:
         raise AllAnchorsFailed("no anchors supplied")
@@ -254,14 +257,11 @@ def register_anchors(model: SfMModel, sequence, anchor_ids, cfg: PipelineConfig)
     for aid in anchor_ids:
         frame = frames[aid]
         if len(frame.features) == 0:
-            frame.status = "failed"
             continue
         cands = retrieve_candidates(db_index, frame, K_RETRIEVAL)
         ok, _, _ = _attempt_registration(model, frame, cands, cfg, "anchor")
         if ok:
             registered.append(aid)
-        else:
-            frame.status = "failed"
     if not registered:
         raise AllAnchorsFailed("no anchor could be registered to the reference model")
     _run_bundle(model, "anchors", ba_events)
@@ -358,9 +358,9 @@ def run_pipeline(model: SfMModel, sequence, detector, cfg: PipelineConfig):
 
     Runs on a copy of the reference model and of the sequence's frames,
     so the caller's model and frames stay as they were; result.model is
-    the augmented copy. The result has one entry per anchor and per frame
-    the recursion attempted, sorted by (timestamp, id), each with its
-    final pose.
+    the augmented copy. The result has one entry per registered anchor
+    and per frame the recursion attempted, sorted by (timestamp, id), each
+    with its final pose.
     """
     model = model.copy()
     sequence = [replace(f) for f in sequence]
@@ -368,9 +368,9 @@ def run_pipeline(model: SfMModel, sequence, detector, cfg: PipelineConfig):
     registered, anchor_ba = register_anchors(model, sequence, anchors, cfg)
     result = recursive_localize(model, sequence, registered, cfg)
     result.ba_events = anchor_ba + result.ba_events
-    # anchors were registered outside the per-frame loop; report them too
+    # the per-frame loop reports every frame but the registered anchors; report them too
     frames = {f.id: f for f in sequence}
-    anchor_events = [TrajectoryEntry(aid, frames[aid].timestamp, frames[aid].status) for aid in anchors]
+    anchor_events = [TrajectoryEntry(aid, frames[aid].timestamp, frames[aid].status) for aid in registered]
     _set_final_poses(model, anchor_events)
     result.frame_events = anchor_events + result.frame_events
     result.frame_events.sort(key=lambda e: (e.timestamp, e.frame_id))

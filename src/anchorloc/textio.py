@@ -2,15 +2,20 @@
 
 Every file the package reads or writes goes through this module. Numbers
 are written with fmt, the shortest text that reads back as the same
-float, and read with finite, which refuses nan and infinities. A reader
-raises FormatError, and only FormatError, when a file is not what it
-expects; the CLI ends that with exit code 3.
+float, and read with finite, which refuses nan and infinities. A block of
+many numbers, such as a frame's features, is one token instead:
+encode_floats writes the float64 bits as base64, and decode_floats reads
+them back exactly. A reader raises FormatError, and only FormatError,
+when a file is not what it expects; the CLI ends that with exit code 3.
 """
 
 from __future__ import annotations
 
+import base64
 import itertools
 import math
+
+import numpy as np
 
 
 class FormatError(Exception):
@@ -28,6 +33,27 @@ def finite(tok: str) -> float:
     if not math.isfinite(x):
         raise ValueError(f"non-finite number {tok!r}")
     return x
+
+
+def encode_floats(values) -> str:
+    """One token holding values as standard padded base64 of little-endian
+    float64, or "-" when there are none."""
+    data = np.asarray(values, dtype="<f8").tobytes()
+    return base64.b64encode(data).decode("ascii") if data else "-"
+
+
+def decode_floats(tok: str, count: int) -> np.ndarray:
+    """The count float64 values an encode_floats token holds, as a read-only
+    array over the decoded bytes. Raises ValueError (binascii.Error is one)
+    for a token that is not base64, holds another number of values, or
+    holds nan or an infinity."""
+    data = b"" if tok == "-" else base64.b64decode(tok, validate=True)
+    if len(data) != 8 * count:
+        raise ValueError(f"block holds {len(data)} bytes, not the {8 * count} of {count} float64 values")
+    values = np.frombuffer(data, dtype="<f8")
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite number in block")
+    return values
 
 
 def file_id(tok: str) -> int:

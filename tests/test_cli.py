@@ -188,6 +188,10 @@ BAD_INPUTS = {
     "database_pose_values": ("data/database.txt", None, "FRAME", 17, None),
     "eval_no_common_frame": ("data/gt_query.txt", "eval", "", 0, "999999"),
     "model_version": ("ref.txt", "--model", "ANCHORLOC_MODEL", 1, "x"),
+    # the last frame's features replaced by a block of one float64 value
+    "features_block": ("ref.txt", "--model", "FEATURES", 4, "AAAAAAAAAAA="),
+    "database_features_block": ("data/database.txt", None, "FEATURES", 4, "not*base64"),
+    "export_features_block": ("ref.txt", "export", "FEATURES", 4, "AAAA"),
     "sequence_last_status": ("data/query.txt", "--sequence", "FRAME", 3, "bogus"),
     # bundle adjustment models one camera: a frame with another focal length
     "database_camera": ("data/database.txt", None, "FRAME", 4, "421.0"),

@@ -6,9 +6,11 @@ raise ``ConfigError`` instead, which it ends with exit code 2), or returns
 records whose numbers are all finite and whose poses have a 4-vector q and
 a 3-vector t. Files are generated from scratch, made by mutating a valid
 file token by token, or made by setting one number of a valid file to nan
-or an infinity, which every reader must refuse.
+or an infinity, which every reader must refuse; a model's feature values
+sit in base64 blocks, so those are decoded, planted and encoded again.
 """
 
+import base64
 import pathlib
 from types import SimpleNamespace
 
@@ -23,6 +25,7 @@ from anchorloc.geom import CameraIntrinsics, Pose
 from anchorloc.matching import FeatureSet
 from anchorloc.metrics import TRAJ_HEADER, TRAJ_STATUSES, TrajectoryEntry, export_trajectory, load_trajectory
 from anchorloc.model import (
+    FORMAT_HEADER,
     FRAME_STATUSES,
     Frame,
     Landmark,
@@ -218,7 +221,7 @@ def test_load_model_mutated(path, m, mutations):
 @FIXED
 @given(st.lists(st.lists(TOKENS, max_size=20).map(" ".join), max_size=8))
 def test_load_model_generated(path, lines):
-    path.write_text("\n".join(["ANCHORLOC_MODEL 1", *lines]) + "\n")
+    path.write_text("\n".join([FORMAT_HEADER, *lines]) + "\n")
     _check_model(path)
 
 
@@ -227,6 +230,31 @@ def test_load_model_generated(path, lines):
 def test_load_model_rejects_nonfinite(path, m, k, token):
     save_model(m, path)
     path.write_text(_inject(path.read_text(), k, token))
+    with pytest.raises(FormatError):
+        load_model(path)
+
+
+def _plant_in_block(text, k, value):
+    """text with the k-th float64 (modulo their count) of its FEATURES blocks set to value."""
+    lines = [line.split() for line in text.splitlines()]
+    blocks = [tok for tok in lines if tok[0] == "FEATURES" and tok[4] != "-"]
+    values = [np.frombuffer(base64.b64decode(tok[4]), "<f8").copy() for tok in blocks]
+    slots = [(i, j) for i, v in enumerate(values) for j in range(len(v))]
+    i, j = slots[k % len(slots)]
+    values[i][j] = value
+    blocks[i][4] = base64.b64encode(values[i].tobytes()).decode()
+    return "\n".join(" ".join(tok) for tok in lines) + "\n"
+
+
+@FIXED
+@given(
+    models(min_frames=1).filter(lambda m: any(len(f.features) for f in m.frames.values())),
+    st.integers(0, 10**6),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+def test_load_model_rejects_nonfinite_block_value(path, m, k, value):
+    save_model(m, path)
+    path.write_text(_plant_in_block(path.read_text(), k, value))
     with pytest.raises(FormatError):
         load_model(path)
 

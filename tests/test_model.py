@@ -1,4 +1,6 @@
+import base64
 import copy
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -202,12 +204,17 @@ def test_save_load_round_trip_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def _block(*values):
+    """A FEATURES block written apart from the package: base64 of little-endian float64."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode() if values else "-"
+
+
 def test_load_model_format_errors(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("")
     with pytest.raises(FormatError):
         load_model(p)
-    p.write_text("WRONG 1\n")
+    p.write_text("WRONG 2\n")
     with pytest.raises(FormatError):
         load_model(p)
     p.write_text("ANCHORLOC_MODEL 99\n")
@@ -216,54 +223,62 @@ def test_load_model_format_errors(tmp_path):
     p.write_text("ANCHORLOC_MODEL x\n")
     with pytest.raises(FormatError, match="line 1"):
         load_model(p)
-    p.write_text("ANCHORLOC_MODEL 1\nGARBAGE x y\n")
+    p.write_text("ANCHORLOC_MODEL 2\nGARBAGE x y\n")
     with pytest.raises(FormatError):
         load_model(p)
-    # truncated FEATURES block
-    p.write_text(
-        "ANCHORLOC_MODEL 1\n"
-        "FRAME 0 0.0 pending 400.0 400.0 320.0 240.0 640 480 0\n"
-        "FEATURES 0 2 4\n"
-        "F 1.0 2.0 0.0 0.0 0.0 0.0\n"
-    )
-    with pytest.raises(FormatError):
+    head = "ANCHORLOC_MODEL 2\nFRAME 0 0.0 pending 400.0 400.0 320.0 240.0 640 480 0\n"
+    # version 1 wrote one F record per feature; it has no reader
+    p.write_text(head.replace(" 2\n", " 1\n", 1) + "FEATURES 0 1 4\nF 1.0 2.0 0.0 0.0 0.0 0.0\n")
+    with pytest.raises(FormatError, match="line 1"):
         load_model(p)
+    # a FEATURES record holds its whole block: one value short, not base64,
+    # no block at all, or a block followed by a version-1 F record
+    for features in (
+        f"FEATURES 0 2 4 {_block(*range(11))}\n",
+        "FEATURES 0 1 4 not*base64\n",
+        "FEATURES 0 1 4\n",
+        f"FEATURES 0 1 4 {_block(1.0, 2.0, 0.0, 0.0, 0.0, 0.0)} -\n",
+        "FEATURES 0 0 4 -\nF 1.0 2.0 0.0 0.0 0.0 0.0\n",
+    ):
+        p.write_text(head + features)
+        with pytest.raises(FormatError, match="line [34]"):
+            load_model(p)
+    # every FRAME is followed by its FEATURES record
+    for rest in ("", "LANDMARK 0 reference 1.0 2.0 3.0 0\n"):
+        p.write_text(head + rest)
+        with pytest.raises(FormatError, match="no FEATURES record"):
+            load_model(p)
     # landmark tracks must name an existing frame and one of its features
-    frame = (
-        "ANCHORLOC_MODEL 1\n"
-        "FRAME 0 0.0 pending 400.0 400.0 320.0 240.0 640 480 0\n"
-        "FEATURES 0 1 4\n"
-        "F 1.0 2.0 0.0 0.0 0.0 0.0\n"
-    )
+    frame = head + f"FEATURES 0 1 4 {_block(1.0, 2.0, 0.0, 0.0, 0.0, 0.0)}\n"
     p.write_text(frame + "LANDMARK 0 reference 1.0 2.0 3.0 1 0 0\n")
-    assert load_model(p).landmarks[0].track == [(0, 0)]
+    model = load_model(p)
+    assert model.landmarks[0].track == [(0, 0)]
+    assert model.frames[0].features.pixels.tolist() == [[1.0, 2.0]]
     for track in ("7 0", "0 1", "0 -1"):
         p.write_text(frame + f"LANDMARK 0 reference 1.0 2.0 3.0 1 {track}\n")
-        with pytest.raises(FormatError, match="line 5"):
+        with pytest.raises(FormatError, match="line 4"):
             load_model(p)
     # a LANDMARK record ends with its declared track, which names each
     # observation once: a repeat would count twice in bundle adjustment
     for track in ("1 0 0 5", "2 0 0 0 0"):
         p.write_text(frame + f"LANDMARK 0 reference 1.0 2.0 3.0 {track}\n")
-        with pytest.raises(FormatError, match="line 5"):
+        with pytest.raises(FormatError, match="line 4"):
             load_model(p)
     # a FRAME record has 10 fields, a pose flag 0 or 1 and, with flag 1,
     # exactly 7 pose values
     fields = "FRAME 0 0.0 pending 400.0 400.0 320.0 240.0 640 480"
     for pose in ("2", "1 1.0 0.0 0.0", "1 1.0 0.0 0.0 0.0 1.0 2.0", "1 1.0 0.0 0.0 0.0 1.0 2.0 3.0 4.0", "0 1.0"):
-        p.write_text(f"ANCHORLOC_MODEL 1\n{fields} {pose}\nFEATURES 0 0 4\n")
+        p.write_text(f"ANCHORLOC_MODEL 2\n{fields} {pose}\nFEATURES 0 0 4 -\n")
         with pytest.raises(FormatError, match="line 2"):
             load_model(p)
-    p.write_text(f"ANCHORLOC_MODEL 1\n{fields} 1 1.0 0.0 0.0 0.0 1.0 2.0 3.0\nFEATURES 0 0 4\n")
+    p.write_text(f"ANCHORLOC_MODEL 2\n{fields} 1 1.0 0.0 0.0 0.0 1.0 2.0 3.0\nFEATURES 0 0 4 -\n")
     assert load_model(p).frames[0].pose.t.tolist() == [1.0, 2.0, 3.0]
     # a negative descriptor dimension would admit feature rows of one value
-    p.write_text(
-        "ANCHORLOC_MODEL 1\nFRAME 0 0.0 pending 400.0 400.0 320.0 240.0 640 480 0\nFEATURES 0 2 -1\nF 1.0\nF 2.0\n"
-    )
+    p.write_text(head + f"FEATURES 0 2 -1 {_block(1.0, 2.0)}\n")
     with pytest.raises(FormatError, match="line 3"):
         load_model(p)
-    # the last FRAME record is checked like every other one
+    # the last FRAME record is checked like every other one, when its FEATURES record completes it
     for last in ("FRAME 1 1.0 bogus", "FRAME 0 1.0 pending"):
-        p.write_text(frame + last + " 400.0 400.0 320.0 240.0 640 480 0\nFEATURES " + last.split()[1] + " 0 4\n")
-        with pytest.raises(FormatError, match="line 6"):
+        p.write_text(frame + last + " 400.0 400.0 320.0 240.0 640 480 0\nFEATURES " + last.split()[1] + " 0 4 -\n")
+        with pytest.raises(FormatError, match="line 5"):
             load_model(p)

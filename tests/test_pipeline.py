@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,8 @@ from anchorloc.pipeline import (
     register_anchors,
     run_pipeline,
 )
-from conftest import no_features, query_frames, query_gt
+from anchorloc.synth import anchor_scores, build_reference_model, generate_scene
+from conftest import SMALL_SCENE, no_features, query_frames, query_gt
 
 
 def _registered_ids(result):
@@ -127,3 +130,25 @@ def test_backward_pass_registers_frames_before_the_first_anchor(small_scene, sma
         assert ev.frozen_digest_before == ev.frozen_digest_after
         assert ev.cost_after <= ev.cost_before
     assert max(ev.free_cameras for ev in result.ba_events) == _BA_WINDOW
+
+
+def test_noisy_detector_loses_no_frame():
+    """A detector that errs: false hits across a texture-poor arc, where a
+    frame does not register against the reference alone, false hits that
+    do register, and a true anchor missed. Every hit that fails as an
+    anchor is localized by the recursion like any other frame."""
+    scene = generate_scene(replace(SMALL_SCENE, texture_poor_arcs=[(150.0, 170.0, 0.3)]))
+    reference = build_reference_model(scene)
+    seq = query_frames(scene)
+    arc = [100034, 100035, 100036]
+    for frame in (replace(f) for f in seq if f.id in arc):
+        with pytest.raises(AllAnchorsFailed):
+            register_anchors(reference.copy(), [frame], [frame.id], PipelineConfig())
+    scores = anchor_scores(scene)
+    assert scores[100000] >= 0.5
+    scores.update(dict.fromkeys([100020, *arc, 100060], 1.0))
+    scores[100000] = 0.0
+    result = run_pipeline(reference, seq, detector_from_scores(scores), PipelineConfig())
+    fids = [e.frame_id for e in result.frame_events]
+    assert sorted(fids) == sorted(f.id for f in seq)
+    assert len(_registered_ids(result)) >= 0.99 * len(seq)
