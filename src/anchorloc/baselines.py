@@ -80,15 +80,15 @@ def single_image_localize(model: SfMModel, sequence, cfg: PipelineConfig) -> Bas
     return BaselineReport(results)
 
 
-def _find_init_pair(frames, cfg: PipelineConfig, max_gap=50):
-    """Best two-view seed: pairs within max_gap frames, most inlier
+def _find_init_pair(frames, cfg: PipelineConfig):
+    """Best two-view seed: pairs within 50 frames, most inlier
     matches first, accepted when the refined relative pose actually
     triangulates most of its inliers. The support gate matters: a pose
     consistent with the epipolar gate can still be wrong on shallow-relief
     geometry, and high-match pairs can be near-pure rotation."""
     scored = []
     for i in range(0, len(frames), 3):
-        for gap in (1, 2, 5, 10, 25, max_gap):
+        for gap in (1, 2, 5, 10, 25, 50):
             j = i + gap
             if j >= len(frames):
                 continue

@@ -129,7 +129,7 @@ def cmd_synth(args):
     save_model(_frames_to_model(dataset.query, intr, "pending", False), os.path.join(args.out, "query.txt"))
     save_ground_truth(dataset.database, os.path.join(args.out, "gt_database.txt"))
     save_ground_truth(dataset.query, os.path.join(args.out, "gt_query.txt"))
-    save_scores(anchor_scores(dataset, "query"), os.path.join(args.out, "anchor_scores.txt"))
+    save_scores(anchor_scores(dataset), os.path.join(args.out, "anchor_scores.txt"))
     tracks = (f"{sf.id} {fidx} {int(lid)}" for sf in dataset.database for fidx, lid in enumerate(sf.feat_landmark_ids))
     write_records(os.path.join(args.out, "tracks_db.txt"), TRACKS_HEADER, tracks)
 

@@ -1,12 +1,12 @@
 """Flat key-value run configuration files.
 
 Lines look like ``scene.landmark_count = 4000``; '#' starts a comment.
-The keys are the scene's fields (``scene.*``) and the localizers' RANSAC
-seed (``pipeline.ransac.rng_seed``); any other key fails to parse. The
-method's other parameters are module constants (see README.md). Values
-are coerced to the field's type. Texture-poor arcs and query pans are
-written as colon-joined triples, comma-separated; sweep elevations are a
-comma-separated pair.
+The eleven keys are SceneConfig's ten fields (``scene.*``) and the
+localizers' RANSAC seed (``pipeline.ransac.rng_seed``); any other key
+fails to parse. The scene's and the method's other parameters are module
+constants (see README.md). Values are coerced to the field's type.
+Texture-poor arcs and query pans are written as colon-joined triples,
+comma-separated.
 """
 
 from __future__ import annotations
@@ -46,11 +46,6 @@ def _coerce(field: dataclasses.Field, value: str):
         return _parse_triples(value, "arc")
     if field.name == "query_pans":
         return [(int(s), int(e), z) for s, e, z in _parse_triples(value, "pan")]
-    if field.name == "db_sweep_z_offsets":
-        bits = [float(s) for s in value.split(",")]
-        if len(bits) != 2:
-            raise ConfigError(f"db_sweep_z_offsets wants two values, got {value!r}")
-        return tuple(bits)
     raise ConfigError(f"cannot parse value for {field.name}")
 
 

@@ -309,7 +309,7 @@ def recursive_localize(model: SfMModel, sequence, anchor_ids, cfg: PipelineConfi
 
     backward = [f for f in seq if f.status == "pending" and f.timestamp < t0]
     passes = [
-        ("forward", [f for f in seq if f.status == "pending" and f.timestamp > t0]),
+        ("forward", [f for f in seq if f.status == "pending" and f.timestamp >= t0]),
         ("backward", backward[::-1]),
     ]
 

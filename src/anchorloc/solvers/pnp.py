@@ -99,8 +99,8 @@ def _solve_rows(J, r):
         return x, solved
 
 
-def _polish_distances(s, ca, cb, cg, a2, b2, c2, steps=3):
-    """Gauss-Newton on the three law-of-cosines equations, per row of (k,3) distances.
+def _polish_distances(s, ca, cb, cg, a2, b2, c2):
+    """Up to three Gauss-Newton steps on the law-of-cosines equations, per row of (k,3) distances.
 
     A row stops on a singular Jacobian or a step to a non-positive
     distance (step rejected), or once its residual is below 1e-14 (step
@@ -108,7 +108,7 @@ def _polish_distances(s, ca, cb, cg, a2, b2, c2, steps=3):
     """
     s = s.copy()
     active = np.ones(len(s), dtype=bool)
-    for _ in range(steps):
+    for _ in range(3):
         s1, s2, s3 = s.T
         r = np.stack(
             [
@@ -243,12 +243,12 @@ def grunert_block(world, bearings):
     return sample, R, t, degenerate
 
 
-def solve_p3p_block(world, pixels, intr: CameraIntrinsics, residual_tol=1e-4):
+def solve_p3p_block(world, pixels, intr: CameraIntrinsics):
     """P3P over a block of 3-point samples: world (B,3,3), pixels (B,3,2).
 
     Returns grunert_block's (rows, R, t, degenerate), keeping only the
-    candidates that reproject all three sample points within residual_tol
-    pixels and in front of the camera.
+    candidates that reproject all three sample points within 1e-4 pixels
+    and in front of the camera.
     """
     world = np.asarray(world, dtype=float)
     pixels = np.asarray(pixels, dtype=float)
@@ -257,7 +257,7 @@ def solve_p3p_block(world, pixels, intr: CameraIntrinsics, residual_tol=1e-4):
     uv, z = project_many(R, t, intr, world[rows])
     with np.errstate(invalid="ignore"):
         err = np.max(np.linalg.norm(uv - pixels[rows], axis=2), axis=1)
-    ok = np.all(z > 0, axis=1) & ~(err > residual_tol)
+    ok = np.all(z > 0, axis=1) & ~(err > 1e-4)
     return rows[ok], R[ok], t[ok], degenerate
 
 

@@ -115,8 +115,8 @@ def _sampson_residuals(R, t, x1, x2):
     return num / np.maximum(np.sqrt(den2), 1e-18)
 
 
-def refine_relative_pose(pose: Pose, pixels1, pixels2, intr: CameraIntrinsics, iterations=30):
-    """Gauss-Newton on Sampson error over the 5-dof relative pose.
+def refine_relative_pose(pose: Pose, pixels1, pixels2, intr: CameraIntrinsics):
+    """Up to 30 Gauss-Newton iterations on Sampson error over the 5-dof relative pose.
 
     The linear eight-point estimate degrades badly on shallow-relief
     (near-planar) geometry; this polishes it on the given inlier matches.
@@ -133,7 +133,7 @@ def refine_relative_pose(pose: Pose, pixels1, pixels2, intr: CameraIntrinsics, i
     cost = float(r @ r)
     lam = 1e-4
     eps = 1e-7
-    for _ in range(iterations):
+    for _ in range(30):
         # numeric jacobian: 3 rotation params, 2 in the tangent of the
         # unit translation sphere
         U, _, _ = np.linalg.svd(np.eye(3) - np.outer(t, t))

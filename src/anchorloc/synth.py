@@ -16,6 +16,7 @@ so identical configs give bit-identical datasets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +26,27 @@ from .matching import FeatureSet
 from .model import Frame, Landmark, SfMModel, triangulate_tracks
 from .solvers.triangulation import ACCEPTED, TriangulationConfig
 
-# tracks triangulated per call, so a large group's stacked arrays never exist at once
-_TRACK_CHUNK = 128
+# ring centerline radius and wall (tube) radius
+MAJOR_RADIUS = 100.0
+MINOR_RADIUS = 30.0
+# the unique insert-point object: landmark count, ring angle and angular half-spread
+UNIQUE_COUNT = 80
+UNIQUE_ANGLE_DEG = 0.0
+UNIQUE_SPREAD_DEG = 6.0
+# descriptor length and noise, pixel noise (px), share of swapped descriptors
+DESCRIPTOR_DIM = 32
+DESCRIPTOR_NOISE = 0.05
+PIXEL_NOISE = 0.5
+OUTLIER_RATE = 0.05
+# look-at elevation per mapping sweep: the second sweep tilts up so the
+# reference model also covers the upper wall
+DB_SWEEP_Z_OFFSETS = (0.0, 18.0)
+# image size in pixels; the principal point is its center
+WIDTH = 640
+HEIGHT = 480
+# a landmark is observed between these depths, in multiples of MINOR_RADIUS
+MIN_DEPTH_FACTOR = 0.15
+MAX_DEPTH_FACTOR = 5.0
 
 
 class ConfigInvalid(Exception):
@@ -36,49 +56,37 @@ class ConfigInvalid(Exception):
 @dataclass
 class SceneConfig:
     rng_seed: int = 7
-    major_radius: float = 100.0
-    minor_radius: float = 30.0
     landmark_count: int = 4000
     aliased_group_count: int = 150
     aliased_group_size: int = 8
     # (start deg, end deg, density multiplier in [0,1])
     texture_poor_arcs: list = field(default_factory=list)
-    unique_count: int = 80
-    unique_angle_deg: float = 0.0
-    unique_spread_deg: float = 6.0
-    descriptor_dim: int = 32
-    descriptor_noise: float = 0.05
-    pixel_noise: float = 0.5
-    outlier_rate: float = 0.05
     n_database_frames: int = 400
     n_query_frames: int = 300
-    # look-at elevation per mapping sweep: the second sweep tilts up so
-    # the reference model also covers the upper wall
-    db_sweep_z_offsets: tuple = (0.0, 18.0)
     # (start idx, end idx, target z offset) pan pauses in the query sweep
     query_pans: list = field(default_factory=list)
     fx: float = 500.0
     fy: float = 500.0
-    width: int = 640
-    height: int = 480
-    max_depth_factor: float = 5.0  # times minor radius
-    min_depth_factor: float = 0.15
 
     def __post_init__(self):
         if self.rng_seed < 0:
             raise ConfigInvalid("rng_seed must be non-negative")
         if self.landmark_count < 1 or self.n_database_frames < 2 or self.n_query_frames < 1:
             raise ConfigInvalid("counts must be positive")
-        if not 0.0 <= self.outlier_rate < 1.0:
-            raise ConfigInvalid("outlier_rate must be in [0,1)")
+        if self.aliased_group_count < 0:
+            raise ConfigInvalid("aliased_group_count must be non-negative")
+        if not all(math.isfinite(f) and f > 0 for f in (self.fx, self.fy)):
+            raise ConfigInvalid("fx and fy must be finite and positive")
         for arc in self.texture_poor_arcs:
             if not 0.0 <= arc[2] <= 1.0:
                 raise ConfigInvalid("density multiplier must be in [0,1]")
             if not (0.0 <= arc[0] < 360.0 and 0.0 <= arc[1] <= 360.0):
                 raise ConfigInvalid("arc angles must be in [0,360)")
+        if not all(math.isfinite(pan[2]) for pan in self.query_pans):
+            raise ConfigInvalid("pan z offsets must be finite")
 
     def intrinsics(self):
-        return CameraIntrinsics(self.fx, self.fy, self.width / 2.0, self.height / 2.0, self.width, self.height)
+        return CameraIntrinsics(self.fx, self.fy, WIDTH / 2.0, HEIGHT / 2.0, WIDTH, HEIGHT)
 
 
 @dataclass
@@ -94,10 +102,7 @@ class SynthFrame:
 class SyntheticDataset:
     config: SceneConfig
     landmark_positions: np.ndarray
-    base_descriptors: np.ndarray
     unique_ids: np.ndarray
-    landmark_angles: np.ndarray
-    db_visible: np.ndarray  # landmarks the mapping pass picked up
     database: list  # SynthFrame, both sweeps concatenated
     query: list
 
@@ -147,34 +152,34 @@ def _generate_landmarks(cfg: SceneConfig):
         db_visible &= ~inside | (keep_draw < density)
 
     # unique insert-point object, appended after the regular landmarks
-    u0 = np.radians(cfg.unique_angle_deg)
-    spread = np.radians(cfg.unique_spread_deg)
+    u0 = np.radians(UNIQUE_ANGLE_DEG)
+    spread = np.radians(UNIQUE_SPREAD_DEG)
     # the insert-point object is compact, so keep it inside the vertical
     # field of view from the ring centerline
-    utheta = u0 + rng.uniform(-spread, spread, cfg.unique_count)
-    uphi = rng.uniform(-0.45, 0.45, cfg.unique_count)
+    utheta = u0 + rng.uniform(-spread, spread, UNIQUE_COUNT)
+    uphi = rng.uniform(-0.45, 0.45, UNIQUE_COUNT)
     theta = np.concatenate([theta, utheta])
     phi = np.concatenate([phi, uphi])
-    db_visible = np.concatenate([db_visible, np.ones(cfg.unique_count, dtype=bool)])
+    db_visible = np.concatenate([db_visible, np.ones(UNIQUE_COUNT, dtype=bool)])
     n = len(theta)
 
-    rho = cfg.major_radius + cfg.minor_radius * np.cos(phi)
-    pos = np.stack([rho * np.cos(theta), rho * np.sin(theta), cfg.minor_radius * np.sin(phi)], axis=1)
+    rho = MAJOR_RADIUS + MINOR_RADIUS * np.cos(phi)
+    pos = np.stack([rho * np.cos(theta), rho * np.sin(theta), MINOR_RADIUS * np.sin(phi)], axis=1)
 
-    descs = _random_unit(rng, n, cfg.descriptor_dim)
-    unique_ids = np.arange(n - cfg.unique_count, n)
+    descs = _random_unit(rng, n, DESCRIPTOR_DIM)
+    unique_ids = np.arange(n - UNIQUE_COUNT, n)
 
     # aliasing: standardized parts repeated at regular angular stations.
     # All groups share the same grid of stations (offset half a spacing
     # from the unique object so the anchor zone stays distinctive), so the
     # stations look nearly identical to each other in descriptor space.
-    n_regular = n - cfg.unique_count
+    n_regular = n - UNIQUE_COUNT
     if cfg.aliased_group_count and cfg.aliased_group_size > 1 and n_regular:
-        group_descs = _random_unit(rng, cfg.aliased_group_count, cfg.descriptor_dim)
+        group_descs = _random_unit(rng, cfg.aliased_group_count, DESCRIPTOR_DIM)
         unassigned = np.ones(n_regular, dtype=bool)
         tregular = theta[:n_regular]
         spacing = 2 * np.pi / cfg.aliased_group_size
-        grid0 = np.radians(cfg.unique_angle_deg) + 0.5 * spacing
+        grid0 = np.radians(UNIQUE_ANGLE_DEG) + 0.5 * spacing
         for g in range(cfg.aliased_group_count):
             jit = rng.normal(0.0, 0.05)
             for k in range(cfg.aliased_group_size):
@@ -187,7 +192,7 @@ def _generate_landmarks(cfg: SceneConfig):
                 descs[j] = group_descs[g]
                 unassigned[j] = False
 
-    return pos, descs, unique_ids, theta, db_visible
+    return pos, descs, unique_ids, db_visible
 
 
 def _sweep_poses(cfg: SceneConfig, n, stream, t0, z_offset=0.0, pans=()):
@@ -200,24 +205,24 @@ def _sweep_poses(cfg: SceneConfig, n, stream, t0, z_offset=0.0, pans=()):
     """
     rng = np.random.default_rng([cfg.rng_seed, 1, stream])
     phase = rng.uniform(0.0, 2 * np.pi, 4)
-    amp_r = 0.03 * cfg.minor_radius
-    amp_z = 0.03 * cfg.minor_radius
+    amp_r = 0.03 * MINOR_RADIUS
+    amp_z = 0.03 * MINOR_RADIUS
     jitter = rng.normal(0.0, 0.01, (n, 3))
-    start = np.radians(cfg.unique_angle_deg)
+    start = np.radians(UNIQUE_ANGLE_DEG)
     centers = []
     targets = []
     for i in range(n):
         th = start + 2 * np.pi * i / n
-        r = cfg.major_radius + amp_r * np.sin(3 * th + phase[0])
+        r = MAJOR_RADIUS + amp_r * np.sin(3 * th + phase[0])
         z = amp_z * np.sin(2 * th + phase[1])
         centers.append(np.array([r * np.cos(th), r * np.sin(th), z]) + jitter[i] * 0.1)
-        wall = cfg.major_radius + cfg.minor_radius
+        wall = MAJOR_RADIUS + MINOR_RADIUS
         targets.append(
             np.array(
                 [
                     wall * np.cos(th + 0.02 * np.sin(th + phase[2])),
                     wall * np.sin(th + 0.02 * np.sin(th + phase[2])),
-                    z_offset + 0.2 * cfg.minor_radius * np.sin(4 * th + phase[3]),
+                    z_offset + 0.2 * MINOR_RADIUS * np.sin(4 * th + phase[3]),
                 ]
             )
         )
@@ -233,41 +238,39 @@ def _sweep_poses(cfg: SceneConfig, n, stream, t0, z_offset=0.0, pans=()):
 def _observe(cfg: SceneConfig, intr, fid, pose, positions, descs, active=None):
     rng = np.random.default_rng([cfg.rng_seed, 2, fid])
     uv, z = project_many(pose.R, pose.t, intr, positions)
-    zmin = cfg.min_depth_factor * cfg.minor_radius
-    zmax = cfg.max_depth_factor * cfg.minor_radius
+    zmin = MIN_DEPTH_FACTOR * MINOR_RADIUS
+    zmax = MAX_DEPTH_FACTOR * MINOR_RADIUS
     vis = (z > zmin) & (z < zmax)
     if active is not None:
         vis &= active
     vis &= intr.in_bounds(uv)
     idx = np.nonzero(vis)[0]
 
-    pix = uv[idx] + rng.normal(0.0, cfg.pixel_noise, (len(idx), 2)) if cfg.pixel_noise > 0 else uv[idx].copy()
-    if cfg.pixel_noise == 0:
-        rng.normal(0.0, 1.0, (len(idx), 2))  # keep the stream layout stable
+    pix = uv[idx] + rng.normal(0.0, PIXEL_NOISE, (len(idx), 2))
     inb = intr.in_bounds(pix)
     idx = idx[inb]
     pix = pix[inb]
 
-    d = descs[idx] + rng.normal(0.0, cfg.descriptor_noise, (len(idx), cfg.descriptor_dim))
+    d = descs[idx] + rng.normal(0.0, DESCRIPTOR_NOISE, (len(idx), DESCRIPTOR_DIM))
     d = d / np.maximum(np.linalg.norm(d, axis=1)[:, None], 1e-12)
 
     # outlier injection: swapped descriptor identities
-    n_out = int(round(cfg.outlier_rate * len(idx)))
+    n_out = int(round(OUTLIER_RATE * len(idx)))
     if n_out:
         swap_pos = rng.choice(len(idx), size=n_out, replace=False)
         swap_src = rng.integers(0, len(descs), size=n_out)
-        dd = descs[swap_src] + rng.normal(0.0, cfg.descriptor_noise, (n_out, cfg.descriptor_dim))
+        dd = descs[swap_src] + rng.normal(0.0, DESCRIPTOR_NOISE, (n_out, DESCRIPTOR_DIM))
         d[swap_pos] = dd / np.maximum(np.linalg.norm(dd, axis=1)[:, None], 1e-12)
 
     return FeatureSet(pix, d), idx
 
 
 def generate_scene(cfg: SceneConfig) -> SyntheticDataset:
-    positions, descs, unique_ids, angles, db_visible = _generate_landmarks(cfg)
+    positions, descs, unique_ids, db_visible = _generate_landmarks(cfg)
     intr = cfg.intrinsics()
 
     n_half = cfg.n_database_frames // 2
-    z0, z1 = cfg.db_sweep_z_offsets
+    z0, z1 = DB_SWEEP_Z_OFFSETS
     sweeps = [
         (0, _sweep_poses(cfg, n_half, 0, 0.0, z_offset=z0)),
         (n_half, _sweep_poses(cfg, cfg.n_database_frames - n_half, 1, 10000.0, z_offset=z1)),
@@ -287,7 +290,7 @@ def generate_scene(cfg: SceneConfig) -> SyntheticDataset:
         feats, lmids = _observe(cfg, intr, fid, pose, positions, descs)
         query.append(SynthFrame(fid, ts, pose, feats, lmids))
 
-    return SyntheticDataset(cfg, positions, descs, unique_ids, angles, db_visible, database, query)
+    return SyntheticDataset(cfg, positions, unique_ids, database, query)
 
 
 def build_reference_model(dataset: SyntheticDataset) -> SfMModel:
@@ -313,7 +316,7 @@ def reference_model_from_tracks(frames, tracks) -> SfMModel:
     lists, triangulating each track from its (noisy) pixels.
 
     The frames share one camera model. Tracks of one length are
-    triangulated together, _TRACK_CHUNK at a time; landmarks go in by id.
+    triangulated in one call; landmarks go in by id.
     """
     model = SfMModel()
     for fr in frames:
@@ -330,23 +333,20 @@ def reference_model_from_tracks(frames, tracks) -> SfMModel:
         if len(track) >= 2:
             by_length.setdefault(len(track), []).append(lid)
     positions = {}
-    for group in by_length.values():
-        for s in range(0, len(group), _TRACK_CHUNK):
-            lids = group[s : s + _TRACK_CHUNK]
-            X, code = triangulate_tracks(model.frames, [tracks[lid] for lid in lids], intr, tri_cfg)
-            positions.update((lid, X[k].copy()) for k, lid in enumerate(lids) if code[k] == ACCEPTED)
+    for lids in by_length.values():
+        X, code = triangulate_tracks(model.frames, [tracks[lid] for lid in lids], intr, tri_cfg)
+        positions.update((lid, X[k].copy()) for k, lid in enumerate(lids) if code[k] == ACCEPTED)
     for lid in sorted(positions):
         model.add_landmark(Landmark(lid, positions[lid], "reference", list(tracks[lid])))
     return model
 
 
-def anchor_scores(dataset: SyntheticDataset, which="query"):
-    """Per-frame fraction of unique-object landmarks among its features."""
-    frames = dataset.query if which == "query" else dataset.database
+def anchor_scores(dataset: SyntheticDataset):
+    """Per query frame, the fraction of the unique-object landmarks among its features."""
     uniq = set(int(i) for i in dataset.unique_ids)
     total = max(len(uniq), 1)
     return {
         sf.id: len(uniq.intersection(int(i) for i in sf.feat_landmark_ids)) / total
-        for sf in frames
+        for sf in dataset.query
     }
 

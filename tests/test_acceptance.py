@@ -32,7 +32,7 @@ from anchorloc.solvers import (
 )
 from anchorloc.solvers.pnp import solve_p3p_block
 from anchorloc.solvers.triangulation import ACCEPTED
-from anchorloc.synth import anchor_scores, build_reference_model, generate_scene
+from anchorloc.synth import DESCRIPTOR_DIM, anchor_scores, build_reference_model, generate_scene
 from conftest import (
     SMALL_SCENE,
     mean_reprojection_error,
@@ -390,7 +390,7 @@ def test_occlusion_gap_fails_and_recovers(small_reference, small_scene, small_sc
     gap = range(30, 50)
     seq = []
     for i, sf in enumerate(small_scene.query):
-        feats = no_features(small_scene.config.descriptor_dim) if i in gap else sf.features
+        feats = no_features(DESCRIPTOR_DIM) if i in gap else sf.features
         seq.append(Frame(sf.id, sf.timestamp, intr, feats, None, "pending"))
     result = run_pipeline(
         small_reference, seq, detector_from_scores(small_scores), PipelineConfig()

@@ -4,6 +4,7 @@ import pytest
 
 from anchorloc.cli import main
 from anchorloc.metrics import TRAJ_HEADER
+from test_config import FORMER_SCENE_KEYS
 
 CFG = """
 scene.rng_seed = 11
@@ -113,6 +114,19 @@ def test_exit_code_config_error(workdir, tmp_path, capsys):
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "d")]) == 2
     bad.write_text("scene.landmark_count = abc\n")
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "d")]) == 2
+    # scene values that would crash synth or give it a broken dataset, and
+    # the keys that became synth constants
+    for line in (
+        "scene.fx = nan",
+        "scene.fx = inf",
+        "scene.fy = 0",
+        "scene.aliased_group_count = -3",
+        "scene.query_pans = 5:10:nan",
+        *(f"{key} = 1" for key in FORMER_SCENE_KEYS),
+    ):
+        bad.write_text(line + "\n")
+        assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "d")]) == 2, line
+    assert not (tmp_path / "d").exists()
     # a negative scene seed, from the config or from --seed
     bad.write_text("scene.rng_seed = -3\n")
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "d")]) == 2

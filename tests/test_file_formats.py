@@ -320,8 +320,8 @@ def test_load_trajectory_checks_status(path, es, k, token):
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 CONFIG_KEYS = [prefix + name for prefix, fields in _SECTIONS.items() for name in fields]
 NUMBERS = st.sampled_from(["0", "1", "-5", "0.15", "1.5", "28", "360", "1e400", "inf", "-inf", "nan", "x"])
-# the list values: colon-joined triples, comma-separated, and a comma-joined pair
-LIST_KEYS = ["scene.texture_poor_arcs", "scene.query_pans", "scene.db_sweep_z_offsets"]
+# the list values: colon-joined triples, comma-separated
+LIST_KEYS = ["scene.texture_poor_arcs", "scene.query_pans"]
 LISTS = st.lists(st.lists(NUMBERS, min_size=2, max_size=3).map(":".join), min_size=1, max_size=2).map(", ".join)
 CONFIG_LINES = st.one_of(
     st.builds("{} = {}".format, st.sampled_from(CONFIG_KEYS), NUMBERS | TOKENS),
@@ -330,11 +330,13 @@ CONFIG_LINES = st.one_of(
 )
 
 def _check_config(path):
-    """Parse path; a config that parses must be one the localizer can run."""
+    """Parse path; a config that parses must be one synth and the localizer can run."""
     try:
-        _, pipe = parse_run_config(path)
+        scene, pipe = parse_run_config(path)
     except ConfigError:
         return
+    intr = scene.intrinsics()
+    assert np.isfinite([intr.fx, intr.fy]).all() and min(intr.fx, intr.fy) > 0
     assert pipe == PipelineConfig(RansacConfig(rng_seed=pipe.ransac.rng_seed))
     # any seed gives every frame a RANSAC stream
     np.random.default_rng(_frame_seed(pipe, 0))

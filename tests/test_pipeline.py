@@ -152,3 +152,15 @@ def test_noisy_detector_loses_no_frame():
     fids = [e.frame_id for e in result.frame_events]
     assert sorted(fids) == sorted(f.id for f in seq)
     assert len(_registered_ids(result)) >= 0.99 * len(seq)
+
+
+def test_frame_sharing_the_first_anchor_timestamp_is_reported(small_scene, small_reference, small_scores):
+    """A frame stamped with the first anchor's time is attempted by the
+    forward pass, so every frame is reported exactly once."""
+    seq = query_frames(small_scene)
+    t0 = next(f.timestamp for f in seq if f.id == 100000)
+    seq = [replace(f, timestamp=t0) if f.id == 100011 else f for f in seq]
+    result = run_pipeline(small_reference, seq, detector_from_scores(small_scores), PipelineConfig())
+    assert min((e for e in result.frame_events if e.status == "anchor"), key=lambda e: e.timestamp).frame_id == 100000
+    fids = [e.frame_id for e in result.frame_events]
+    assert sorted(fids) == sorted(f.id for f in seq)

@@ -4,6 +4,7 @@ import pytest
 from anchorloc.synth import (
     ConfigInvalid,
     SceneConfig,
+    _generate_landmarks,
     anchor_scores,
     build_reference_model,
     generate_scene,
@@ -11,10 +12,13 @@ from anchorloc.synth import (
 from conftest import SMALL_SCENE
 
 
+def _ring_angles_deg(positions):
+    """Ring angle of each landmark position in [0, 360)."""
+    return np.mod(np.degrees(np.arctan2(positions[:, 1], positions[:, 0])), 360.0)
+
+
 def _datasets_equal(a, b):
     if not np.array_equal(a.landmark_positions, b.landmark_positions):
-        return False
-    if not np.array_equal(a.base_descriptors, b.base_descriptors):
         return False
     for fa, fb in zip(a.database + a.query, b.database + b.query):
         if fa.id != fb.id or fa.timestamp != fb.timestamp:
@@ -50,19 +54,18 @@ def test_texture_poor_arc_thins_database_only():
         texture_poor_arcs=[(90.0, 180.0, 0.1)],
         n_database_frames=60,
         n_query_frames=40,
-        pixel_noise=0.0,
-        outlier_rate=0.0,
     )
     ds = generate_scene(cfg)
-    deg = np.degrees(np.mod(ds.landmark_angles[: cfg.landmark_count], 2 * np.pi))
+    db_visible = _generate_landmarks(cfg)[3]
+    deg = _ring_angles_deg(ds.landmark_positions[: cfg.landmark_count])
     in_arc = (deg >= 90.0) & (deg < 180.0)
-    vis = ds.db_visible[: cfg.landmark_count]
+    vis = db_visible[: cfg.landmark_count]
     # roughly the density fraction survives inside the arc, all outside
     assert vis[~in_arc].all()
     frac = vis[in_arc].mean()
     assert 0.03 < frac < 0.2
     # query frames still observe thinned landmarks; database frames never do
-    hidden = set(np.nonzero(~ds.db_visible)[0])
+    hidden = set(np.nonzero(~db_visible)[0])
     assert any(hidden.intersection(int(i) for i in sf.feat_landmark_ids) for sf in ds.query)
     for sf in ds.database:
         assert not hidden.intersection(int(i) for i in sf.feat_landmark_ids)
@@ -71,7 +74,7 @@ def test_texture_poor_arc_thins_database_only():
 def test_aliased_groups_share_descriptors(small_scene):
     cfg = small_scene.config
     n_regular = cfg.landmark_count
-    descs = small_scene.base_descriptors[:n_regular]
+    descs = _generate_landmarks(cfg)[1][:n_regular]
     # count exact duplicates among base descriptors
     _, counts = np.unique(np.round(descs, 12), axis=0, return_counts=True)
     groups = counts[counts > 1]
@@ -81,7 +84,7 @@ def test_aliased_groups_share_descriptors(small_scene):
     uniq_rows, inverse = np.unique(np.round(descs, 12), axis=0, return_inverse=True)
     g = np.nonzero(np.bincount(inverse) == cfg.aliased_group_size)[0][0]
     members = np.nonzero(inverse == g)[0]
-    ang = np.sort(np.mod(np.degrees(small_scene.landmark_angles[members]), 360.0))
+    ang = np.sort(_ring_angles_deg(small_scene.landmark_positions[members]))
     gaps = np.diff(ang)
     assert gaps.min() > 360.0 / cfg.aliased_group_size - 30.0
 
@@ -111,8 +114,8 @@ def test_pan_pause_freezes_camera_center():
 def test_anchor_zone_labeled_fraction_default():
     ds = generate_scene(SceneConfig())
     # a database frame lies in the anchor zone when it sees the unique object at all
-    labels = {fid: s > 0.0 for fid, s in anchor_scores(ds, which="database").items()}
-    assert set(labels) == {sf.id for sf in ds.database}
+    uniq = set(ds.unique_ids.tolist())
+    labels = {sf.id: bool(uniq.intersection(sf.feat_landmark_ids.tolist())) for sf in ds.database}
     frac = sum(labels.values()) / len(labels)
     assert 0.05 <= frac <= 0.15
 
@@ -146,7 +149,14 @@ def test_scene_config_validation():
     with pytest.raises(ConfigInvalid):
         SceneConfig(landmark_count=0)
     with pytest.raises(ConfigInvalid):
-        SceneConfig(outlier_rate=1.5)
+        SceneConfig(aliased_group_count=-1)
+    for f in (0.0, -420.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigInvalid):
+            SceneConfig(fx=f)
+        with pytest.raises(ConfigInvalid):
+            SceneConfig(fy=f)
+    with pytest.raises(ConfigInvalid):
+        SceneConfig(query_pans=[(5, 10, float("nan"))])
     with pytest.raises(ConfigInvalid):
         SceneConfig(texture_poor_arcs=[(0.0, 90.0, 2.0)])
     with pytest.raises(ConfigInvalid):
