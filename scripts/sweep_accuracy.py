@@ -1,0 +1,120 @@
+"""Whole-sweep accuracy of ``proposed`` in two checkouts, RANSAC seed by seed.
+
+    python3 scripts/sweep_accuracy.py PARENT_ROOT CHANGE_ROOT [--seeds 1-5]
+
+Localizes all query frames of each checkout's configs/adversarial.cfg with
+``proposed``, once per RANSAC seed, with each checkout's ``src/``; every
+run is its own Python process, and the two checkouts alternate seed by
+seed. Prints one line per seed and checkout: the registered frames, the
+median and largest position error, and the wall time of ``run_pipeline``.
+Then prints the seed-paired difference of the median errors, change minus
+parent in percent of the parent's: its mean, its spread (smallest,
+largest and sample standard deviation) and the count of its signs. The
+RANSAC seed alone moves the median error by a few percent, so a change's
+accuracy is read from the paired differences, not from one seed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+_RUN = """
+import json, sys, time
+from dataclasses import replace
+src, cfg_path, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
+sys.path.insert(0, src)
+from anchorloc import config, pipeline, synth
+from anchorloc.metrics import position_error
+from anchorloc.model import Frame
+scene, cfg = config.parse_run_config(cfg_path)
+cfg = replace(cfg, ransac=replace(cfg.ransac, rng_seed=seed))
+ds = synth.generate_scene(scene)
+reference = synth.build_reference_model(ds)
+detector = pipeline.detector_from_scores(synth.anchor_scores(ds))
+intr = ds.intrinsics()
+frames = [Frame(sf.id, sf.timestamp, intr, sf.features, None, "pending") for sf in ds.query]
+start = time.perf_counter()
+result = pipeline.run_pipeline(reference, frames, detector, cfg)
+wall_s = time.perf_counter() - start
+gt = {sf.id: sf.pose.center() for sf in ds.query}
+errors = [position_error(e.pose, gt[e.frame_id]) for e in result.frame_events if e.pose is not None]
+print(json.dumps({"frames": len(frames), "errors": errors, "wall_s": wall_s}))
+"""
+
+
+def parse_seeds(text):
+    """'1-5' or '1,3,7' (or a mix) -> the listed seeds in order."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    if not seeds:
+        raise ValueError(f"no seeds in {text!r}")
+    return seeds
+
+
+def run_sweep(root: Path, seed):
+    """One whole-sweep run of root's sources in a fresh interpreter."""
+    out = subprocess.run(
+        [sys.executable, "-c", _RUN, str(root / "src"), str(root / "configs" / "adversarial.cfg"), str(seed)],
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    run = json.loads(out.stdout.splitlines()[-1])
+    errors = sorted(run["errors"])
+    return {
+        "registered": len(errors),
+        "frames": run["frames"],
+        "median": statistics.median(errors) if errors else float("nan"),
+        "largest": errors[-1] if errors else float("nan"),
+        "wall_s": run["wall_s"],
+    }
+
+
+def paired_differences(parent, change):
+    """Per seed, change's median error minus parent's, in % of parent's;
+    and their mean, smallest, largest, sample standard deviation and
+    (positive, negative, zero) sign counts."""
+    diffs = [100.0 * (c["median"] - p["median"]) / p["median"] for p, c in zip(parent, change)]
+    return diffs, {
+        "mean": statistics.fmean(diffs),
+        "min": min(diffs),
+        "max": max(diffs),
+        "stdev": statistics.stdev(diffs) if len(diffs) > 1 else 0.0,
+        "signs": (sum(d > 0 for d in diffs), sum(d < 0 for d in diffs), sum(d == 0 for d in diffs)),
+    }
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path, help="root of the parent checkout")
+    ap.add_argument("change", type=Path, help="root of the changed checkout")
+    ap.add_argument("--seeds", default="1-5", help="RANSAC seeds, as 1-5 or 1,3,7 (default 1-5)")
+    args = ap.parse_args(argv)
+    seeds = parse_seeds(args.seeds)
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    runs = {name: [] for name in roots}
+    print(f"{'seed':>4}  {'checkout':<8} {'registered':>10}  {'median':>8}  {'largest':>8}  {'wall_s':>6}")
+    for seed in seeds:
+        for name, root in roots.items():
+            r = run_sweep(root, seed)
+            runs[name].append(r)
+            reg = f"{r['registered']}/{r['frames']}"
+            print(f"{seed:>4}  {name:<8} {reg:>10}  {r['median']:8.5f}  {r['largest']:8.4f}  {r['wall_s']:6.2f}", flush=True)
+    diffs, s = paired_differences(runs["parent"], runs["change"])
+    print("median error, change vs parent, by seed: " + " ".join(f"{d:+.2f}%" for d in diffs))
+    print(
+        f"mean {s['mean']:+.2f}%  spread {s['min']:+.2f}% to {s['max']:+.2f}% (sd {s['stdev']:.2f})  "
+        f"signs +{s['signs'][0]} -{s['signs'][1]} ={s['signs'][2]}"
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,6 +7,7 @@ monotone in cosine similarity on the unit sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -15,19 +16,35 @@ class EmptyFeatureSet(Exception):
     pass
 
 
+def _read_only(a):
+    """A view of a that raises on writes; a itself stays writable."""
+    v = a.view()
+    v.flags.writeable = False
+    return v
+
+
 @dataclass
 class FeatureSet:
-    """Per-frame keypoints: (n,2) pixel array plus (n,D) unit descriptors."""
+    """Per-frame keypoints: (n,2) pixel array plus (n,D) unit descriptors.
+
+    Both arrays are read-only views, so sq_norms, computed on first use
+    and read-only too, cannot go stale.
+    """
 
     pixels: np.ndarray
     descriptors: np.ndarray
 
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=float).reshape(-1, 2)
+        self.pixels = _read_only(np.asarray(self.pixels, dtype=float).reshape(-1, 2))
         d = np.asarray(self.descriptors, dtype=float)
         if d.ndim != 2:
             d = d.reshape(len(self.pixels), -1) if len(self.pixels) else d.reshape(0, 0)
-        self.descriptors = d
+        self.descriptors = _read_only(d)
+
+    @cached_property
+    def sq_norms(self):
+        """(n,) squared descriptor norms, which match_features reuses for every pair."""
+        return _read_only((self.descriptors**2).sum(axis=1))
 
     def __len__(self):
         return len(self.pixels)
@@ -52,13 +69,6 @@ def best_per_key(keys, distance):
     return order[first]
 
 
-def _distance_matrix(a, b):
-    # |a-b|^2 = |a|^2 + |b|^2 - 2 a.b ; descriptors are unit norm but noise
-    # renormalization keeps this exact regardless
-    d2 = (a**2).sum(axis=1)[:, None] + (b**2).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.sqrt(np.maximum(d2, 0.0))
-
-
 def match_features(a: FeatureSet, b: FeatureSet, ratio):
     """Mutual nearest-neighbor matches from a to b passing Lowe's ratio test.
 
@@ -70,16 +80,18 @@ def match_features(a: FeatureSet, b: FeatureSet, ratio):
         raise ValueError("ratio must be in (0,1]")
     if len(a) == 0 or len(b) == 0:
         return np.empty(0, MATCH)
-    D = _distance_matrix(a.descriptors, b.descriptors)
+    # |a-b|^2 = |a|^2 + |b|^2 - 2 a.b, which holds whatever the descriptors' norms
+    D = a.sq_norms[:, None] + b.sq_norms[None, :] - 2.0 * (a.descriptors @ b.descriptors.T)
+    np.sqrt(np.maximum(D, 0.0, out=D), out=D)
+    rows = np.arange(len(a))
     nn = np.argmin(D, axis=1)
-    nn_dist = D[np.arange(len(a)), nn]
-    if D.shape[1] >= 2:
-        part = np.partition(D, 1, axis=1)
-        second = part[:, 1]
-    else:
-        second = np.full(len(a), np.inf)
+    nn_dist = D[rows, nn]
     back = np.argmin(D, axis=0)
-    ok = (nn_dist < ratio * second) & (back[nn] == np.arange(len(a)))
+    # the second-nearest distance is the row minimum once the nearest is
+    # masked: inf for a one-column D, and the nearest's own for a tie
+    D[rows, nn] = np.inf
+    second = D.min(axis=1)
+    ok = (nn_dist < ratio * second) & (back[nn] == rows)
     q = np.flatnonzero(ok)
     q = q[np.argsort(nn_dist[q], kind="stable")]
     return records(MATCH, q, nn[q], nn_dist[q])

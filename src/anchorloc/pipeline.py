@@ -3,10 +3,14 @@
 Flow: detect anchor frames, register them to the reference model, then
 walk the sequence in time order from the earliest anchor, registering
 each frame via spatially-, retrieval-, and temporally-guided matching,
-PnP, and triangulation. After every batch of newly registered frames a
-windowed frozen-reference bundle adjustment refines the last _BA_WINDOW
-registered query frames and the augmented landmarks they observe,
-holding the reference and older frames fixed (the local BA of ORB-SLAM).
+PnP, and triangulation. A frame whose two predecessors in pass order are
+posed gets their constant-velocity pose as a prior; PnP refines the prior
+on the correspondences it explains and falls back to P3P-RANSAC when it
+misses RANSAC's consensus bar. After every batch of newly registered
+frames a windowed frozen-reference bundle adjustment refines the last
+_BA_WINDOW registered query frames and the augmented landmarks they
+observe, holding the reference and older frames fixed (the local BA of
+ORB-SLAM).
 Frames before the earliest anchor are covered by a mirrored backward
 pass.
 
@@ -27,6 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .geom import Pose
 from .matching import (
     CANDIDATE_MATCH,
     MATCH,
@@ -53,6 +58,7 @@ from .solvers import (
     SolverError,
     TriangulationConfig,
     bundle_adjust,
+    pose_from_prior,
     ransac_pnp,
 )
 from .solvers.triangulation import ACCEPTED
@@ -140,9 +146,11 @@ def _frame_seed(cfg: PipelineConfig, frame_id: int) -> int:
     return (cfg.ransac.rng_seed * 1000003 + frame_id) % (2**63)
 
 
-def match_lift_pnp(model: SfMModel, frame, candidate_ids, cfg: PipelineConfig):
+def match_lift_pnp(model: SfMModel, frame, candidate_ids, cfg: PipelineConfig, prior=None):
     """Match a frame against its candidates, lift to 2D-3D, solve PnP.
 
+    With a prior pose, PnP first refines the prior on the correspondences
+    it explains (pose_from_prior) and runs RANSAC only when that fails.
     Leaves the model untouched. Returns (matches, corrs, pose, inliers):
     matches a CANDIDATE_MATCH array, candidate by candidate; corrs
     lift_matches_to_3d's CORRESPONDENCE array; pose None with no inliers
@@ -159,6 +167,12 @@ def match_lift_pnp(model: SfMModel, frame, candidate_ids, cfg: PipelineConfig):
     if len(corrs) < MIN_2D3D:
         return matches, corrs, None, []
 
+    if prior is not None:
+        try:
+            pose, inliers = pose_from_prior(prior, corrs["world"], corrs["pixel"], frame.intrinsics, cfg.ransac)
+            return matches, corrs, pose, inliers
+        except SolverError:
+            pass
     rcfg = replace(cfg.ransac, rng_seed=_frame_seed(cfg, frame.id))
     try:
         pose, inliers = ransac_pnp(corrs["world"], corrs["pixel"], frame.intrinsics, rcfg)
@@ -182,13 +196,14 @@ def _new_tracks(model: SfMModel, frame_id, matches):
     return [[(frame_id, query[r]), (cand[r], target[r])] for r in rows.tolist()]
 
 
-def _attempt_registration(model: SfMModel, frame, candidate_ids, cfg: PipelineConfig, status):
+def _attempt_registration(model: SfMModel, frame, candidate_ids, cfg: PipelineConfig, status, prior=None):
     """Register one frame and grow the model: bind its inliers to their
-    landmarks and triangulate new ones from still-unbound matches.
+    landmarks and triangulate new ones from still-unbound matches. prior
+    goes to match_lift_pnp.
 
     Returns (registered flag, n_corrs, n_inliers).
     """
-    matches, corrs, pose, inliers = match_lift_pnp(model, frame, candidate_ids, cfg)
+    matches, corrs, pose, inliers = match_lift_pnp(model, frame, candidate_ids, cfg, prior)
     if pose is None:
         return False, len(corrs), 0
 
@@ -283,6 +298,23 @@ def _nearest_anchor_pose(model, anchor_ids, timestamp):
     return min((model.frames[a] for a in anchor_ids), key=lambda fr: abs(fr.timestamp - timestamp)).pose
 
 
+def _velocity_prior(model: SfMModel, seq, i, step):
+    """Constant-velocity pose of seq[i] from its two predecessors in pass
+    order, seq[i - step] (b) and seq[i - 2 * step] (a), as they stand in the
+    model now: the motion from a to b applied once more to b, the motion
+    model of ORB-SLAM's tracking (Mur-Artal et al., T-RO 2015). None unless
+    both are posed query frames (anchor or registered)."""
+    near, far = i - step, i - 2 * step
+    if not (0 <= min(near, far) and max(near, far) < len(seq)):
+        return None
+    b, a = (model.frames.get(seq[j].id) for j in (near, far))
+    if any(f is None or f.status not in ("anchor", "registered") for f in (a, b)):
+        return None
+    Rb = b.pose.R
+    Rv = Rb @ a.pose.R.T
+    return Pose.from_rt(Rv @ Rb, Rv @ (b.pose.t - a.pose.t) + b.pose.t)
+
+
 def _set_final_poses(model: SfMModel, entries):
     """Give each entry its frame's pose in the model; a failed frame has none."""
     for e in entries:
@@ -307,17 +339,20 @@ def recursive_localize(model: SfMModel, sequence, anchor_ids, cfg: PipelineConfi
     ba_events = []
     new_since_ba = 0
 
-    backward = [f for f in seq if f.status == "pending" and f.timestamp < t0]
+    # positions in seq of the frames each pass takes, in pass order, and the
+    # step from a frame to its predecessor's position
+    pending = [i for i, f in enumerate(seq) if f.status == "pending"]
     passes = [
-        ("forward", [f for f in seq if f.status == "pending" and f.timestamp >= t0]),
-        ("backward", backward[::-1]),
+        ([i for i in pending if seq[i].timestamp >= t0], 1),
+        ([i for i in pending if seq[i].timestamp < t0][::-1], -1),
     ]
 
-    for pass_name, frames in passes:
+    for positions, step in passes:
         prior_pose = start_pose
         consecutive_failures = 0
-        reverse = pass_name == "backward"
-        for frame in frames:
+        reverse = step < 0
+        for i in positions:
+            frame = seq[i]
             cands = []
             cands.extend(spatial_neighbors(model, prior_pose, K_SPATIAL, MAX_VIEW_ANGLE_DEG))
             cands.extend(retrieve_candidates(db_index, frame, K_RETRIEVAL))
@@ -327,7 +362,8 @@ def recursive_localize(model: SfMModel, sequence, anchor_ids, cfg: PipelineConfi
 
             ok, n_corrs, n_inliers = (False, 0, 0)
             if len(frame.features) > 0 and cand_ids:
-                ok, n_corrs, n_inliers = _attempt_registration(model, frame, cand_ids, cfg, "registered")
+                prior = _velocity_prior(model, seq, i, step)
+                ok, n_corrs, n_inliers = _attempt_registration(model, frame, cand_ids, cfg, "registered", prior)
             if ok:
                 prior_pose = frame.pose
                 consecutive_failures = 0

@@ -10,7 +10,7 @@ from .errors import (
     ReprojectionTooLarge,
     SolverError,
 )
-from .pnp import RansacConfig, ransac_pnp, refine_pose
+from .pnp import RansacConfig, pose_from_prior, ransac_pnp, refine_pose
 from .triangulation import TriangulationConfig, triangulate, triangulate_many
 from .twoview import epipolar_inlier_indices, estimate_relative_pose, refine_relative_pose
 
@@ -31,6 +31,7 @@ __all__ = [
     "bundle_adjust",
     "epipolar_inlier_indices",
     "estimate_relative_pose",
+    "pose_from_prior",
     "refine_relative_pose",
     "ransac_pnp",
     "refine_pose",

@@ -3,12 +3,15 @@
 Grunert's P3P is solved for a block of 3-point samples at once; RANSAC
 draws and scores its hypotheses in such blocks. ransac_pnp takes the
 correspondences as (n,3) world points and (n,2) pixels, so the solver
-knows no model type.
+knows no model type. pose_from_prior skips the sampling when a predicted
+pose already explains the correspondences, and accepts it under
+ransac_pnp's own inlier threshold and consensus bar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -46,8 +49,11 @@ def _bearing_vectors(pixels, intr: CameraIntrinsics):
     return f / np.linalg.norm(f, axis=1)[:, None]
 
 
-# samples solved together per RANSAC step
-_RANSAC_BLOCK = 64
+# RANSAC solves its samples in blocks: the first of _RANSAC_FIRST_BLOCK
+# samples, each next one twice as large up to _RANSAC_MAX_BLOCK, so a run
+# that stops early solves few samples it does not need
+_RANSAC_FIRST_BLOCK = 8
+_RANSAC_MAX_BLOCK = 128
 
 
 def _polyval_rows(coeffs, x):
@@ -316,19 +322,21 @@ def ransac(n, k, seed, solve, score):
     tuple of arrays stacking the candidate hypotheses along axis 0, and the
     ascending sample row of each. score(*hyps) returns their (m,n) inlier
     masks. Samples are drawn one rng.choice at a time from seed, solved a
-    block at a time and scanned in draw order, so the result equals
-    one-sample-at-a-time RANSAC. The run stops once the best inlier ratio w
-    reaches RANSAC_CONFIDENCE (1 - (1 - w**k)**iterations) or after
-    RANSAC_MAX_ITERATIONS samples. Returns (best hyps, their mask, their
-    count); best is None when no sample gave an inlier.
+    block at a time (8, 16, 32, 64, then 128 samples) and scanned in draw
+    order, so the result equals one-sample-at-a-time RANSAC. The run stops
+    once the best inlier ratio w reaches RANSAC_CONFIDENCE
+    (1 - (1 - w**k)**iterations) or after RANSAC_MAX_ITERATIONS samples.
+    Returns (best hyps, their mask, their count); best is None when no
+    sample gave an inlier.
     """
     rng = np.random.default_rng(seed)
     best, best_mask, best_count = None, None, 0
     max_iter = RANSAC_MAX_ITERATIONS
     it = 0
+    block = _RANSAC_FIRST_BLOCK
     while it < max_iter:
         # sample j of the block is iteration it + j + 1
-        size = min(_RANSAC_BLOCK, max_iter - it)
+        size = min(block, max_iter - it)
         idx = np.array([rng.choice(n, size=k, replace=False) for _ in range(size)])
         rows, hyps = solve(idx)
         masks = score(*hyps)
@@ -351,7 +359,17 @@ def ransac(n, k, seed, solve, score):
                 need = RANSAC_MAX_ITERATIONS if not np.isfinite(need) else int(need)
                 max_iter = min(RANSAC_MAX_ITERATIONS, max(need, sample_it))
         it += size
+        block = min(2 * block, _RANSAC_MAX_BLOCK)
     return best, best_mask, best_count
+
+
+def _inlier_mask(world, pixels, intr: CameraIntrinsics, thresh_sq, R, t):
+    """Inlier masks of the poses cam = R @ world + t: in front of the camera and
+    reprojected within sqrt(thresh_sq) pixels. A single pose gives an (n,)
+    mask, a stack of m poses an (m,n) one."""
+    uv, z = project_many(R, t, intr, world)
+    err = ((uv - pixels) ** 2).sum(axis=-1)
+    return (z > 0) & (err < thresh_sq)
 
 
 def ransac_pnp(world, pixels, intr: CameraIntrinsics, cfg: RansacConfig):
@@ -366,17 +384,12 @@ def ransac_pnp(world, pixels, intr: CameraIntrinsics, cfg: RansacConfig):
         raise InsufficientCorrespondences(f"{n} < 4 correspondences")
     world = np.array(world, dtype=float)
     pixels = np.array(pixels, dtype=float)
-    thresh_sq = cfg.inlier_threshold**2
+    score = partial(_inlier_mask, world, pixels, intr, cfg.inlier_threshold**2)
 
     def solve(idx):
         # the module global, looked up per block, so wrappers see each call
         rows, R, t, _ = solve_p3p_block(world[idx], pixels[idx], intr)
         return rows, (R, t)
-
-    def score(R, t):
-        uv, z = project_many(R, t, intr, world)
-        err = ((uv - pixels) ** 2).sum(axis=-1)
-        return (z > 0) & (err < thresh_sq)
 
     best, best_mask, best_count = ransac(n, 3, cfg.rng_seed, solve, score)
     if best is None or best_count < RANSAC_MIN_INLIERS:
@@ -391,3 +404,26 @@ def ransac_pnp(world, pixels, intr: CameraIntrinsics, cfg: RansacConfig):
         mask = best_mask
     inliers = np.nonzero(mask)[0]
     return pose, inliers
+
+
+def pose_from_prior(prior: Pose, world, pixels, intr: CameraIntrinsics, cfg: RansacConfig):
+    """Pose from 2D-3D correspondences near a predicted pose, without sampling.
+
+    The correspondences that the prior reprojects within
+    cfg.inlier_threshold are refined with refine_pose, and the refined pose
+    is scored again. Returns (pose, sorted inlier indices), or raises
+    NoConsensus when either the prior or the refined pose has fewer than
+    RANSAC_MIN_INLIERS inliers: ransac_pnp's own consensus bar.
+    """
+    world = np.array(world, dtype=float)
+    pixels = np.array(pixels, dtype=float)
+    score = partial(_inlier_mask, world, pixels, intr, cfg.inlier_threshold**2)
+    mask = score(prior.R, prior.t)
+    if int(mask.sum()) < RANSAC_MIN_INLIERS:
+        raise NoConsensus(f"prior inlier count {int(mask.sum())} < {RANSAC_MIN_INLIERS}")
+    # the module global, so wrappers see the call
+    pose = refine_pose(prior, world[mask], pixels[mask], intr)
+    mask = score(pose.R, pose.t)
+    if int(mask.sum()) < RANSAC_MIN_INLIERS:
+        raise NoConsensus(f"refined prior inlier count {int(mask.sum())} < {RANSAC_MIN_INLIERS}")
+    return pose, np.nonzero(mask)[0]

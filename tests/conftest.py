@@ -142,6 +142,21 @@ def models_equal(a, b):
     return a.obs_to_landmark == b.obs_to_landmark
 
 
+def match_features_oracle(a, b, ratio):
+    """(query, target, distance) columns of matching.match_features, from a
+    whole distance matrix with fresh norms and np.partition's second-nearest
+    distance."""
+    A, B = a.descriptors, b.descriptors
+    D = np.sqrt(np.maximum((A**2).sum(axis=1)[:, None] + (B**2).sum(axis=1)[None, :] - 2.0 * (A @ B.T), 0.0))
+    nn = np.argmin(D, axis=1)
+    nn_dist = D[np.arange(len(A)), nn]
+    second = np.partition(D, 1, axis=1)[:, 1] if D.shape[1] >= 2 else np.full(len(A), np.inf)
+    back = np.argmin(D, axis=0)
+    q = np.flatnonzero((nn_dist < ratio * second) & (back[nn] == np.arange(len(A))))
+    q = q[np.argsort(nn_dist[q], kind="stable")]
+    return q, nn[q], nn_dist[q]
+
+
 # ---------------------------------------------------------------------------
 # dict oracles of the per-key selections that model.lift_matches_to_3d and
 # pipeline._new_tracks make over match arrays; matches are (candidate id,

@@ -16,7 +16,7 @@ from anchorloc.matching import (
 )
 from anchorloc.model import Frame, Landmark, SfMModel, lift_matches_to_3d
 from anchorloc.pipeline import _new_tracks
-from conftest import best_partner_oracle, lift_oracle, no_features
+from conftest import best_partner_oracle, lift_oracle, match_features_oracle, no_features
 
 
 def _unit_rows(rng, n, d=8):
@@ -94,6 +94,55 @@ def test_planted_matches_recall_precision():
     correct = int((pairs["query"] == pairs["target"]).sum())
     assert correct / 200 >= 0.9  # recall
     assert correct / len(pairs) >= 0.95  # precision
+
+
+def _noisy_copies(rng, rows, scale):
+    m = rows + rng.normal(scale=scale, size=rows.shape)
+    return m / np.linalg.norm(m, axis=1)[:, None]
+
+
+def test_match_features_equals_partition_oracle_bit_for_bit():
+    """Cached norms, in-place sqrt and the masked row minimum give the
+    MATCH columns of a fresh distance matrix and np.partition, bit for bit:
+    on random sets, one-row targets, and targets whose descriptors repeat
+    exactly, as an aliased group's do."""
+    rng = np.random.default_rng(21)
+    cases = []
+    for n, m in [(30, 40), (40, 30), (1, 5), (25, 1), (1, 1)]:
+        cases.append((_fs(rng, n, 16), _fs(rng, m, 16)))
+    base = _unit_rows(rng, 60, 16)
+    # planted pairs with noise, a third of the target rows repeated exactly
+    target = np.concatenate([base, base[:20]])
+    cases.append((FeatureSet(np.zeros((60, 2)), _noisy_copies(rng, base, 0.05)), FeatureSet(np.zeros((80, 2)), target)))
+    groups = np.repeat(base[:10], 4, axis=0)
+    aliased = FeatureSet(rng.uniform(0, 100, (40, 2)), groups)
+    cases.append((FeatureSet(np.zeros((40, 2)), _noisy_copies(rng, groups, 0.02)), aliased))
+    cases.append((aliased, aliased))
+    cases.append((FeatureSet(np.zeros((10, 2)), base[:10]), FeatureSet(np.zeros((1, 2)), base[3:4])))
+    for a, b in cases:
+        for ratio in (0.8, 1.0):
+            got = match_features(a, b, ratio)
+            q, t, d = match_features_oracle(a, b, ratio)
+            assert np.array_equal(got["query"], q) and np.array_equal(got["target"], t)
+            assert got["distance"].tobytes() == d.tobytes()
+
+
+def test_feature_set_arrays_are_read_only_views():
+    """A FeatureSet's arrays and its cached norms raise on writes, so the
+    norms stay valid; the caller's arrays stay writable."""
+    rng = np.random.default_rng(22)
+    pixels, descriptors = rng.uniform(0, 100, (5, 2)), _unit_rows(rng, 5)
+    fs = FeatureSet(pixels, descriptors)
+    assert fs.sq_norms.tobytes() == (descriptors**2).sum(axis=1).tobytes()
+    with pytest.raises(ValueError):
+        fs.descriptors[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        fs.pixels[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        fs.sq_norms[0] = 2.0
+    descriptors[0, 0] = 2.0
+    pixels[0, 0] = 2.0
+    assert np.shares_memory(fs.descriptors, descriptors)
 
 
 def test_best_per_key_ties_go_to_the_earliest_row():

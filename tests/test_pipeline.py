@@ -3,10 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from anchorloc import pipeline
 from anchorloc.baselines import single_image_localize
 from anchorloc.matching import FeatureSet
 from anchorloc.metrics import position_error
 from anchorloc.model import Frame
+from anchorloc.solvers import NoConsensus, ransac_pnp
 from anchorloc.pipeline import (
     _BA_WINDOW,
     BA_PERIOD,
@@ -164,3 +166,39 @@ def test_frame_sharing_the_first_anchor_timestamp_is_reported(small_scene, small
     assert min((e for e in result.frame_events if e.status == "anchor"), key=lambda e: e.timestamp).frame_id == 100000
     fids = [e.frame_id for e in result.frame_events]
     assert sorted(fids) == sorted(f.id for f in seq)
+
+
+def test_velocity_prior_poses_the_recursion_without_ransac(monkeypatch):
+    """On a 160-frame sweep, the constant-velocity prior poses nearly every
+    frame of the recursion, so RANSAC runs on at most a tenth of them, and
+    the trajectory is as accurate as with RANSAC on every frame."""
+    scene = generate_scene(replace(SMALL_SCENE, n_query_frames=160))
+    reference = build_reference_model(scene)
+    seq = query_frames(scene)
+    gt = query_gt(scene)
+    detector = detector_from_scores(anchor_scores(scene))
+    ransac_calls = []
+
+    def counted(*args):
+        ransac_calls.append(args)
+        return ransac_pnp(*args)
+
+    def median_error(result):
+        assert _registered_ids(result) == {f.id for f in seq}
+        return np.median([position_error(e.pose, gt[e.frame_id]) for e in result.frame_events])
+
+    monkeypatch.setattr(pipeline, "ransac_pnp", counted)
+    result = run_pipeline(reference, seq, detector, PipelineConfig())
+    recursion = [e for e in result.frame_events if e.status != "anchor"]
+    anchors = len(result.frame_events) - len(recursion)
+    assert len(ransac_calls) - anchors <= 0.1 * len(recursion), (len(ransac_calls), anchors, len(recursion))
+    with_prior = median_error(result)
+
+    def no_prior(*args):
+        raise NoConsensus("prior disabled")
+
+    monkeypatch.setattr(pipeline, "pose_from_prior", no_prior)
+    ransac_calls.clear()
+    without = median_error(run_pipeline(reference, seq, detector, PipelineConfig()))
+    assert len(ransac_calls) == len(result.frame_events)
+    assert abs(with_prior - without) <= 0.05 * without, (with_prior, without)

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
-from anchorloc.geom import Pose
+from anchorloc.geom import Pose, project_many
 from anchorloc.solvers import (
     InsufficientCorrespondences,
     NoConsensus,
     RansacConfig,
+    pose_from_prior,
     ransac_pnp,
     refine_pose,
 )
 from anchorloc.solvers.pnp import (
+    RANSAC_CONFIDENCE,
+    RANSAC_MAX_ITERATIONS,
+    RANSAC_MIN_INLIERS,
     _bearing_vectors,
     _quartic_roots,
     _solve_rows,
@@ -193,3 +197,133 @@ def test_ransac_config_validation():
         RansacConfig(inlier_threshold=0.0)
     with pytest.raises(ValueError):
         RansacConfig(inlier_threshold=-1.0)
+
+
+def _ransac_pnp_loop(world, pixels, intr, cfg):
+    """Reference: ransac_pnp as one P3P sample at a time, each candidate
+    scored as it comes. Returns (pose, inliers, iterations run) or raises
+    NoConsensus."""
+    n = len(world)
+    thresh_sq = cfg.inlier_threshold**2
+
+    def score(R, t):
+        uv, z = project_many(R, t, intr, world)
+        return (z > 0) & (((uv - pixels) ** 2).sum(axis=-1) < thresh_sq)
+
+    rng = np.random.default_rng(cfg.rng_seed)
+    best, best_mask, best_count = None, None, 0
+    max_iter = RANSAC_MAX_ITERATIONS
+    it = 0
+    while it < max_iter:
+        it += 1
+        idx = rng.choice(n, size=3, replace=False)
+        _, Rs, ts, _ = solve_p3p_block(world[idx][None], pixels[idx][None], intr)
+        for R, t in zip(Rs, ts):
+            mask = score(R, t)
+            count = int(mask.sum())
+            if count > best_count:
+                best, best_mask, best_count = (R, t), mask, count
+                w = count / n
+                if w >= 1.0:
+                    max_iter = it
+                else:
+                    need = np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / np.log1p(-min(w**3, 1.0 - 1e-15)))
+                    need = RANSAC_MAX_ITERATIONS if not np.isfinite(need) else int(need)
+                    max_iter = min(RANSAC_MAX_ITERATIONS, max(need, it))
+    if best is None or best_count < RANSAC_MIN_INLIERS:
+        raise NoConsensus(f"best inlier count {best_count}")
+    best_pose = Pose.from_rt(*best)
+    pose = refine_pose(best_pose, world[best_mask], pixels[best_mask], intr)
+    mask = score(pose.R, pose.t)
+    if int(mask.sum()) < best_count:
+        pose, mask = best_pose, best_mask
+    return pose, np.nonzero(mask)[0], it
+
+
+# the last sample of each RANSAC block: blocks of 8, 16, 32, 64, then 128
+BLOCK_EDGES = {8, 24, 56, 120, 248, 376, 504, 632, 760, 888}
+
+
+@pytest.mark.parametrize("outliers", [0.3, 0.4, 0.5])
+def test_ransac_pnp_matches_one_sample_loop(intrinsics, outliers):
+    """Block-drawn ransac_pnp gives the one-sample loop's pose and inliers,
+    bit for bit, with runs that stop inside the second and later blocks."""
+    stops = []
+    for seed in range(4):
+        rng = np.random.default_rng(200 + seed)
+        pose = random_pose(rng)
+        pts = points_in_front(rng, pose, 60)
+        pixels = np.array([project(intrinsics, pose, p) for p in pts]) + rng.normal(scale=0.5, size=(60, 2))
+        bad = rng.choice(60, int(outliers * 60), replace=False)
+        pixels[bad] = rng.uniform(0, 640, (len(bad), 2))
+        cfg = RansacConfig(rng_seed=seed)
+        ref_pose, ref_inliers, iterations = _ransac_pnp_loop(pts, pixels, intrinsics, cfg)
+        got_pose, got_inliers = ransac_pnp(pts, pixels, intrinsics, cfg)
+        assert np.array_equal(got_pose.q, ref_pose.q) and np.array_equal(got_pose.t, ref_pose.t)
+        assert np.array_equal(got_inliers, ref_inliers)
+        stops.append(iterations)
+    if outliers == 0.3:
+        assert any(8 < it < 24 for it in stops), stops
+    if outliers == 0.5:
+        assert any(it > 24 and it not in BLOCK_EDGES for it in stops), stops
+
+
+def _near_prior(intr, pose, pts):
+    """A prior about 0.0015 rad and 0.01 units off pose, which moves the
+    points' reprojections by a pixel or two."""
+    prior = pose.retract(np.array([0.001, -0.001, 0.0005, 0.005, -0.005, 0.01]))
+    shift = np.linalg.norm(
+        np.array([project(intr, prior, p) for p in pts]) - np.array([project(intr, pose, p) for p in pts]), axis=1
+    )
+    assert 0.3 < np.median(shift) and shift.max() < 3.0, shift
+    return prior
+
+
+def test_pose_from_prior_refines_a_near_prior_without_sampling(intrinsics, monkeypatch):
+    from anchorloc.solvers import pnp
+
+    def no_sampling(*args):
+        raise AssertionError("pose_from_prior solved a P3P sample")
+
+    monkeypatch.setattr(pnp, "solve_p3p_block", no_sampling)
+    rng = np.random.default_rng(7)
+    pose = random_pose(rng)
+    pts = points_in_front(rng, pose, 40)
+    pixels = np.array([project(intrinsics, pose, p) for p in pts])
+    est, inliers = pose_from_prior(_near_prior(intrinsics, pose, pts), pts, pixels, intrinsics, RansacConfig())
+    assert inliers.tolist() == list(range(40))
+    assert rotation_angle(est.R, pose.R) < 1e-8
+    np.testing.assert_allclose(est.t, pose.t, atol=1e-7)
+
+
+def test_pose_from_prior_rejects_a_far_prior(intrinsics, monkeypatch):
+    """A prior 20 degrees off explains too few correspondences and is
+    rejected before any refinement."""
+    from anchorloc.solvers import pnp
+
+    def no_refinement(*args):
+        raise AssertionError("pose_from_prior refined a rejected prior")
+
+    monkeypatch.setattr(pnp, "refine_pose", no_refinement)
+    rng = np.random.default_rng(8)
+    pose = random_pose(rng)
+    pts = points_in_front(rng, pose, 40)
+    pixels = np.array([project(intrinsics, pose, p) for p in pts])
+    far = pose.retract(np.array([0.0, np.radians(20.0), 0.0, 0.0, 0.0, 0.0]))
+    assert np.isclose(rotation_angle(far.R, pose.R), np.radians(20.0))
+    with pytest.raises(NoConsensus):
+        pose_from_prior(far, pts, pixels, intrinsics, RansacConfig())
+
+
+def test_pose_from_prior_excludes_planted_outliers(intrinsics):
+    rng = np.random.default_rng(9)
+    pose = random_pose(rng)
+    pts = points_in_front(rng, pose, 50)
+    pixels = np.array([project(intrinsics, pose, p) for p in pts])
+    cfg = RansacConfig()
+    out = rng.choice(50, size=15, replace=False)
+    for i in out:
+        pixels[i] = pixels[i] + rng.uniform(5, 50, 2) * rng.choice([-1.0, 1.0], 2) * cfg.inlier_threshold
+    est, inliers = pose_from_prior(_near_prior(intrinsics, pose, pts), pts, pixels, intrinsics, cfg)
+    assert set(inliers.tolist()) == set(range(50)) - set(out.tolist())
+    assert rotation_angle(est.R, pose.R) < 1e-8

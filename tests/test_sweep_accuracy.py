@@ -1,0 +1,26 @@
+import pathlib
+import sys
+
+import pytest
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
+from sweep_accuracy import paired_differences, parse_seeds  # noqa: E402
+
+
+def test_parse_seeds_ranges_and_lists():
+    assert parse_seeds("1-5") == [1, 2, 3, 4, 5]
+    assert parse_seeds("7") == [7]
+    assert parse_seeds("1,3,10-12") == [1, 3, 10, 11, 12]
+    with pytest.raises(ValueError):
+        parse_seeds("a-b")
+
+
+def test_paired_differences_are_per_seed_percentages_of_the_parent():
+    parent = [{"median": 0.05}, {"median": 0.04}, {"median": 0.02}]
+    change = [{"median": 0.051}, {"median": 0.038}, {"median": 0.02}]
+    diffs, s = paired_differences(parent, change)
+    assert diffs == pytest.approx([2.0, -5.0, 0.0])
+    assert s["mean"] == pytest.approx(-1.0)
+    assert (s["min"], s["max"]) == (pytest.approx(-5.0), pytest.approx(2.0))
+    assert s["stdev"] == pytest.approx(3.605551, rel=1e-6)
+    assert s["signs"] == (1, 1, 1)
