@@ -14,7 +14,7 @@ import numpy as np
 from .geom import Pose, project_many
 from .matching import EmptyFeatureSet, global_descriptor, match_features, retrieve_top_k
 from .metrics import TrajectoryEntry
-from .model import SfMModel, merge_new_landmarks
+from .model import ReferenceIndex, SfMModel, merge_new_landmarks
 from .pipeline import (
     BA_PERIOD,
     K_RETRIEVAL,
@@ -23,7 +23,6 @@ from .pipeline import (
     TRIANGULATION,
     PipelineConfig,
     _attempt_registration,
-    _db_retrieval_index,
     _frame_seed,
     match_lift_pnp,
     retrieve_candidates,
@@ -66,12 +65,12 @@ def single_image_localize(model: SfMModel, sequence, cfg: PipelineConfig) -> Bas
     Retrieval top-k, matching, and PnP only; no state is carried between
     frames and the reference model is never mutated.
     """
-    db_index = _db_retrieval_index(model)
+    index = ReferenceIndex.of(model)
     results = []
     for frame in sorted(sequence, key=lambda f: f.timestamp):
         pose, corrs, inliers = None, [], []
         if len(frame.features) > 0:
-            cands = retrieve_candidates(db_index, frame, K_RETRIEVAL)
+            cands = retrieve_candidates(index, frame, K_RETRIEVAL)
             _, corrs, pose, inliers = match_lift_pnp(model, frame, cands, cfg)
         status = "failed" if pose is None else "registered"
         results.append(
@@ -258,12 +257,8 @@ def onthefly_sfm(sequence, cfg: PipelineConfig, gt):
             cand_ids = []
             g = _gdesc(frame) if len(frame.features) > 0 else None
             if g is not None:
-                index = [
-                    (f.id, _gdesc(f))
-                    for f in frames
-                    if f.status == "registered" and f.id != frame.id and _gdesc(f) is not None
-                ]
-                cand_ids = retrieve_top_k(g, index, K_RETRIEVAL)
+                db = [f for f in frames if f.status == "registered" and f.id != frame.id and _gdesc(f) is not None]
+                cand_ids = retrieve_top_k(g, np.array([f.id for f in db]), np.array([_gdesc(f) for f in db]), K_RETRIEVAL)
             ok = False
             if len(frame.features) > 0 and cand_ids:
                 ok, _, _ = _attempt_registration(model, frame, cand_ids, cfg, "registered")

@@ -111,19 +111,18 @@ def global_descriptor(f: FeatureSet):
     return m / n
 
 
-def retrieve_top_k(query, database, k):
+def retrieve_top_k(query, ids, descriptors, k):
     """Frame ids of the k database entries with largest inner product.
 
-    database: list of (frame id, descriptor). Ties break toward the
-    smaller frame id, making the result deterministic.
+    ids: (n,) frame ids; descriptors: their (n,D) global descriptors.
+    Ties break toward the smaller frame id, making the result
+    deterministic.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not database:
+    if len(ids) == 0:
         return []
-    ids = np.array([fid for fid, _ in database])
-    descs = np.array([d for _, d in database])
-    scores = descs @ np.asarray(query, dtype=float)
+    scores = descriptors @ np.asarray(query, dtype=float)
     order = np.lexsort((ids, -scores))
     return [int(ids[i]) for i in order[:k]]
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geom import CameraIntrinsics, Pose, quat_to_mat
-from .matching import FeatureSet, best_per_key, records
+from .matching import FeatureSet, best_per_key, global_descriptor, records
 from .solvers.bundle import FreezeMask
 from .solvers.triangulation import TriangulationConfig, triangulate_many
 from .textio import FormatError, decode_floats, encode_floats, file_id, finite, fmt, read_records, write_records
@@ -145,22 +145,49 @@ def frozen_state_digest(model: SfMModel, mask: FreezeMask) -> str:
     return h.hexdigest()
 
 
-def spatial_neighbors(model: SfMModel, pose: Pose, k: int, max_view_angle_deg: float):
+@dataclass(frozen=True)
+class ReferenceIndex:
+    """What candidate gathering reads of the reference frames, built once per
+    run: the reference never moves during one. ids, view_dirs and centers
+    hold every reference frame in insertion order; retrieval_ids and
+    descriptors the global descriptor of each one with features, by id.
+    The arrays are read-only."""
+
+    ids: np.ndarray
+    view_dirs: np.ndarray
+    centers: np.ndarray
+    retrieval_ids: np.ndarray
+    descriptors: np.ndarray
+
+    @classmethod
+    def of(cls, model: SfMModel) -> "ReferenceIndex":
+        refs = model.reference_frames()
+        view_dirs = centers = np.zeros((0, 3))
+        if refs:
+            R = quat_to_mat(np.array([f.pose.q for f in refs]).T)  # (3, 3, n)
+            # each view direction Rᵀ e3 is row 2 of R; each center is -Rᵀ t
+            view_dirs = R[2].T
+            centers = -np.einsum("jin,nj->ni", R, np.array([f.pose.t for f in refs]))
+        db = sorted((f for f in refs if len(f.features) > 0), key=lambda f: f.id)
+        descriptors = np.array([global_descriptor(f.features) for f in db])
+        arrays = (np.array([f.id for f in refs]), view_dirs, centers, np.array([f.id for f in db]), descriptors)
+        for a in arrays:
+            a.flags.writeable = False
+        return cls(*arrays)
+
+
+def spatial_neighbors(index: ReferenceIndex, pose: Pose, k: int, max_view_angle_deg: float):
     """k reference frames nearest to pose's center, gated on view angle.
 
     Ties in distance go to the smaller frame id.
     """
-    refs = model.reference_frames()
-    if not refs:
+    if len(index.ids) == 0:
         return []
-    ids = np.array([f.id for f in refs])
-    R = quat_to_mat(np.array([f.pose.q for f in refs]).T)  # (3, 3, n)
-    # each view direction Rᵀ e3 is row 2 of R; each center is -Rᵀ t
-    ang = np.degrees(np.arccos(np.clip(R[2].T @ pose.view_direction(), -1.0, 1.0)))
+    ang = np.degrees(np.arccos(np.clip(index.view_dirs @ pose.view_direction(), -1.0, 1.0)))
     keep = ang <= max_view_angle_deg
-    centers = -np.einsum("jin,nj->ni", R[..., keep], np.array([f.pose.t for f in refs])[keep])
-    dist = np.linalg.norm(centers - pose.center(), axis=1)
-    return ids[keep][np.lexsort((ids[keep], dist))[:k]].tolist()
+    ids = index.ids[keep]
+    dist = np.linalg.norm(index.centers[keep] - pose.center(), axis=1)
+    return ids[np.lexsort((ids, dist))[:k]].tolist()
 
 
 def lift_matches_to_3d(model: SfMModel, query_features: FeatureSet, matches):

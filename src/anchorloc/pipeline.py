@@ -44,6 +44,7 @@ from .matching import (
 )
 from .metrics import TrajectoryEntry
 from .model import (
+    ReferenceIndex,
     SfMModel,
     add_observation,
     freeze_mask_for_reference,
@@ -246,17 +247,9 @@ def _run_bundle(model, label, ba_events):
     )
 
 
-def _db_retrieval_index(model: SfMModel):
-    out = []
-    for f in sorted(model.reference_frames(), key=lambda f: f.id):
-        if len(f.features) == 0:
-            continue
-        out.append((f.id, global_descriptor(f.features)))
-    return out
-
-
-def register_anchors(model: SfMModel, sequence, anchor_ids, cfg: PipelineConfig):
+def register_anchors(model: SfMModel, index: ReferenceIndex, sequence, anchor_ids, cfg: PipelineConfig):
     """Register anchors to the reference model; one frozen BA at the end.
+    index: ReferenceIndex.of(model), the retrieval database.
 
     An anchor that has no features or does not register stays pending, so
     the recursion tries it again as an ordinary frame: a detector's false
@@ -265,7 +258,6 @@ def register_anchors(model: SfMModel, sequence, anchor_ids, cfg: PipelineConfig)
     """
     if not anchor_ids:
         raise AllAnchorsFailed("no anchors supplied")
-    db_index = _db_retrieval_index(model)
     frames = {f.id: f for f in sequence}
     registered = []
     ba_events = []
@@ -273,7 +265,7 @@ def register_anchors(model: SfMModel, sequence, anchor_ids, cfg: PipelineConfig)
         frame = frames[aid]
         if len(frame.features) == 0:
             continue
-        cands = retrieve_candidates(db_index, frame, K_RETRIEVAL)
+        cands = retrieve_candidates(index, frame, K_RETRIEVAL)
         ok, _, _ = _attempt_registration(model, frame, cands, cfg, "anchor")
         if ok:
             registered.append(aid)
@@ -283,14 +275,15 @@ def register_anchors(model: SfMModel, sequence, anchor_ids, cfg: PipelineConfig)
     return registered, ba_events
 
 
-def retrieve_candidates(db_index, frame, k):
+def retrieve_candidates(index: ReferenceIndex, frame, k):
+    """The k reference frames of index whose global descriptors best match frame's."""
     try:
         g = global_descriptor(frame.features)
     except EmptyFeatureSet:
         return []
     from .matching import retrieve_top_k
 
-    return retrieve_top_k(g, db_index, k)
+    return retrieve_top_k(g, index.retrieval_ids, index.descriptors, k)
 
 
 def _nearest_anchor_pose(model, anchor_ids, timestamp):
@@ -322,15 +315,14 @@ def _set_final_poses(model: SfMModel, entries):
         e.pose = None if fr is None else fr.pose
 
 
-def recursive_localize(model: SfMModel, sequence, anchor_ids, cfg: PipelineConfig):
+def recursive_localize(model: SfMModel, index: ReferenceIndex, sequence, anchor_ids, cfg: PipelineConfig):
     """Time-ordered frame-by-frame registration with periodic frozen BA.
 
-    sequence: Frame objects. anchor_ids: register_anchors' result, the
+    index: ReferenceIndex.of(model). sequence: Frame objects. anchor_ids: register_anchors' result, the
     anchors registered into the model (at least one). Returns a
     LocalizationResult with one entry per frame it attempted, holding the
     frame's pose after the last BA.
     """
-    db_index = _db_retrieval_index(model)
     seq = sorted(sequence, key=lambda f: f.timestamp)
     first = min((model.frames[a] for a in anchor_ids), key=lambda fr: fr.timestamp)
     t0, start_pose = first.timestamp, first.pose
@@ -354,8 +346,8 @@ def recursive_localize(model: SfMModel, sequence, anchor_ids, cfg: PipelineConfi
         for i in positions:
             frame = seq[i]
             cands = []
-            cands.extend(spatial_neighbors(model, prior_pose, K_SPATIAL, MAX_VIEW_ANGLE_DEG))
-            cands.extend(retrieve_candidates(db_index, frame, K_RETRIEVAL))
+            cands.extend(spatial_neighbors(index, prior_pose, K_SPATIAL, MAX_VIEW_ANGLE_DEG))
+            cands.extend(retrieve_candidates(index, frame, K_RETRIEVAL))
             cands.extend(temporal_candidates(frame.timestamp, seq, N_TEMPORAL, reverse=reverse))
             seen = set()
             cand_ids = [c for c in cands if not (c in seen or seen.add(c))]
@@ -401,8 +393,9 @@ def run_pipeline(model: SfMModel, sequence, detector, cfg: PipelineConfig):
     model = model.copy()
     sequence = [replace(f) for f in sequence]
     anchors = detect_anchors(sequence, detector, ANCHOR_THRESHOLD)
-    registered, anchor_ba = register_anchors(model, sequence, anchors, cfg)
-    result = recursive_localize(model, sequence, registered, cfg)
+    index = ReferenceIndex.of(model)
+    registered, anchor_ba = register_anchors(model, index, sequence, anchors, cfg)
+    result = recursive_localize(model, index, sequence, registered, cfg)
     result.ba_events = anchor_ba + result.ba_events
     # the per-frame loop reports every frame but the registered anchors; report them too
     frames = {f.id: f for f in sequence}

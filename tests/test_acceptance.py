@@ -151,10 +151,10 @@ def test_scenario_retrieval_aliased_sector_top1_below_080(scenario):
     """Retrieval alone is ambiguous away from the unique object."""
     dataset = scenario["dataset"]
     cfg = dataset.config
-    db_index = []
+    db_ids = np.array([sf.id for sf in dataset.database])
+    db_descriptors = np.array([global_descriptor(sf.features) for sf in dataset.database])
     db_angle = {}
     for sf in dataset.database:
-        db_index.append((sf.id, global_descriptor(sf.features)))
         c = sf.pose.center()
         db_angle[sf.id] = np.arctan2(c[1], c[0])
     station_spacing = 2 * np.pi / cfg.aliased_group_size
@@ -166,7 +166,7 @@ def test_scenario_retrieval_aliased_sector_top1_below_080(scenario):
         # aliased sectors: away from the unique insert-point object at angle 0
         if abs(np.mod(np.degrees(ang) + 180.0, 360.0) - 180.0) < 30.0:
             continue
-        top = retrieve_top_k(global_descriptor(sf.features), db_index, 1)
+        top = retrieve_top_k(global_descriptor(sf.features), db_ids, db_descriptors, 1)
         diff = np.abs(np.mod(db_angle[top[0]] - ang + np.pi, 2 * np.pi) - np.pi)
         hits.append(diff < station_spacing / 2.0)
     assert len(hits) > 100

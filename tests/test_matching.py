@@ -209,20 +209,20 @@ def test_global_descriptor_degenerate_mean():
 def test_retrieve_top_k_matches_exhaustive_sort():
     rng = np.random.default_rng(7)
     q = _unit_rows(rng, 1, 16)[0]
-    db = [(i, _unit_rows(rng, 1, 16)[0]) for i in range(50)]
-    got = retrieve_top_k(q, db, 10)
-    want = sorted(range(50), key=lambda i: (-float(db[i][1] @ q), i))[:10]
+    db = _unit_rows(rng, 50, 16)
+    got = retrieve_top_k(q, np.arange(50), db, 10)
+    want = sorted(range(50), key=lambda i: (-float(db[i] @ q), i))[:10]
     assert got == want
 
 
 def test_retrieve_top_k_ties_and_overflow():
     d = np.array([1.0, 0.0])
-    db = [(7, d.copy()), (3, d.copy()), (9, d.copy())]
-    assert retrieve_top_k(d, db, 2) == [3, 7]
-    assert retrieve_top_k(d, db, 99) == [3, 7, 9]
-    assert retrieve_top_k(d, [], 4) == []
+    ids, db = np.array([7, 3, 9]), np.array([d, d, d])
+    assert retrieve_top_k(d, ids, db, 2) == [3, 7]
+    assert retrieve_top_k(d, ids, db, 99) == [3, 7, 9]
+    assert retrieve_top_k(d, np.array([], dtype=int), np.zeros((0, 2)), 4) == []
     with pytest.raises(ValueError):
-        retrieve_top_k(d, db, 0)
+        retrieve_top_k(d, ids, db, 0)
 
 
 class _F:

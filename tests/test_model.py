@@ -11,6 +11,7 @@ from anchorloc.matching import CANDIDATE_MATCH, FeatureSet
 from anchorloc.model import (
     Frame,
     Landmark,
+    ReferenceIndex,
     SfMModel,
     add_observation,
     freeze_mask_for_reference,
@@ -130,9 +131,9 @@ def test_spatial_neighbors_ranking_and_gate():
     # a frame looking the opposite way is filtered by the view-angle gate
     flipped = Pose.from_rt(np.diag([1.0, -1.0, -1.0]), np.zeros(3))
     m.add_frame(_frame(99, "reference", pose=flipped))
-    got = spatial_neighbors(m, Pose(np.array([1.0, 0, 0, 0]), np.zeros(3)), 3, 60.0)
+    got = spatial_neighbors(ReferenceIndex.of(m), Pose(np.array([1.0, 0, 0, 0]), np.zeros(3)), 3, 60.0)
     assert got == [0, 1, 2]
-    assert 99 not in spatial_neighbors(m, Pose(), 10, 60.0)
+    assert 99 not in spatial_neighbors(ReferenceIndex.of(m), Pose(), 10, 60.0)
 
 
 def test_spatial_neighbors_matches_per_frame_loop():
@@ -150,7 +151,7 @@ def test_spatial_neighbors_matches_per_frame_loop():
             c = np.clip(f.pose.view_direction() @ pose.view_direction(), -1.0, 1.0)
             if np.degrees(np.arccos(c)) <= 90.0:
                 scored.append((np.linalg.norm(f.pose.center() - pose.center()), f.id))
-        assert spatial_neighbors(m, pose, 7, 90.0) == [fid for _, fid in sorted(scored)[:7]]
+        assert spatial_neighbors(ReferenceIndex.of(m), pose, 7, 90.0) == [fid for _, fid in sorted(scored)[:7]]
 
 
 def test_lift_matches_collapses_to_best():

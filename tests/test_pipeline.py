@@ -7,7 +7,7 @@ from anchorloc import pipeline
 from anchorloc.baselines import single_image_localize
 from anchorloc.matching import FeatureSet
 from anchorloc.metrics import position_error
-from anchorloc.model import Frame
+from anchorloc.model import Frame, ReferenceIndex
 from anchorloc.solvers import NoConsensus, ransac_pnp
 from anchorloc.pipeline import (
     _BA_WINDOW,
@@ -110,9 +110,9 @@ def test_register_anchors_all_failed(small_reference):
     junk = FeatureSet(rng.uniform(0, 400, (30, 2)), rng.normal(size=(30, 32)))
     frames = [Frame(100000, 0.0, intr, junk, None, "pending")]
     with pytest.raises(AllAnchorsFailed):
-        register_anchors(small_reference, frames, [100000], PipelineConfig())
+        register_anchors(small_reference, ReferenceIndex.of(small_reference), frames, [100000], PipelineConfig())
     with pytest.raises(AllAnchorsFailed):
-        register_anchors(small_reference, frames, [], PipelineConfig())
+        register_anchors(small_reference, ReferenceIndex.of(small_reference), frames, [], PipelineConfig())
 
 
 def test_backward_pass_registers_frames_before_the_first_anchor(small_scene, small_reference):
@@ -145,7 +145,7 @@ def test_noisy_detector_loses_no_frame():
     arc = [100034, 100035, 100036]
     for frame in (replace(f) for f in seq if f.id in arc):
         with pytest.raises(AllAnchorsFailed):
-            register_anchors(reference.copy(), [frame], [frame.id], PipelineConfig())
+            register_anchors(reference.copy(), ReferenceIndex.of(reference), [frame], [frame.id], PipelineConfig())
     scores = anchor_scores(scene)
     assert scores[100000] >= 0.5
     scores.update(dict.fromkeys([100020, *arc, 100060], 1.0))
