@@ -177,6 +177,11 @@ class Pose:
 # ---------------------------------------------------------------------------
 # projection
 
+# The stop of both Levenberg-Marquardt solvers, refine_pose and
+# bundle_adjust: an accepted step that lowers the cost by at most this
+# share of it ends the run.
+CONVERGENCE_TOL = 1e-8
+
 
 def project_many(R, t, intr, pts):
     """Project (n,3) points; returns ((n,2) pixels, (n,) depths).

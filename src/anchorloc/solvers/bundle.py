@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geom import Pose, pose_jacobian_many, project_many, quat_mul, quat_to_mat
+from ..geom import CONVERGENCE_TOL, Pose, pose_jacobian_many, project_many, quat_mul, quat_to_mat
 from .errors import NumericalFailure
 
 _BAD_OBS_PENALTY = 1e8
@@ -36,13 +36,12 @@ _PAIR_CHUNK = 1024
 # Levenberg-Marquardt schedule: at most MAX_LM_ITERATIONS iterations from
 # damping INITIAL_DAMPING, raised by DAMPING_UP after a rejected step and
 # lowered by DAMPING_DOWN after an accepted one; a step that lowers the
-# cost by at most CONVERGENCE_TOL of it ends the run. Residuals beyond
-# HUBER_DELTA pixels get the Huber loss's linear weight.
+# cost by at most geom.CONVERGENCE_TOL of it ends the run. Residuals
+# beyond HUBER_DELTA pixels get the Huber loss's linear weight.
 MAX_LM_ITERATIONS = 30
 INITIAL_DAMPING = 1e-4
 DAMPING_UP = 10.0
 DAMPING_DOWN = 10.0
-CONVERGENCE_TOL = 1e-8
 HUBER_DELTA = 2.0
 
 

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from ..geom import CameraIntrinsics, Pose, pose_jacobian_many, project_many
+from ..geom import CONVERGENCE_TOL, CameraIntrinsics, Pose, pose_jacobian_many, project_many
 from .errors import InsufficientCorrespondences, NoConsensus
 
 
@@ -268,7 +268,11 @@ def solve_p3p_block(world, pixels, intr: CameraIntrinsics):
 
 
 def refine_pose(pose: Pose, world, pixels, intr: CameraIntrinsics, iterations=10):
-    """Pose-only Levenberg-Marquardt on the given correspondences."""
+    """Pose-only Levenberg-Marquardt on the given correspondences.
+
+    Stops as bundle_adjust does: at the first accepted step that lowers
+    the cost by at most CONVERGENCE_TOL of it.
+    """
     world = np.asarray(world, dtype=float)
     pixels = np.asarray(pixels, dtype=float)
     lam = 1e-6
@@ -306,7 +310,7 @@ def refine_pose(pose: Pose, world, pixels, intr: CameraIntrinsics, iterations=10
                 cost = new_cost
                 lam = max(lam / 10.0, 1e-12)
                 stepped = True
-                if improved < 1e-16 * max(cost, 1.0):
+                if improved <= CONVERGENCE_TOL * max(cost, 1e-12):
                     return pose
                 break
             lam *= 10.0

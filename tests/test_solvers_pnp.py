@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anchorloc.geom import Pose, project_many
+from anchorloc.geom import CONVERGENCE_TOL, Pose, project_many
 from anchorloc.solvers import (
     InsufficientCorrespondences,
     NoConsensus,
@@ -136,6 +136,45 @@ def test_refine_pose_converges(intrinsics):
     refined = refine_pose(start, pts, pixels, intrinsics, iterations=20)
     assert rotation_angle(refined.R, pose.R) < 1e-8
     np.testing.assert_allclose(refined.t, pose.t, atol=1e-7)
+
+
+def test_refine_pose_stops_at_the_first_step_within_the_convergence_tolerance(intrinsics, monkeypatch):
+    """On a noisy fit, the run ends at its first accepted step that lowers the
+    cost by at most CONVERGENCE_TOL of it: that step's pose is the last one
+    projected, with no rejected trials after it."""
+    from anchorloc.solvers import pnp
+
+    rng = np.random.default_rng(5)
+    pose = random_pose(rng)
+    pts = points_in_front(rng, pose, 60)
+    pixels = np.array([project(intrinsics, pose, p) for p in pts]) + rng.normal(0.0, 0.7, (60, 2))
+    start = pose.retract(np.array([0.004, -0.003, 0.002, 0.02, -0.01, 0.015]))
+    calls = []
+
+    def counted(R, t, intr, world):
+        calls.append((R.copy(), t.copy()))
+        return project_many(R, t, intr, world)
+
+    monkeypatch.setattr(pnp, "project_many", counted)
+    refined = refine_pose(start, pts, pixels, intrinsics)
+
+    def cost(R, t):
+        uv, _ = project_many(R, t, intrinsics, pts)
+        return float(((uv - pixels) ** 2).sum())
+
+    current, at = cost(*calls[0]), calls[0]
+    gains = []  # (gain, cost after) of each accepted step, in order
+    for R, t in calls[1:]:
+        if np.array_equal(R, at[0]) and np.array_equal(t, at[1]):
+            continue  # the Jacobian's projection at the current pose
+        c = cost(R, t)
+        if c <= current:
+            gains.append((current - c, c))
+            current, at = c, (R, t)
+    within = [g <= CONVERGENCE_TOL * max(c, 1e-12) for g, c in gains]
+    assert within.index(True) == len(gains) - 1
+    assert np.array_equal(calls[-1][0], refined.R) and np.array_equal(calls[-1][1], refined.t)
+    assert len(calls) < 12
 
 
 def test_ransac_pnp_noise_free(intrinsics):
