@@ -68,13 +68,16 @@ def single_image_localize(model: SfMModel, sequence, cfg: PipelineConfig) -> Bas
     index = ReferenceIndex.of(model)
     results = []
     for frame in sorted(sequence, key=lambda f: f.timestamp):
-        pose, corrs, inliers = None, [], []
+        pose, cands, corrs, inliers = None, [], [], []
         if len(frame.features) > 0:
             cands = retrieve_candidates(index, frame, K_RETRIEVAL)
             _, corrs, pose, inliers = match_lift_pnp(model, frame, cands, cfg)
         status = "failed" if pose is None else "registered"
         results.append(
-            TrajectoryEntry(frame.id, frame.timestamp, status, pose, n_corrs=len(corrs), n_inliers=len(inliers))
+            TrajectoryEntry(
+                frame.id, frame.timestamp, status, pose,
+                n_candidates=len(cands), n_corrs=len(corrs), n_inliers=len(inliers),
+            )
         )
     return BaselineReport(results)
 

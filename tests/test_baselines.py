@@ -6,7 +6,7 @@ from anchorloc.baselines import (
     onthefly_sfm,
     single_image_localize,
 )
-from anchorloc.pipeline import PipelineConfig
+from anchorloc.pipeline import K_RETRIEVAL, PipelineConfig
 from conftest import query_frames, query_gt
 
 
@@ -26,6 +26,8 @@ def test_single_image_localizes_most_frames(small_scene, small_reference):
     errs = _errors(report, gt)
     assert len(errs) >= 0.7 * len(seq)
     assert np.median(list(errs.values())) < 1.0
+    # every frame reports the retrieval candidates it was matched against
+    assert {r.n_candidates for r in report.frames} == {K_RETRIEVAL}
     # stateless: the reference model is untouched
     assert all(f.status == "reference" for f in small_reference.frames.values())
 
