@@ -142,9 +142,7 @@ def _prune_landmarks(model: SfMModel, max_reprojection_px):
                 bad.append(lm.id)
                 break
     for lid in bad:
-        lm = model.landmarks.pop(lid)
-        for fid, fidx in lm.track:
-            model.obs_to_landmark.pop((fid, fidx), None)
+        model.remove_landmark(lid)
 
 
 def _rescale_about(model: SfMModel, origin, scale):

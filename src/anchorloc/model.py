@@ -64,16 +64,34 @@ class Landmark:
 
 
 class SfMModel:
+    """Frames and landmarks by id, and the bindings between them.
+
+    obs_to_landmark maps each bound (frame id, feature index) to its
+    landmark. feature_landmarks holds the same bindings as one array per
+    frame, the landmark id of each feature and -1 where it is unbound, so
+    that a frame's bindings are read with one index; add_frame creates a
+    frame's array, and a binding to a frame the model does not hold is in
+    obs_to_landmark only.
+    """
+
     def __init__(self):
         self.frames: dict[int, Frame] = {}
         self.landmarks: dict[int, Landmark] = {}
         self.obs_to_landmark: dict[tuple, int] = {}
+        self.feature_landmarks: dict[int, np.ndarray] = {}
         self._next_landmark_id = 0
 
     def add_frame(self, frame: Frame):
         if frame.id in self.frames:
             raise ValueError(f"duplicate frame id {frame.id}")
         self.frames[frame.id] = frame
+        self.feature_landmarks[frame.id] = np.full(len(frame.features), -1, dtype=np.intp)
+
+    def _bind(self, key, lid):
+        self.obs_to_landmark[key] = lid
+        ids = self.feature_landmarks.get(key[0])
+        if ids is not None:
+            ids[key[1]] = lid
 
     def add_landmark(self, lm: Landmark):
         if lm.id in self.landmarks:
@@ -85,8 +103,16 @@ class SfMModel:
                 raise ValueError(f"feature {key} already bound")
         self.landmarks[lm.id] = lm
         for key in lm.track:
-            self.obs_to_landmark[tuple(key)] = lm.id
+            self._bind(tuple(key), lm.id)
         self._next_landmark_id = max(self._next_landmark_id, lm.id + 1)
+
+    def remove_landmark(self, lid):
+        """Drop a landmark and unbind every feature of its track."""
+        for fid, fidx in self.landmarks.pop(lid).track:
+            self.obs_to_landmark.pop((fid, fidx), None)
+            ids = self.feature_landmarks.get(fid)
+            if ids is not None:
+                ids[fidx] = -1
 
     def copy(self) -> "SfMModel":
         """A model a run can grow without touching this one.
@@ -100,6 +126,7 @@ class SfMModel:
         out.frames = {fid: replace(f) for fid, f in self.frames.items()}
         out.landmarks = {lid: replace(lm, track=list(lm.track)) for lid, lm in self.landmarks.items()}
         out.obs_to_landmark = dict(self.obs_to_landmark)
+        out.feature_landmarks = {fid: ids.copy() for fid, ids in self.feature_landmarks.items()}
         out._next_landmark_id = self._next_landmark_id
         return out
 
@@ -190,6 +217,16 @@ def spatial_neighbors(index: ReferenceIndex, pose: Pose, k: int, max_view_angle_
     return ids[np.lexsort((ids, dist))[:k]].tolist()
 
 
+def bound_landmarks(model: SfMModel, frame_ids, features):
+    """The landmark id of each (frame id, feature index) pair of two equal-length
+    integer arrays, -1 where unbound, read from the frames' feature_landmarks
+    stacked end to end."""
+    fids, at = np.unique(frame_ids, return_inverse=True)
+    blocks = [model.feature_landmarks[fid] for fid in fids.tolist()]
+    start = np.cumsum([0] + [len(b) for b in blocks[:-1]], dtype=np.intp)
+    return np.concatenate([np.empty(0, np.intp), *blocks])[start[at] + features]
+
+
 def lift_matches_to_3d(model: SfMModel, query_features: FeatureSet, matches):
     """2D-3D correspondences from 2D matches into tracked target features.
 
@@ -197,11 +234,10 @@ def lift_matches_to_3d(model: SfMModel, query_features: FeatureSet, matches):
     collapse to the one with the smallest descriptor distance (best_per_key).
     Returns a CORRESPONDENCE array in ascending landmark id order.
     """
-    bound = list(map(model.obs_to_landmark.get, zip(matches["candidate"].tolist(), matches["target"].tolist())))
-    rows = [i for i, lid in enumerate(bound) if lid is not None]
-    lids = np.array([bound[i] for i in rows], dtype=np.intp)
-    pick = best_per_key(lids, matches["distance"][rows])
-    rows, lids = np.array(rows, dtype=np.intp)[pick], lids[pick]
+    bound = bound_landmarks(model, matches["candidate"], matches["target"])
+    rows = np.flatnonzero(bound >= 0)
+    rows = rows[best_per_key(bound[rows], matches["distance"][rows])]
+    lids = bound[rows]
     feature = matches["query"][rows]
     world = np.array([model.landmarks[lid].position for lid in lids.tolist()]).reshape(-1, 3)
     return records(CORRESPONDENCE, feature, lids, query_features.pixels[feature], world)
@@ -230,7 +266,7 @@ def add_observation(model: SfMModel, lid: int, fid: int, fidx: int) -> bool:
     key = (fid, fidx)
     if key in model.obs_to_landmark:
         return False
-    model.obs_to_landmark[key] = lid
+    model._bind(key, lid)
     model.landmarks[lid].track.append(key)
     return True
 

@@ -4,9 +4,14 @@ Flow: detect anchor frames, register them to the reference model, then
 walk the sequence in time order from the earliest anchor, registering
 each frame via spatially-, retrieval-, and temporally-guided matching,
 PnP, and triangulation. A frame whose two predecessors in pass order are
-posed gets their constant-velocity pose as a prior; PnP refines the prior
-on the correspondences it explains and falls back to P3P-RANSAC when it
-misses RANSAC's consensus bar. After every batch of newly registered
+posed gets their constant-velocity pose as a prior. It is matched only
+against the candidates the prior sees, those binding a landmark that
+projects in front of the prior camera and within the inlier threshold of
+the box around the frame's feature pixels, the local-map search of
+ORB-SLAM's tracking; no other candidate can give the prior an inlier. PnP
+refines the prior on the correspondences it explains; when that misses
+RANSAC's consensus bar, the other candidates are matched too and the frame
+falls back to P3P-RANSAC on all of them. After every batch of newly registered
 frames a windowed frozen-reference bundle adjustment refines the last
 _BA_WINDOW registered query frames and the augmented landmarks they
 observe, holding the reference and older frames fixed (the local BA of
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geom import Pose
+from .geom import Pose, project_many
 from .matching import (
     CANDIDATE_MATCH,
     MATCH,
@@ -47,6 +52,7 @@ from .model import (
     ReferenceIndex,
     SfMModel,
     add_observation,
+    bound_landmarks,
     freeze_mask_for_reference,
     frozen_state_digest,
     lift_matches_to_3d,
@@ -147,33 +153,68 @@ def _frame_seed(cfg: PipelineConfig, frame_id: int) -> int:
     return (cfg.ransac.rng_seed * 1000003 + frame_id) % (2**63)
 
 
+def _covisible(model: SfMModel, frame, cands, prior: Pose, threshold):
+    """Whether each candidate frame binds a landmark that prior sees: in
+    front of the camera and projected within threshold px of the box around
+    frame's feature pixels. pose_from_prior counts a correspondence only when
+    the prior reprojects its landmark within threshold of a feature pixel,
+    so a candidate outside this test holds no landmark the prior can count."""
+    bound = [ids[ids >= 0] for ids in (model.feature_landmarks[c.id] for c in cands)]
+    lids, at = np.unique(np.concatenate([np.empty(0, np.intp), *bound]), return_inverse=True)
+    X = np.array([model.landmarks[lid].position for lid in lids.tolist()]).reshape(-1, 3)
+    uv, z = project_many(prior.R, prior.t, frame.intrinsics, X)
+    px = frame.features.pixels
+    seen = (z > 0) & np.all((uv >= px.min(axis=0) - threshold) & (uv <= px.max(axis=0) + threshold), axis=1)
+    hits = np.concatenate([[0], np.cumsum(seen[at])])
+    ends = np.cumsum([0] + [len(b) for b in bound])
+    return hits[ends[1:]] > hits[ends[:-1]]
+
+
 def match_lift_pnp(model: SfMModel, frame, candidate_ids, cfg: PipelineConfig, prior=None):
     """Match a frame against its candidates, lift to 2D-3D, solve PnP.
 
-    With a prior pose, PnP first refines the prior on the correspondences
-    it explains (pose_from_prior) and runs RANSAC only when that fails.
-    Leaves the model untouched. Returns (matches, corrs, pose, inliers):
-    matches a CANDIDATE_MATCH array, candidate by candidate; corrs
-    lift_matches_to_3d's CORRESPONDENCE array; pose None with no inliers
-    when there are too few correspondences or RANSAC fails.
+    With a prior pose, only the candidates the prior sees (_covisible) are
+    matched, and PnP refines the prior on the correspondences it explains
+    (pose_from_prior). When that fails, the other candidates are matched
+    too and RANSAC runs on the correspondences of all of them, in
+    candidate order; no pair is matched twice. Leaves the model untouched.
+    Returns (matches, corrs, pose, inliers): matches a CANDIDATE_MATCH
+    array, candidate by candidate; corrs lift_matches_to_3d's
+    CORRESPONDENCE array; pose None with no inliers when there are too
+    few correspondences or RANSAC fails.
     """
     cands = [f for f in map(model.frames.get, candidate_ids) if f is not None and len(f.features) > 0]
-    found = [match_features(frame.features, c.features, MATCH_RATIO) for c in cands]
-    # stacked field by field: numpy joins plain arrays far faster than structured ones
-    cid = np.repeat(np.array([c.id for c in cands], dtype=np.intp), [len(m) for m in found])
-    fields = (np.concatenate([np.empty(0, MATCH)[k], *(m[k] for m in found)]) for k in MATCH.names)
-    matches = records(CANDIDATE_MATCH, cid, *fields)
+    found = {}
 
-    corrs = lift_matches_to_3d(model, frame.features, matches)
+    def stacked(sel):
+        for c in sel:
+            if c.id not in found:
+                found[c.id] = match_features(frame.features, c.features, MATCH_RATIO)
+        ms = [found[c.id] for c in sel]
+        # stacked field by field: numpy joins plain arrays far faster than structured ones
+        cid = np.repeat(np.array([c.id for c in sel], dtype=np.intp), [len(m) for m in ms])
+        fields = (np.concatenate([np.empty(0, MATCH)[k], *(m[k] for m in ms)]) for k in MATCH.names)
+        return records(CANDIDATE_MATCH, cid, *fields)
+
+    matches = None
+    if prior is not None:
+        near = [c for c, ok in zip(cands, _covisible(model, frame, cands, prior, cfg.ransac.inlier_threshold)) if ok]
+        matches = stacked(near)
+        corrs = lift_matches_to_3d(model, frame.features, matches)
+        if len(corrs) >= MIN_2D3D:
+            try:
+                pose, inliers = pose_from_prior(prior, corrs["world"], corrs["pixel"], frame.intrinsics, cfg.ransac)
+                return matches, corrs, pose, inliers
+            except SolverError:
+                pass
+        if len(near) < len(cands):
+            matches = None
+    if matches is None:
+        matches = stacked(cands)
+        corrs = lift_matches_to_3d(model, frame.features, matches)
     if len(corrs) < MIN_2D3D:
         return matches, corrs, None, []
 
-    if prior is not None:
-        try:
-            pose, inliers = pose_from_prior(prior, corrs["world"], corrs["pixel"], frame.intrinsics, cfg.ransac)
-            return matches, corrs, pose, inliers
-        except SolverError:
-            pass
     rcfg = replace(cfg.ransac, rng_seed=_frame_seed(cfg, frame.id))
     try:
         pose, inliers = ransac_pnp(corrs["world"], corrs["pixel"], frame.intrinsics, rcfg)
@@ -186,15 +227,14 @@ def _new_tracks(model: SfMModel, frame_id, matches):
     """Two-view tracks [(frame_id, query), (candidate, target)] to triangulate, in query
     order: each unbound query feature with its closest match (best_per_key) into an
     unbound feature of a posed candidate."""
-    obs = model.obs_to_landmark
-    query, cand, target = (matches[k].tolist() for k in ("query", "candidate", "target"))
-    free = [
-        (frame_id, q) not in obs and (c, t) not in obs and model.frames[c].pose is not None
-        for q, c, t in zip(query, cand, target)
-    ]
+    cands, at = np.unique(matches["candidate"], return_inverse=True)
+    posed = np.array([model.frames[c].pose is not None for c in cands.tolist()], dtype=bool)[at]
+    unbound_query = model.feature_landmarks[frame_id][matches["query"]] < 0
+    free = unbound_query & (bound_landmarks(model, matches["candidate"], matches["target"]) < 0) & posed
     rows = np.flatnonzero(free)
     rows = rows[best_per_key(matches["query"][rows], matches["distance"][rows])]
-    return [[(frame_id, query[r]), (cand[r], target[r])] for r in rows.tolist()]
+    query, cand, target = (matches[k][rows].tolist() for k in ("query", "candidate", "target"))
+    return [[(frame_id, q), (c, t)] for q, c, t in zip(query, cand, target)]
 
 
 def _attempt_registration(model: SfMModel, frame, candidate_ids, cfg: PipelineConfig, status, prior=None):

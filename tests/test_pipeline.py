@@ -5,9 +5,10 @@ import pytest
 
 from anchorloc import pipeline
 from anchorloc.baselines import single_image_localize
-from anchorloc.matching import FeatureSet
+from anchorloc.geom import CameraIntrinsics, Pose, project_many
+from anchorloc.matching import FeatureSet, match_features
 from anchorloc.metrics import position_error
-from anchorloc.model import Frame, ReferenceIndex
+from anchorloc.model import Frame, Landmark, ReferenceIndex, SfMModel
 from anchorloc.solvers import NoConsensus, ransac_pnp
 from anchorloc.pipeline import (
     _BA_WINDOW,
@@ -202,3 +203,148 @@ def test_velocity_prior_poses_the_recursion_without_ransac(monkeypatch):
     without = median_error(run_pipeline(reference, seq, detector, PipelineConfig()))
     assert len(ransac_calls) == len(result.frame_events)
     assert abs(with_prior - without) <= 0.05 * without, (with_prior, without)
+
+
+def _pose_bits(pose):
+    return None if pose is None else (pose.q.tobytes(), pose.t.tobytes())
+
+
+def _inlier_pairs(corrs, inliers):
+    """The (feature, landmark) pairs of the inlier correspondences."""
+    return set(zip(corrs["feature"][inliers].tolist(), corrs["landmark"][inliers].tolist()))
+
+
+def test_covisibility_gate_keeps_the_prior_pose_and_inliers(small_scene, small_reference, small_scores, monkeypatch):
+    """At every tracking frame of a run, on the model as it stands then, the
+    gated call gives the pose bits and inlier (feature, landmark) pairs of a
+    call that matches every candidate, while it matches fewer of them."""
+    seq = query_frames(small_scene)
+    real = pipeline.match_lift_pnp
+    compared = []
+
+    def every_candidate(model, frame, cands, prior, threshold):
+        return np.ones(len(cands), dtype=bool)
+
+    def both(model, frame, cand_ids, cfg, prior=None):
+        out = real(model, frame, cand_ids, cfg, prior)
+        if prior is not None:
+            with monkeypatch.context() as m:
+                m.setattr(pipeline, "_covisible", every_candidate)
+                compared.append((out, real(model, frame, cand_ids, cfg, prior)))
+        return out
+
+    monkeypatch.setattr(pipeline, "match_lift_pnp", both)
+    result = run_pipeline(small_reference, seq, detector_from_scores(small_scores), PipelineConfig())
+    assert _registered_ids(result) == {f.id for f in seq}
+    assert len(compared) >= 0.9 * len(seq)
+    for (matches, corrs, pose, inliers), (all_matches, all_corrs, all_pose, all_inliers) in compared:
+        assert _pose_bits(pose) == _pose_bits(all_pose)
+        assert _inlier_pairs(corrs, inliers) == _inlier_pairs(all_corrs, all_inliers)
+    skipped = sum(len(set(full[0]["candidate"].tolist()) - set(gated[0]["candidate"].tolist())) for gated, full in compared)
+    assert skipped > len(compared)
+
+
+def test_failed_prior_matches_every_candidate_once(small_scene, small_reference, small_scores, monkeypatch):
+    """A frame whose prior explains nothing gets exactly the matches,
+    correspondences and pose of a call without a prior, and each candidate is
+    matched once, though the gate skipped some of them first."""
+    seq = query_frames(small_scene)
+    model = run_pipeline(small_reference, seq[:40], detector_from_scores(small_scores), PipelineConfig()).model
+    frame = seq[40]
+    cand_ids = [f.id for f in model.reference_frames()] + [f.id for f in seq[:40]]
+    # the last pose panned by 15 degrees: it explains no correspondence
+    prior = model.frames[seq[39].id].pose.retract(np.array([0.0, 0.26, 0.0, 0.0, 0.0, 0.0]))
+    cfg = PipelineConfig()
+    kept, calls = [], []
+    real_gate, real_match = pipeline._covisible, pipeline.match_features
+
+    def gate(*args):
+        kept.append(real_gate(*args))
+        return kept[-1]
+
+    def counted(a, b, ratio):
+        calls.append(b)
+        return real_match(a, b, ratio)
+
+    monkeypatch.setattr(pipeline, "_covisible", gate)
+    monkeypatch.setattr(pipeline, "match_features", counted)
+    matches, corrs, pose, inliers = pipeline.match_lift_pnp(model, frame, cand_ids, cfg, prior)
+    n_matched = len(calls)
+    want_matches, want_corrs, want_pose, want_inliers = pipeline.match_lift_pnp(model, frame, cand_ids, cfg)
+    assert 0 < kept[0].sum() < len(kept[0]) == len(cand_ids)
+    assert n_matched == len(cand_ids) and len({id(b) for b in calls[:n_matched]}) == n_matched
+    assert np.array_equal(matches, want_matches) and np.array_equal(corrs, want_corrs)
+    assert pose is not None and _pose_bits(pose) == _pose_bits(want_pose)
+    assert np.array_equal(inliers, want_inliers)
+
+
+def test_gate_never_matches_a_candidate_the_prior_cannot_see(monkeypatch):
+    """Candidates whose landmarks all lie behind the prior, more than the
+    inlier threshold outside the box around the frame's feature pixels, or
+    that bind no landmark, are never matched; a landmark inside the margin
+    keeps its candidate."""
+    intr = CameraIntrinsics(420.0, 420.0, 320.0, 240.0, 640, 480)
+    rng = np.random.default_rng(4)
+    n = 30
+    desc = rng.normal(size=(n, 16))
+    desc /= np.linalg.norm(desc, axis=1, keepdims=True)
+    front = np.column_stack([rng.uniform(-2, 2, n), rng.uniform(-2, 2, n), rng.uniform(6, 10, n)])
+    pixels, _ = project_many(np.eye(3), np.zeros(3), intr, front)
+    u_min, u_max, v_mid = pixels[:, 0].min(), pixels[:, 0].max(), float(np.median(pixels[:, 1]))
+
+    def at_pixel(u, v, z=8.0):
+        return np.array([(u - intr.cx) / intr.fx * z, (v - intr.cy) / intr.fy * z, z])
+
+    model = SfMModel()
+    query = Frame(0, 0.0, intr, FeatureSet(pixels, desc), None, "pending")
+    layouts = {
+        1: front * np.array([1.0, 1.0, -1.0]),  # behind the camera
+        2: front,  # seen: the frame's own landmarks
+        3: np.array([at_pixel(u_max + 5.0, v_mid + dv) for dv in (-20.0, 0.0, 20.0)]),  # 5 px past the box
+        4: np.array([at_pixel(u_max + 3.0, v_mid)]),  # 3 px past it, inside the 4 px margin
+        6: np.array([at_pixel(u_min - 3.0, v_mid)]),  # the same on the other side
+    }
+    for fid in (1, 2, 3, 4, 5, 6):  # frame 5 binds no landmark
+        X = layouts.get(fid, front)
+        model.add_frame(Frame(fid, float(fid), intr, FeatureSet(rng.uniform(0, 400, (len(X), 2)), desc[: len(X)]), Pose(), "reference"))
+        for k, x in enumerate(X if fid in layouts else []):
+            model.add_landmark(Landmark(model.new_landmark_id(), x, "reference", [(fid, k)]))
+    matched = []
+
+    def counted(a, b, ratio):
+        matched.append(next(fid for fid, f in model.frames.items() if f.features is b))
+        return match_features(a, b, ratio)
+
+    monkeypatch.setattr(pipeline, "match_features", counted)
+    matches, corrs, pose, inliers = pipeline.match_lift_pnp(model, query, [1, 2, 3, 4, 5, 6], PipelineConfig(), Pose())
+    assert matched == [2, 4, 6]
+    assert set(matches["candidate"].tolist()) <= {2, 4, 6}
+    assert pose is not None and len(inliers) == n
+
+
+def _bindings_agree(model):
+    """feature_landmarks holds obs_to_landmark, frame by frame."""
+    want = {fid: np.full(len(f.features), -1) for fid, f in model.frames.items()}
+    for (fid, k), lid in model.obs_to_landmark.items():
+        want[fid][k] = lid
+    return want.keys() == model.feature_landmarks.keys() and all(
+        np.array_equal(model.feature_landmarks[fid], ids) for fid, ids in want.items()
+    )
+
+
+def test_feature_landmarks_mirror_the_bindings_after_a_run_and_a_prune(small_scene, small_reference, small_scores):
+    from anchorloc.baselines import _prune_landmarks
+    from anchorloc.pipeline import TRIANGULATION
+
+    result = run_pipeline(small_reference, query_frames(small_scene), detector_from_scores(small_scores), PipelineConfig())
+    model = result.model
+    assert _bindings_agree(model) and _bindings_agree(small_reference)
+    assert len(model.obs_to_landmark) > len(small_reference.obs_to_landmark)
+    # moved far off, these landmarks fail the prune's reprojection gate
+    moved = [lid for lid, lm in model.landmarks.items() if lm.origin == "augmented"][:5]
+    for lid in moved:
+        model.landmarks[lid].position = model.landmarks[lid].position + 50.0
+    before = len(model.landmarks)
+    _prune_landmarks(model, TRIANGULATION.max_reprojection_px)
+    assert set(moved).isdisjoint(model.landmarks) and len(model.landmarks) < before
+    assert _bindings_agree(model)
