@@ -1,17 +1,21 @@
-"""Whole-sweep accuracy of ``proposed`` in two checkouts, RANSAC seed by seed.
+"""Whole-sweep accuracy of ``proposed`` in two checkouts, seed by seed.
 
-    python3 scripts/sweep_accuracy.py PARENT_ROOT CHANGE_ROOT [--seeds 1-5]
+    python3 scripts/sweep_accuracy.py PARENT_ROOT CHANGE_ROOT [--seeds 1-5 | --scene-seeds 1-5]
 
 Localizes all query frames of each checkout's configs/adversarial.cfg with
-``proposed``, once per RANSAC seed, with each checkout's ``src/``; every
-run is its own Python process, and the two checkouts alternate seed by
-seed. Prints one line per seed and checkout: the registered frames, the
+``proposed``, once per RANSAC seed (``--seeds``) or, with
+``--scene-seeds``, once per scene seed (``scene.rng_seed``) at the
+configured RANSAC seed, with each checkout's ``src/``; every run is its
+own Python process, and the two checkouts alternate seed by seed. Prints one line per seed and checkout: the registered frames, the
 median and largest position error, and the wall time of ``run_pipeline``.
 Then prints the seed-paired difference of the median errors, change minus
 parent in percent of the parent's: its mean, its spread (smallest,
 largest and sample standard deviation) and the count of its signs. The
-RANSAC seed alone moves the median error by a few percent, so a change's
-accuracy is read from the paired differences, not from one seed.
+seed alone moves the median error by a few percent, so a change's
+accuracy is read from the paired differences, not from one seed. Where a
+velocity prior poses most frames, only the anchors' and the fallbacks'
+RANSAC runs depend on the RANSAC seed, so ``--scene-seeds`` is the sweep
+that spreads.
 """
 
 from __future__ import annotations
@@ -26,13 +30,16 @@ from pathlib import Path
 _RUN = """
 import json, sys, time
 from dataclasses import replace
-src, cfg_path, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
+src, cfg_path, seed, varied = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
 sys.path.insert(0, src)
 from anchorloc import config, pipeline, synth
 from anchorloc.metrics import position_error
 from anchorloc.model import Frame
 scene, cfg = config.parse_run_config(cfg_path)
-cfg = replace(cfg, ransac=replace(cfg.ransac, rng_seed=seed))
+if varied == "scene":
+    scene = replace(scene, rng_seed=seed)
+else:
+    cfg = replace(cfg, ransac=replace(cfg.ransac, rng_seed=seed))
 ds = synth.generate_scene(scene)
 reference = synth.build_reference_model(ds)
 detector = pipeline.detector_from_scores(synth.anchor_scores(ds))
@@ -58,10 +65,12 @@ def parse_seeds(text):
     return seeds
 
 
-def run_sweep(root: Path, seed):
-    """One whole-sweep run of root's sources in a fresh interpreter."""
+def run_sweep(root: Path, seed, varied="ransac"):
+    """One whole-sweep run of root's sources in a fresh interpreter, with
+    seed as its RANSAC seed, or as its scene seed when varied is "scene"."""
+    cfg = root / "configs" / "adversarial.cfg"
     out = subprocess.run(
-        [sys.executable, "-c", _RUN, str(root / "src"), str(root / "configs" / "adversarial.cfg"), str(seed)],
+        [sys.executable, "-c", _RUN, str(root / "src"), str(cfg), str(seed), varied],
         check=True,
         capture_output=True,
         text=True,
@@ -95,15 +104,19 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path, help="root of the parent checkout")
     ap.add_argument("change", type=Path, help="root of the changed checkout")
-    ap.add_argument("--seeds", default="1-5", help="RANSAC seeds, as 1-5 or 1,3,7 (default 1-5)")
+    which = ap.add_mutually_exclusive_group()
+    which.add_argument("--seeds", default="1-5", help="RANSAC seeds, as 1-5 or 1,3,7 (default 1-5)")
+    which.add_argument("--scene-seeds", help="scene seeds in place of RANSAC seeds, in the same form")
     args = ap.parse_args(argv)
-    seeds = parse_seeds(args.seeds)
+    varied = "ransac" if args.scene_seeds is None else "scene"
+    seeds = parse_seeds(args.seeds if args.scene_seeds is None else args.scene_seeds)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {name: [] for name in roots}
+    print(f"{varied} seed")
     print(f"{'seed':>4}  {'checkout':<8} {'registered':>10}  {'median':>8}  {'largest':>8}  {'wall_s':>6}")
     for seed in seeds:
         for name, root in roots.items():
-            r = run_sweep(root, seed)
+            r = run_sweep(root, seed, varied)
             runs[name].append(r)
             reg = f"{r['registered']}/{r['frames']}"
             print(f"{seed:>4}  {name:<8} {reg:>10}  {r['median']:8.5f}  {r['largest']:8.4f}  {r['wall_s']:6.2f}", flush=True)

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
+import sweep_accuracy  # noqa: E402
 from sweep_accuracy import paired_differences, parse_seeds  # noqa: E402
 
 
@@ -24,3 +25,21 @@ def test_paired_differences_are_per_seed_percentages_of_the_parent():
     assert (s["min"], s["max"]) == (pytest.approx(-5.0), pytest.approx(2.0))
     assert s["stdev"] == pytest.approx(3.605551, rel=1e-6)
     assert s["signs"] == (1, 1, 1)
+
+
+def test_scene_seeds_vary_the_scene_seed_in_alternating_runs(monkeypatch, capsys):
+    runs = []
+
+    def fake_sweep(root, seed, varied="ransac"):
+        runs.append((root.name, seed, varied))
+        return {"registered": 300, "frames": 300, "median": 0.05, "largest": 0.2, "wall_s": 1.0}
+
+    monkeypatch.setattr(sweep_accuracy, "run_sweep", fake_sweep)
+    sweep_accuracy.main(["parent", "change", "--scene-seeds", "3,5"])
+    assert runs == [("parent", 3, "scene"), ("change", 3, "scene"), ("parent", 5, "scene"), ("change", 5, "scene")]
+    assert capsys.readouterr().out.startswith("scene seed")
+    runs.clear()
+    sweep_accuracy.main(["parent", "change", "--seeds", "2"])
+    assert runs == [("parent", 2, "ransac"), ("change", 2, "ransac")]
+    with pytest.raises(SystemExit):
+        sweep_accuracy.main(["parent", "change", "--seeds", "1", "--scene-seeds", "1"])
