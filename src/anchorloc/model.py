@@ -208,8 +208,6 @@ def spatial_neighbors(index: ReferenceIndex, pose: Pose, k: int, max_view_angle_
 
     Ties in distance go to the smaller frame id.
     """
-    if len(index.ids) == 0:
-        return []
     ang = np.degrees(np.arccos(np.clip(index.view_dirs @ pose.view_direction(), -1.0, 1.0)))
     keep = ang <= max_view_angle_deg
     ids = index.ids[keep]

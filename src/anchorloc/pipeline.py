@@ -196,7 +196,7 @@ def match_lift_pnp(model: SfMModel, frame, candidate_ids, cfg: PipelineConfig, p
         fields = (np.concatenate([np.empty(0, MATCH)[k], *(m[k] for m in ms)]) for k in MATCH.names)
         return records(CANDIDATE_MATCH, cid, *fields)
 
-    matches = None
+    near = cands
     if prior is not None:
         near = [c for c, ok in zip(cands, _covisible(model, frame, cands, prior, cfg.ransac.inlier_threshold)) if ok]
         matches = stacked(near)
@@ -207,9 +207,7 @@ def match_lift_pnp(model: SfMModel, frame, candidate_ids, cfg: PipelineConfig, p
                 return matches, corrs, pose, inliers
             except SolverError:
                 pass
-        if len(near) < len(cands):
-            matches = None
-    if matches is None:
+    if prior is None or len(near) < len(cands):
         matches = stacked(cands)
         corrs = lift_matches_to_3d(model, frame.features, matches)
     if len(corrs) < MIN_2D3D:
@@ -289,12 +287,12 @@ def _run_bundle(model, label, ba_events):
 
 def register_anchors(model: SfMModel, index: ReferenceIndex, sequence, anchor_ids, cfg: PipelineConfig):
     """Register anchors to the reference model; one frozen BA at the end.
-    index: ReferenceIndex.of(model), the retrieval database.
 
     An anchor that has no features or does not register stays pending, so
     the recursion tries it again as an ordinary frame: a detector's false
-    hit costs no frame. Returns (list of registered anchor ids, list of
-    BAEvents).
+    hit costs no frame. index is ReferenceIndex.of(model), whose global
+    descriptors retrieval searches. Returns (list of registered anchor
+    ids, list of BAEvents).
     """
     if not anchor_ids:
         raise AllAnchorsFailed("no anchors supplied")
@@ -358,8 +356,9 @@ def _set_final_poses(model: SfMModel, entries):
 def recursive_localize(model: SfMModel, index: ReferenceIndex, sequence, anchor_ids, cfg: PipelineConfig):
     """Time-ordered frame-by-frame registration with periodic frozen BA.
 
-    index: ReferenceIndex.of(model). sequence: Frame objects. anchor_ids: register_anchors' result, the
-    anchors registered into the model (at least one). Returns a
+    index: ReferenceIndex.of(model). sequence: Frame objects. anchor_ids:
+    register_anchors' result, the anchors registered into the model (at
+    least one). Returns a
     LocalizationResult with one entry per frame it attempted, holding the
     frame's pose after the last BA.
     """
