@@ -6,8 +6,9 @@ Localizes all query frames of each checkout's configs/adversarial.cfg with
 ``proposed``, once per RANSAC seed (``--seeds``) or, with
 ``--scene-seeds``, once per scene seed (``scene.rng_seed``) at the
 configured RANSAC seed, with each checkout's ``src/``; every run is its
-own Python process, and the two checkouts alternate seed by seed. Prints one line per seed and checkout: the registered frames, the
-median and largest position error, and the wall time of ``run_pipeline``.
+own Python process, and the two checkouts alternate seed by seed. Prints
+one line per seed and checkout: the registered frames, the median and
+largest position error, and the wall time of ``run_pipeline``.
 Then prints the seed-paired difference of the median errors, change minus
 parent in percent of the parent's: its mean, its spread (smallest,
 largest and sample standard deviation) and the count of its signs. The

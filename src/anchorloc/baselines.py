@@ -259,7 +259,8 @@ def onthefly_sfm(sequence, cfg: PipelineConfig, gt):
             g = _gdesc(frame) if len(frame.features) > 0 else None
             if g is not None:
                 db = [f for f in frames if f.status == "registered" and f.id != frame.id and _gdesc(f) is not None]
-                cand_ids = retrieve_top_k(g, np.array([f.id for f in db]), np.array([_gdesc(f) for f in db]), K_RETRIEVAL)
+                ids, descriptors = np.array([f.id for f in db]), np.array([_gdesc(f) for f in db])
+                cand_ids = retrieve_top_k(g, ids, descriptors, K_RETRIEVAL)
             ok = False
             if len(frame.features) > 0 and cand_ids:
                 ok, _, _ = _attempt_registration(model, frame, cand_ids, cfg, "registered")

@@ -240,7 +240,8 @@ def test_covisibility_gate_keeps_the_prior_pose_and_inliers(small_scene, small_r
     for (matches, corrs, pose, inliers), (all_matches, all_corrs, all_pose, all_inliers) in compared:
         assert _pose_bits(pose) == _pose_bits(all_pose)
         assert _inlier_pairs(corrs, inliers) == _inlier_pairs(all_corrs, all_inliers)
-    skipped = sum(len(set(full[0]["candidate"].tolist()) - set(gated[0]["candidate"].tolist())) for gated, full in compared)
+    # the candidates matched only by the ungated call, summed over frames
+    skipped = sum(len(set(full[0]["candidate"]) - set(gated[0]["candidate"])) for gated, full in compared)
     assert skipped > len(compared)
 
 
@@ -306,7 +307,8 @@ def test_gate_never_matches_a_candidate_the_prior_cannot_see(monkeypatch):
     }
     for fid in (1, 2, 3, 4, 5, 6):  # frame 5 binds no landmark
         X = layouts.get(fid, front)
-        model.add_frame(Frame(fid, float(fid), intr, FeatureSet(rng.uniform(0, 400, (len(X), 2)), desc[: len(X)]), Pose(), "reference"))
+        features = FeatureSet(rng.uniform(0, 400, (len(X), 2)), desc[: len(X)])
+        model.add_frame(Frame(fid, float(fid), intr, features, Pose(), "reference"))
         for k, x in enumerate(X if fid in layouts else []):
             model.add_landmark(Landmark(model.new_landmark_id(), x, "reference", [(fid, k)]))
     matched = []
@@ -336,8 +338,8 @@ def test_feature_landmarks_mirror_the_bindings_after_a_run_and_a_prune(small_sce
     from anchorloc.baselines import _prune_landmarks
     from anchorloc.pipeline import TRIANGULATION
 
-    result = run_pipeline(small_reference, query_frames(small_scene), detector_from_scores(small_scores), PipelineConfig())
-    model = result.model
+    seq = query_frames(small_scene)
+    model = run_pipeline(small_reference, seq, detector_from_scores(small_scores), PipelineConfig()).model
     assert _bindings_agree(model) and _bindings_agree(small_reference)
     assert len(model.obs_to_landmark) > len(small_reference.obs_to_landmark)
     # moved far off, these landmarks fail the prune's reprojection gate
