@@ -319,21 +319,95 @@ def refine_pose(pose: Pose, world, pixels, intr: CameraIntrinsics, iterations=10
     return pose
 
 
+class _SampleStream:
+    """The samples of np.random.default_rng(seed).choice(n, k, replace=False), drawn a block at a time.
+
+    draw(size) returns a (size, k) block equal, row for row, to size
+    successive choice calls. It takes numpy's own steps for k <= 199 (the
+    sizes for which choice runs Floyd's algorithm at every n): Floyd's
+    draws in [0, j] for j = n-k .. n-1, each kept unless already picked
+    (then j is kept), and a shuffle that swaps pick i with a draw in
+    [0, i] for i = k-1 .. 1. Each draw in [0, b] is Lemire's bounded
+    integer (ACM TOMACS 2019) on the next 32-bit word, the low then the
+    high half of each PCG64 output; a bound of 0 takes no word. Words left
+    over, such as a high half, carry over to the next block.
+    """
+
+    def __init__(self, n, k, seed):
+        if k > n:
+            raise ValueError("Cannot take a larger sample than population when replace is False")
+        self.n, self.k = n, k
+        self._bitgen = np.random.default_rng(seed).bit_generator
+        bounds = np.concatenate([np.arange(n - k, n), np.arange(k - 1, 0, -1)])
+        self._n_draws = len(bounds)
+        self._uses = np.nonzero(bounds > 0)[0]  # the draws that take a word
+        self._span = bounds[self._uses].astype(np.uint64) + 1
+        # a word is rejected while the low half of word * span is below this
+        self._threshold = (2**32 - self._span) % self._span
+        self._words = np.empty(0, dtype=np.uint64)
+
+    def _fill(self, count):
+        """Hold at least count unused words."""
+        short = count - len(self._words)
+        if short > 0:
+            raw = self._bitgen.random_raw((short + 1) // 2)
+            halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
+            self._words = np.concatenate([self._words, halves])
+
+    def _bounded(self, span, threshold):
+        """One draw in [0, span), rejecting words as numpy does."""
+        while True:
+            self._fill(1)
+            m = self._words[0] * span
+            self._words = self._words[1:]
+            if (m & 0xFFFFFFFF) >= threshold:
+                return m >> 32
+
+    def draw(self, size):
+        per = len(self._uses)
+        values = np.zeros((size, self._n_draws), dtype=np.int64)
+        done = 0
+        while done < size:
+            # every sample up to the first with a rejected word in one step
+            self._fill((size - done) * per)
+            m = self._words[: (size - done) * per].reshape(size - done, per) * self._span
+            rejected = np.any((m & 0xFFFFFFFF) < self._threshold, axis=1)
+            good = int(np.argmax(rejected)) if rejected.any() else size - done
+            values[done : done + good, self._uses] = m[:good] >> 32
+            self._words = self._words[good * per :]
+            done += good
+            if done < size:
+                values[done, self._uses] = [self._bounded(*st) for st in zip(self._span, self._threshold)]
+                done += 1
+        n, k = self.n, self.k
+        picks = values[:, :k]
+        for j in range(1, k):
+            taken = np.any(picks[:, :j] == picks[:, j : j + 1], axis=1)
+            picks[taken, j] = n - k + j
+        rows = np.arange(size)
+        for c, i in enumerate(range(k - 1, 0, -1)):
+            j = values[:, k + c]
+            picks[rows, i], picks[rows, j] = picks[rows, j], picks[rows, i]
+        return picks
+
+
 def ransac(n, k, seed, solve, score):
     """Adaptive RANSAC over k-point minimal samples of n data (Fischler & Bolles, CACM 1981).
 
     solve(idx) takes a (B,k) block of samples and returns (rows, hyps): a
     tuple of arrays stacking the candidate hypotheses along axis 0, and the
     ascending sample row of each. score(*hyps) returns their (m,n) inlier
-    masks. Samples are drawn one rng.choice at a time from seed, solved a
-    block at a time (8, 16, 32, 64, then 128 samples) and scanned in draw
-    order, so the result equals one-sample-at-a-time RANSAC. The run stops
+    masks. Samples are drawn, solved and scored a block at a time (8, 16,
+    32, 64, then 128 samples) and scanned in draw order. _SampleStream
+    draws the samples of successive rng.choice(n, k, replace=False) calls
+    on np.random.default_rng(seed), so the result equals
+    one-sample-at-a-time RANSAC. The run stops
     once the best inlier ratio w reaches RANSAC_CONFIDENCE
     (1 - (1 - w**k)**iterations) or after RANSAC_MAX_ITERATIONS samples.
     Returns (best hyps, their mask, their count); best is None when no
     sample gave an inlier.
     """
-    rng = np.random.default_rng(seed)
+    samples = _SampleStream(n, k, seed)
     best, best_mask, best_count = None, None, 0
     max_iter = RANSAC_MAX_ITERATIONS
     it = 0
@@ -341,7 +415,7 @@ def ransac(n, k, seed, solve, score):
     while it < max_iter:
         # sample j of the block is iteration it + j + 1
         size = min(block, max_iter - it)
-        idx = np.array([rng.choice(n, size=k, replace=False) for _ in range(size)])
+        idx = samples.draw(size)
         rows, hyps = solve(idx)
         masks = score(*hyps)
         counts = masks.sum(axis=1)

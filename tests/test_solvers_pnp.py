@@ -14,6 +14,7 @@ from anchorloc.solvers.pnp import (
     RANSAC_CONFIDENCE,
     RANSAC_MAX_ITERATIONS,
     RANSAC_MIN_INLIERS,
+    _SampleStream,
     _bearing_vectors,
     _quartic_roots,
     _solve_rows,
@@ -236,6 +237,52 @@ def test_ransac_config_validation():
         RansacConfig(inlier_threshold=0.0)
     with pytest.raises(ValueError):
         RansacConfig(inlier_threshold=-1.0)
+
+
+# uneven block sizes, so that blocks start on either half of a PCG64 output
+STREAM_BLOCKS = (1, 5, 32, 64, 3, 128, 17)
+
+
+def _choice_loop(n, k, seed, count):
+    rng = np.random.default_rng(seed)
+    return np.array([rng.choice(n, size=k, replace=False) for _ in range(count)])
+
+
+@pytest.mark.parametrize("k", [3, 8])
+@pytest.mark.parametrize("n", [0, 1, 2, 10, 31, 100, 1000, 4097, 10000])
+def test_sample_stream_equals_choice_loop(k, n):
+    """_SampleStream gives rng.choice(n, k, replace=False)'s samples in order,
+    for n from k (n = 0, 1, 2 stand for k, k + 1, k + 2) up to 10,000."""
+    n = k + n if n < 3 else n
+    for seed in range(3):
+        stream = _SampleStream(n, k, seed)
+        got = np.concatenate([stream.draw(size) for size in STREAM_BLOCKS])
+        np.testing.assert_array_equal(got, _choice_loop(n, k, seed, sum(STREAM_BLOCKS)))
+
+
+def test_sample_stream_follows_choice_through_a_rejected_word(monkeypatch):
+    """Seed 1056 at n = 10,000 meets a word that Lemire's bounded draw
+    rejects within its first 250 samples (found by search); the stream takes
+    the next word as numpy does, and the rest of the stream stays in step."""
+    rejections = []
+    bounded = _SampleStream._bounded
+
+    def counted(self, *args):
+        rejections.append(args)
+        return bounded(self, *args)
+
+    monkeypatch.setattr(_SampleStream, "_bounded", counted)
+    stream = _SampleStream(10000, 3, 1056)
+    got = np.concatenate([stream.draw(size) for size in STREAM_BLOCKS])
+    assert rejections
+    np.testing.assert_array_equal(got, _choice_loop(10000, 3, 1056, sum(STREAM_BLOCKS)))
+
+
+def test_sample_stream_refuses_a_sample_larger_than_the_population():
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(2, size=3, replace=False)
+    with pytest.raises(ValueError):
+        _SampleStream(2, 3, 0)
 
 
 def _ransac_pnp_loop(world, pixels, intr, cfg):
