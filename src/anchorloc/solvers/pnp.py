@@ -89,26 +89,18 @@ def _quartic_roots(coeffs):
     return roots, present
 
 
-def _solve_rows(J, r):
-    """Row-wise solve of (k,3,3) J @ x = (k,3) r; singular rows are flagged."""
-    try:
-        return np.linalg.solve(J, r[..., None])[..., 0], np.ones(len(r), dtype=bool)
-    except np.linalg.LinAlgError:
-        # numpy rejects the whole stack for one singular row; redo row by row
-        x = np.zeros_like(r)
-        solved = np.ones(len(r), dtype=bool)
-        for i in range(len(r)):
-            try:
-                x[i] = np.linalg.solve(J[i], r[i])
-            except np.linalg.LinAlgError:
-                solved[i] = False
-        return x, solved
+def _cross(u, v):
+    """np.cross of (...,3) rows, from the same products and differences."""
+    u1, u2, u3 = u[..., 0], u[..., 1], u[..., 2]
+    v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
+    return np.stack([u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1], axis=-1)
 
 
 def _polish_distances(s, ca, cb, cg, a2, b2, c2):
     """Up to three Gauss-Newton steps on the law-of-cosines equations, per row of (k,3) distances.
 
-    A row stops on a singular Jacobian or a step to a non-positive
+    Each row's Jacobian [[0,a,b],[c,0,d],[e,f,0]] is solved by Cramer's
+    rule. A row stops on a zero determinant or a step to a non-positive
     distance (step rejected), or once its residual is below 1e-14 (step
     taken).
     """
@@ -116,41 +108,49 @@ def _polish_distances(s, ca, cb, cg, a2, b2, c2):
     active = np.ones(len(s), dtype=bool)
     for _ in range(3):
         s1, s2, s3 = s.T
-        r = np.stack(
+        r1 = s2**2 + s3**2 - 2 * s2 * s3 * ca - a2
+        r2 = s1**2 + s3**2 - 2 * s1 * s3 * cb - b2
+        r3 = s1**2 + s2**2 - 2 * s1 * s2 * cg - c2
+        a, b = 2 * s2 - 2 * s3 * ca, 2 * s3 - 2 * s2 * ca
+        c, d = 2 * s1 - 2 * s3 * cb, 2 * s3 - 2 * s1 * cb
+        e, f = 2 * s1 - 2 * s2 * cg, 2 * s2 - 2 * s1 * cg
+        det = a * d * e + b * c * f
+        step = np.stack(
             [
-                s2**2 + s3**2 - 2 * s2 * s3 * ca - a2,
-                s1**2 + s3**2 - 2 * s1 * s3 * cb - b2,
-                s1**2 + s2**2 - 2 * s1 * s2 * cg - c2,
+                a * d * r3 + b * f * r2 - d * f * r1,
+                d * e * r1 + b * c * r3 - b * e * r2,
+                c * f * r1 + a * e * r2 - a * c * r3,
             ],
             axis=1,
         )
-        J = np.zeros((len(s), 3, 3))
-        J[:, 0, 1] = 2 * s2 - 2 * s3 * ca
-        J[:, 0, 2] = 2 * s3 - 2 * s2 * ca
-        J[:, 1, 0] = 2 * s1 - 2 * s3 * cb
-        J[:, 1, 2] = 2 * s3 - 2 * s1 * cb
-        J[:, 2, 0] = 2 * s1 - 2 * s2 * cg
-        J[:, 2, 1] = 2 * s2 - 2 * s1 * cg
-        step, solved = _solve_rows(J, r)
-        s_new = s - step
+        solved = det != 0
+        s_new = s - step / np.where(solved, det, 1.0)[:, None]
         move = active & solved & ~np.any(s_new <= 0, axis=1)
         s[move] = s_new[move]
-        active = move & ~(np.max(np.abs(r), axis=1) < 1e-14)
+        residual = np.maximum(np.maximum(np.abs(r1), np.abs(r2)), np.abs(r3))
+        active = move & ~(residual < 1e-14)
         if not active.any():
             break
     return s
 
 
 def _rigid_from_three(world, cam):
-    """Rigid transforms with cam_i = R @ world_i + t (Kabsch), per (k,3,3) sample."""
-    mw = world.mean(axis=1)
-    mc = cam.mean(axis=1)
-    H = np.matmul((cam - mc[:, None]).transpose(0, 2, 1), world - mw[:, None])
-    U, _, Vt = np.linalg.svd(H)
-    reflect = np.linalg.det(U) * np.linalg.det(Vt) < 0
-    U[reflect, :, 2] *= -1.0
-    R = np.matmul(U, Vt)
-    t = mc - np.matmul(R, mw[..., None])[..., 0]
+    """Rigid transforms with cam_i = R @ world_i + t, per (k,3,3) sample of congruent triangles.
+
+    Each triangle gets the frame e1 along p2 - p1, e3 along the normal and
+    e2 = e3 x e1; R = F_cam^T F_world turns the world frame into the camera
+    one, and t carries the world centroid to the camera centroid.
+    """
+
+    def frame(p):
+        e1 = p[:, 1] - p[:, 0]
+        e3 = _cross(e1, p[:, 2] - p[:, 0])
+        e1 = e1 / np.linalg.norm(e1, axis=1)[:, None]
+        e3 = e3 / np.linalg.norm(e3, axis=1)[:, None]
+        return np.stack([e1, _cross(e3, e1), e3], axis=1)
+
+    R = np.matmul(frame(cam).transpose(0, 2, 1), frame(world))
+    t = cam.mean(axis=1) - np.matmul(R, world.mean(axis=1)[..., None])[..., 0]
     return R, t
 
 
@@ -174,7 +174,7 @@ def grunert_block(world, bearings):
         a = np.linalg.norm(P2 - P3, axis=1)
         b = np.linalg.norm(P1 - P3, axis=1)
         c = np.linalg.norm(P1 - P2, axis=1)
-        area = np.linalg.norm(np.cross(P2 - P1, P3 - P1), axis=1)
+        area = np.linalg.norm(_cross(P2 - P1, P3 - P1), axis=1)
         f1, f2, f3 = bearings[:, 0], bearings[:, 1], bearings[:, 2]
         ca = np.sum(f2 * f3, axis=1)  # alpha opposite side a
         cb = np.sum(f1 * f3, axis=1)

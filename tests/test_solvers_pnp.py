@@ -16,8 +16,10 @@ from anchorloc.solvers.pnp import (
     RANSAC_MIN_INLIERS,
     _SampleStream,
     _bearing_vectors,
+    _cross,
+    _polish_distances,
     _quartic_roots,
-    _solve_rows,
+    _rigid_from_three,
     grunert_block,
     solve_p3p_block,
 )
@@ -120,12 +122,62 @@ def test_quartic_roots_trims_vanishing_leads():
         np.testing.assert_allclose(got, want, atol=1e-9)
 
 
-def test_solve_rows_flags_singular_rows_only():
-    J = np.stack([2.0 * np.eye(3), np.zeros((3, 3)), np.diag([1.0, 4.0, 5.0])])
-    r = np.array([[2.0, 4.0, 6.0], [1.0, 1.0, 1.0], [1.0, 4.0, 10.0]])
-    x, solved = _solve_rows(J, r)
-    assert solved.tolist() == [True, False, True]
-    np.testing.assert_allclose(x[[0, 2]], [[1.0, 2.0, 3.0], [1.0, 1.0, 2.0]])
+def _sample_distances(rng, intr, count):
+    """count exact P3P samples: (world (m,3,3), unit bearings, camera distances)."""
+    world, bearings, dist = [], [], []
+    for _ in range(count):
+        pose = random_pose(rng)
+        pts = points_in_front(rng, pose, 3)
+        cam = pts @ pose.R.T + pose.t
+        world.append(pts)
+        bearings.append(_bearing_vectors(np.array([project(intr, pose, p) for p in pts]), intr))
+        dist.append(np.linalg.norm(cam, axis=1))
+    return np.array(world), np.array(bearings), np.array(dist)
+
+
+def _law_of_cosines_terms(world, bearings):
+    """_polish_distances' (ca, cb, cg, a2, b2, c2) arguments."""
+    P1, P2, P3 = world[:, 0], world[:, 1], world[:, 2]
+    f1, f2, f3 = bearings[:, 0], bearings[:, 1], bearings[:, 2]
+    cosines = [np.sum(f2 * f3, axis=1), np.sum(f1 * f3, axis=1), np.sum(f1 * f2, axis=1)]
+    sides = [((P2 - P3) ** 2).sum(axis=1), ((P1 - P3) ** 2).sum(axis=1), ((P1 - P2) ** 2).sum(axis=1)]
+    return cosines + sides
+
+
+def test_polish_keeps_a_zero_determinant_row_while_the_others_converge(intrinsics):
+    """A row whose Jacobian has a zero determinant keeps its distances; the
+    other rows converge to the exact distances, bit for bit as when polished
+    without it."""
+    world, bearings, dist = _sample_distances(np.random.default_rng(12), intrinsics, 3)
+    terms = np.array(_law_of_cosines_terms(world, bearings))  # (6, 3)
+    start = dist * (1.0 + np.array([[2e-3, -1e-3, 1e-3], [-2e-3, 1e-3, 3e-3], [1e-3, 1e-3, -2e-3]]))
+    # cos(alpha) = 1 with s2 = s3 zeroes the Jacobian's first row, while
+    # Cramer's numerators would still step all three distances
+    singular_terms = np.array([[1.0], [0.3], [0.3], [0.01], [1.0], [1.0]])
+    s = np.insert(start, 1, [1.0, 2.0, 2.0], axis=0)
+    got = _polish_distances(s, *np.insert(terms, [1], singular_terms, axis=1))
+    np.testing.assert_array_equal(got[1], [1.0, 2.0, 2.0])
+    alone = _polish_distances(start, *terms)
+    np.testing.assert_array_equal(got[[0, 2, 3]], alone)
+    np.testing.assert_allclose(alone, dist, rtol=1e-10)
+    assert np.abs(start - dist).max() > 1e-3
+
+
+def test_cross_equals_np_cross_bit_for_bit():
+    rng = np.random.default_rng(14)
+    u, v = rng.normal(size=(2, 50, 3)) * 10.0 ** rng.integers(-8, 8, (2, 50, 1))
+    np.testing.assert_array_equal(_cross(u, v), np.cross(u, v))
+
+
+def test_rigid_from_three_recovers_the_pose_of_exact_triangles():
+    rng = np.random.default_rng(13)
+    poses = [random_pose(rng) for _ in range(20)]
+    world = rng.normal(scale=3.0, size=(20, 3, 3))
+    cam = np.stack([w @ p.R.T + p.t for w, p in zip(world, poses)])
+    R, t = _rigid_from_three(world, cam)
+    np.testing.assert_allclose(np.linalg.det(R), 1.0, atol=1e-12)
+    np.testing.assert_allclose(R, [p.R for p in poses], atol=1e-10)
+    np.testing.assert_allclose(t, [p.t for p in poses], atol=1e-9)
 
 
 def test_refine_pose_converges(intrinsics):
