@@ -52,7 +52,7 @@ def _bearing_vectors(pixels, intr: CameraIntrinsics):
 # RANSAC solves its samples in blocks: the first of _RANSAC_FIRST_BLOCK
 # samples, each next one twice as large up to _RANSAC_MAX_BLOCK, so a run
 # that stops early solves few samples it does not need
-_RANSAC_FIRST_BLOCK = 8
+_RANSAC_FIRST_BLOCK = 32
 _RANSAC_MAX_BLOCK = 128
 
 
@@ -397,8 +397,8 @@ def ransac(n, k, seed, solve, score):
     solve(idx) takes a (B,k) block of samples and returns (rows, hyps): a
     tuple of arrays stacking the candidate hypotheses along axis 0, and the
     ascending sample row of each. score(*hyps) returns their (m,n) inlier
-    masks. Samples are drawn, solved and scored a block at a time (8, 16,
-    32, 64, then 128 samples) and scanned in draw order. _SampleStream
+    masks. Samples are drawn, solved and scored a block at a time (32,
+    64, then 128 samples) and scanned in draw order. _SampleStream
     draws the samples of successive rng.choice(n, k, replace=False) calls
     on np.random.default_rng(seed), so the result equals
     one-sample-at-a-time RANSAC. The run stops

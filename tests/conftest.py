@@ -85,6 +85,18 @@ def no_features(dim):
 # stacked routines of the package that the tests compare with them
 
 
+def ransac_block_edges():
+    """The last iteration of each block of the RANSAC block schedule."""
+    from anchorloc.solvers.pnp import _RANSAC_FIRST_BLOCK, _RANSAC_MAX_BLOCK, RANSAC_MAX_ITERATIONS
+
+    edges, it, block = [], 0, _RANSAC_FIRST_BLOCK
+    while it < RANSAC_MAX_ITERATIONS:
+        it = min(it + block, RANSAC_MAX_ITERATIONS)
+        edges.append(it)
+        block = min(2 * block, _RANSAC_MAX_BLOCK)
+    return edges
+
+
 def project(intr, pose, p):
     """Pixel of one world point; the oracle of geom.project_many."""
     q = np.asarray(p, dtype=float) @ pose.R.T + pose.t

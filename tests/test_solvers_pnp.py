@@ -23,7 +23,7 @@ from anchorloc.solvers.pnp import (
     grunert_block,
     solve_p3p_block,
 )
-from conftest import points_in_front, project, random_pose, rotation_angle
+from conftest import points_in_front, project, random_pose, ransac_block_edges, rotation_angle
 
 
 def _corrs(intr, pose, pts, pixels=None):
@@ -378,11 +378,7 @@ def _ransac_pnp_loop(world, pixels, intr, cfg):
     return pose, np.nonzero(mask)[0], it
 
 
-# the last sample of each RANSAC block: blocks of 8, 16, 32, 64, then 128
-BLOCK_EDGES = {8, 24, 56, 120, 248, 376, 504, 632, 760, 888}
-
-
-@pytest.mark.parametrize("outliers", [0.3, 0.4, 0.5])
+@pytest.mark.parametrize("outliers", [0.3, 0.4, 0.5, 0.6])
 def test_ransac_pnp_matches_one_sample_loop(intrinsics, outliers):
     """Block-drawn ransac_pnp gives the one-sample loop's pose and inliers,
     bit for bit, with runs that stop inside the second and later blocks."""
@@ -400,10 +396,11 @@ def test_ransac_pnp_matches_one_sample_loop(intrinsics, outliers):
         assert np.array_equal(got_pose.q, ref_pose.q) and np.array_equal(got_pose.t, ref_pose.t)
         assert np.array_equal(got_inliers, ref_inliers)
         stops.append(iterations)
-    if outliers == 0.3:
-        assert any(8 < it < 24 for it in stops), stops
+    edges = ransac_block_edges()
     if outliers == 0.5:
-        assert any(it > 24 and it not in BLOCK_EDGES for it in stops), stops
+        assert any(edges[0] < it < edges[1] for it in stops), stops
+    if outliers == 0.6:
+        assert any(it > edges[1] and it not in edges for it in stops), stops
 
 
 def _near_prior(intr, pose, pts):

@@ -11,7 +11,7 @@ from anchorloc.solvers import (
     refine_relative_pose,
 )
 from anchorloc.solvers.pnp import RANSAC_CONFIDENCE, RANSAC_MAX_ITERATIONS, RANSAC_MIN_INLIERS
-from conftest import project, rotation_angle
+from conftest import project, ransac_block_edges, rotation_angle
 
 
 def _two_view_scene(rng, n=60, noise=0.0, intr=None):
@@ -190,10 +190,9 @@ def test_estimate_relative_pose_matches_one_sample_loop(intrinsics, outliers):
         assert np.array_equal(got[1], inliers)
         stops.append(iterations)
     if outliers == 0.3:
-        # at least one run ends inside a later block, not at its edge; the
-        # blocks hold 8, 16, 32, 64, then 128 samples
-        edges = {8, 24, 56, 120, 248, 376, 504, 632, 760, 888}
-        assert any(it > 8 and it not in edges for it in stops), stops
+        # at least one run ends inside a later block, not at its edge
+        edges = ransac_block_edges()
+        assert any(it > edges[0] and it not in edges for it in stops), stops
 
 
 def test_estimate_relative_pose_no_consensus_matches_one_sample_loop(intrinsics):
