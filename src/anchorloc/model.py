@@ -87,11 +87,18 @@ class SfMModel:
         self.frames[frame.id] = frame
         self.feature_landmarks[frame.id] = np.full(len(frame.features), -1, dtype=np.intp)
 
+    def _check_feature(self, key):
+        """Raise ValueError unless key (frame id, feature index) names a feature of a held frame."""
+        fid, fidx = key
+        ids = self.feature_landmarks.get(fid)
+        if ids is None:
+            raise ValueError(f"feature {key}: frame {fid} is not in the model")
+        if not 0 <= fidx < len(ids):
+            raise ValueError(f"feature {key}: index outside [0, {len(ids)})")
+
     def _bind(self, key, lid):
         self.obs_to_landmark[key] = lid
-        ids = self.feature_landmarks.get(key[0])
-        if ids is not None:
-            ids[key[1]] = lid
+        self.feature_landmarks[key[0]][key[1]] = lid
 
     def add_landmark(self, lm: Landmark):
         if lm.id in self.landmarks:
@@ -99,6 +106,7 @@ class SfMModel:
         if len(set(lm.track)) != len(lm.track):
             raise ValueError(f"landmark {lm.id}: track repeats an observation")
         for key in lm.track:
+            self._check_feature(key)
             if key in self.obs_to_landmark:
                 raise ValueError(f"feature {key} already bound")
         self.landmarks[lm.id] = lm
@@ -110,9 +118,7 @@ class SfMModel:
         """Drop a landmark and unbind every feature of its track."""
         for fid, fidx in self.landmarks.pop(lid).track:
             self.obs_to_landmark.pop((fid, fidx), None)
-            ids = self.feature_landmarks.get(fid)
-            if ids is not None:
-                ids[fidx] = -1
+            self.feature_landmarks[fid][fidx] = -1
 
     def copy(self) -> "SfMModel":
         """A model a run can grow without touching this one.
@@ -260,12 +266,18 @@ def triangulate_tracks(frames, tracks, intr: CameraIntrinsics, cfg: Triangulatio
 
 
 def add_observation(model: SfMModel, lid: int, fid: int, fidx: int) -> bool:
-    """Extend a landmark track; existing bindings win. Returns True if added."""
+    """Extend a landmark track; existing bindings win. Returns True if added.
+
+    Raises ValueError, with the model unchanged, for a feature the model
+    does not hold (see SfMModel._check_feature).
+    """
     key = (fid, fidx)
+    model._check_feature(key)
     if key in model.obs_to_landmark:
         return False
+    track = model.landmarks[lid].track
     model._bind(key, lid)
-    model.landmarks[lid].track.append(key)
+    track.append(key)
     return True
 
 
@@ -360,13 +372,7 @@ def load_model(path) -> SfMModel:
                 n = int(tok[6])
                 if len(tok) != 7 + 2 * n:
                     raise ValueError(f"LANDMARK with {n} observations has {len(tok)} tokens")
-                track = []
-                for i in range(n):
-                    fid, fidx = int(tok[7 + 2 * i]), int(tok[8 + 2 * i])
-                    fr = model.frames.get(fid)
-                    if fr is None or not 0 <= fidx < len(fr.features):
-                        raise ValueError(f"track entry ({fid}, {fidx}) names no feature")
-                    track.append((fid, fidx))
+                track = [(int(tok[7 + 2 * i]), int(tok[8 + 2 * i])) for i in range(n)]
                 model.add_landmark(Landmark(lid, pos, tok[2], track))
             else:
                 raise ValueError(f"unknown record {tok[0]!r}")

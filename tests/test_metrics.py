@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from anchorloc.geom import Pose
+from anchorloc.geom import CameraIntrinsics, Pose
+from anchorloc.matching import FeatureSet
 from anchorloc.metrics import (
     EmptyIntersection,
     TrajectoryEntry,
@@ -12,7 +13,7 @@ from anchorloc.metrics import (
     load_trajectory,
     position_error,
 )
-from anchorloc.model import Landmark, SfMModel
+from anchorloc.model import Frame, Landmark, SfMModel
 from anchorloc.textio import FormatError
 
 
@@ -118,6 +119,8 @@ def test_load_trajectory_rejects_bad_files(tmp_path):
 
 def test_export_pointcloud_ply(tmp_path):
     m = SfMModel()
+    intr = CameraIntrinsics(400.0, 400.0, 320.0, 240.0, 640, 480)
+    m.add_frame(Frame(0, 0.0, intr, FeatureSet(np.zeros((2, 2)), np.zeros((2, 4))), Pose(), "reference"))
     m.add_landmark(Landmark(1, np.array([1.0, 2.0, 3.0]), "reference", [(0, 0)]))
     m.add_landmark(Landmark(0, np.array([-1.0, 0.5, 0.0]), "augmented", [(0, 1)]))
     path = tmp_path / "cloud.ply"

@@ -62,6 +62,7 @@ def test_duplicate_ids_rejected():
 
 def test_new_landmark_id_monotone():
     m = SfMModel()
+    m.add_frame(_frame(9))
     m.add_landmark(Landmark(5, np.zeros(3), "augmented", [(9, 0)]))
     assert m.new_landmark_id() == 6
     assert m.new_landmark_id() == 7
@@ -169,6 +170,8 @@ def test_lift_matches_collapses_to_best():
 
 def test_add_observation_existing_binding_wins():
     m = SfMModel()
+    m.add_frame(_frame(5))
+    m.add_frame(_frame(6))
     m.add_landmark(Landmark(0, np.zeros(3), "augmented", [(5, 1)]))
     m.add_landmark(Landmark(1, np.zeros(3), "augmented", [(6, 0)]))
     assert add_observation(m, 1, 5, 2)
@@ -176,8 +179,46 @@ def test_add_observation_existing_binding_wins():
     assert m.obs_to_landmark[(5, 1)] == 0
 
 
+def _bindings(m):
+    return (
+        {lid: list(lm.track) for lid, lm in m.landmarks.items()},
+        dict(m.obs_to_landmark),
+        {fid: ids.tolist() for fid, ids in m.feature_landmarks.items()},
+        m._next_landmark_id,
+    )
+
+
+# a frame the model does not hold, an index past the end, a negative index
+UNHELD_FEATURES = [(9, 0), (0, 3), (0, -1)]
+
+
+@pytest.mark.parametrize("key", UNHELD_FEATURES)
+def test_add_landmark_refuses_a_feature_the_model_does_not_hold(key):
+    """Nothing of the track is bound, not even its valid first feature."""
+    m = SfMModel()
+    m.add_frame(_frame(0))
+    m.add_landmark(Landmark(0, np.zeros(3), "reference", [(0, 1)]))
+    before = _bindings(m)
+    with pytest.raises(ValueError):
+        m.add_landmark(Landmark(1, np.zeros(3), "augmented", [(0, 0), key]))
+    assert _bindings(m) == before
+
+
+@pytest.mark.parametrize("key", UNHELD_FEATURES)
+def test_add_observation_refuses_a_feature_the_model_does_not_hold(key):
+    m = SfMModel()
+    m.add_frame(_frame(0))
+    m.add_landmark(Landmark(0, np.zeros(3), "reference", [(0, 1)]))
+    before = _bindings(m)
+    with pytest.raises(ValueError):
+        add_observation(m, 0, *key)
+    assert _bindings(m) == before
+
+
 def test_merge_new_landmarks_skips_bound_and_short_tracks():
     m = SfMModel()
+    m.add_frame(_frame(1))
+    m.add_frame(_frame(2))
     m.add_landmark(Landmark(0, np.zeros(3), "augmented", [(1, 0)]))
     tracks = [
         [(1, 0), (2, 0)],  # touches a bound feature
