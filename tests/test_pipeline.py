@@ -157,6 +157,31 @@ def test_noisy_detector_loses_no_frame():
     assert len(_registered_ids(result)) >= 0.99 * len(seq)
 
 
+def test_featureless_anchor_is_skipped_and_fails_in_the_recursion(small_scene, small_reference, small_scores, monkeypatch):
+    """An anchor without features is never tried against the reference and
+    is not among the registered anchors; the recursion reports it failed."""
+    seq = query_frames(small_scene)
+    detector = detector_from_scores(small_scores)
+    anchors = detect_anchors(seq, detector, pipeline.ANCHOR_THRESHOLD)
+    blank = anchors[0]
+    seq = [replace(f, features=no_features(f.features.descriptors.shape[1])) if f.id == blank else f for f in seq]
+    attempts = []
+    attempt = pipeline._attempt_registration
+
+    def counted(model, frame, candidate_ids, cfg, status, *prior):
+        attempts.append((frame.id, status))
+        return attempt(model, frame, candidate_ids, cfg, status, *prior)
+
+    monkeypatch.setattr(pipeline, "_attempt_registration", counted)
+    result = run_pipeline(small_reference, seq, detector, PipelineConfig())
+    assert (blank, "anchor") not in attempts
+    assert any(status == "anchor" for _, status in attempts)
+    status = {e.frame_id: e.status for e in result.frame_events}
+    assert status[blank] == "failed"
+    assert all(status[a] == "anchor" for a in anchors[1:])
+    assert sorted(status) == sorted(f.id for f in seq)
+
+
 def test_frame_sharing_the_first_anchor_timestamp_is_reported(small_scene, small_reference, small_scores):
     """A frame stamped with the first anchor's time is attempted by the
     forward pass, so every frame is reported exactly once."""
