@@ -1,9 +1,12 @@
-"""Whole-sweep accuracy of ``proposed`` in two checkouts, seed by seed.
+"""Whole-sweep accuracy of one method in two checkouts, seed by seed.
 
     python3 scripts/sweep_accuracy.py PARENT_ROOT CHANGE_ROOT [--seeds 1-5 | --scene-seeds 1-5]
+        [--method proposed | single]
 
 Localizes all query frames of each checkout's configs/adversarial.cfg with
-``proposed``, once per RANSAC seed (``--seeds``) or, with
+``--method``, ``proposed`` (the default) or ``single``, the single-image
+comparator, which runs RANSAC on every frame. It does so once per RANSAC
+seed (``--seeds``) or, with
 ``--scene-seeds``, once per scene seed (``scene.rng_seed``) at the
 configured RANSAC seed, with each checkout's ``src/``; every run is its
 own Python process, and the two checkouts alternate seed by seed. Prints
@@ -16,7 +19,7 @@ seed alone moves the median error by a few percent, so a change's
 accuracy is read from the paired differences, not from one seed. Where a
 velocity prior poses most frames, only the anchors' and the fallbacks'
 RANSAC runs depend on the RANSAC seed, so ``--scene-seeds`` is the sweep
-that spreads.
+that spreads for ``proposed``.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from pathlib import Path
 _RUN = """
 import json, sys, time
 from dataclasses import replace
-src, cfg_path, seed, varied = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
+src, cfg_path, seed, varied, method = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4], sys.argv[5]
 sys.path.insert(0, src)
-from anchorloc import config, pipeline, synth
+from anchorloc import baselines, config, pipeline, synth
 from anchorloc.metrics import position_error
 from anchorloc.model import Frame
 scene, cfg = config.parse_run_config(cfg_path)
@@ -47,10 +50,13 @@ detector = pipeline.detector_from_scores(synth.anchor_scores(ds))
 intr = ds.intrinsics()
 frames = [Frame(sf.id, sf.timestamp, intr, sf.features, None, "pending") for sf in ds.query]
 start = time.perf_counter()
-result = pipeline.run_pipeline(reference, frames, detector, cfg)
+if method == "single":
+    entries = baselines.single_image_localize(reference, frames, cfg).frames
+else:
+    entries = pipeline.run_pipeline(reference, frames, detector, cfg).frame_events
 wall_s = time.perf_counter() - start
 gt = {sf.id: sf.pose.center() for sf in ds.query}
-errors = [position_error(e.pose, gt[e.frame_id]) for e in result.frame_events if e.pose is not None]
+errors = [position_error(e.pose, gt[e.frame_id]) for e in entries if e.pose is not None]
 print(json.dumps({"frames": len(frames), "errors": errors, "wall_s": wall_s}))
 """
 
@@ -66,12 +72,13 @@ def parse_seeds(text):
     return seeds
 
 
-def run_sweep(root: Path, seed, varied="ransac"):
-    """One whole-sweep run of root's sources in a fresh interpreter, with
-    seed as its RANSAC seed, or as its scene seed when varied is "scene"."""
+def run_sweep(root: Path, seed, varied="ransac", method="proposed"):
+    """One whole-sweep run of method with root's sources in a fresh
+    interpreter, with seed as its RANSAC seed, or as its scene seed when
+    varied is "scene"."""
     cfg = root / "configs" / "adversarial.cfg"
     out = subprocess.run(
-        [sys.executable, "-c", _RUN, str(root / "src"), str(cfg), str(seed), varied],
+        [sys.executable, "-c", _RUN, str(root / "src"), str(cfg), str(seed), varied, method],
         check=True,
         capture_output=True,
         text=True,
@@ -108,16 +115,17 @@ def main(argv=None):
     which = ap.add_mutually_exclusive_group()
     which.add_argument("--seeds", default="1-5", help="RANSAC seeds, as 1-5 or 1,3,7 (default 1-5)")
     which.add_argument("--scene-seeds", help="scene seeds in place of RANSAC seeds, in the same form")
+    ap.add_argument("--method", choices=("proposed", "single"), default="proposed", help="localizer (default proposed)")
     args = ap.parse_args(argv)
     varied = "ransac" if args.scene_seeds is None else "scene"
     seeds = parse_seeds(args.seeds if args.scene_seeds is None else args.scene_seeds)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {name: [] for name in roots}
-    print(f"{varied} seed")
+    print(f"{varied} seed, method {args.method}")
     print(f"{'seed':>4}  {'checkout':<8} {'registered':>10}  {'median':>8}  {'largest':>8}  {'wall_s':>6}")
     for seed in seeds:
         for name, root in roots.items():
-            r = run_sweep(root, seed, varied)
+            r = run_sweep(root, seed, varied, args.method)
             runs[name].append(r)
             reg = f"{r['registered']}/{r['frames']}"
             print(f"{seed:>4}  {name:<8} {reg:>10}  {r['median']:8.5f}  {r['largest']:8.4f}  {r['wall_s']:6.2f}", flush=True)

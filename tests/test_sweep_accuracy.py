@@ -30,7 +30,7 @@ def test_paired_differences_are_per_seed_percentages_of_the_parent():
 def test_scene_seeds_vary_the_scene_seed_in_alternating_runs(monkeypatch, capsys):
     runs = []
 
-    def fake_sweep(root, seed, varied="ransac"):
+    def fake_sweep(root, seed, varied="ransac", method="proposed"):
         runs.append((root.name, seed, varied))
         return {"registered": 300, "frames": 300, "median": 0.05, "largest": 0.2, "wall_s": 1.0}
 
@@ -43,3 +43,21 @@ def test_scene_seeds_vary_the_scene_seed_in_alternating_runs(monkeypatch, capsys
     assert runs == [("parent", 2, "ransac"), ("change", 2, "ransac")]
     with pytest.raises(SystemExit):
         sweep_accuracy.main(["parent", "change", "--seeds", "1", "--scene-seeds", "1"])
+
+
+def test_method_picks_the_localizer_of_every_run(monkeypatch, capsys):
+    runs = []
+
+    def fake_sweep(root, seed, varied="ransac", method="proposed"):
+        runs.append((root.name, seed, method))
+        return {"registered": 240, "frames": 300, "median": 0.05, "largest": 1.2, "wall_s": 1.0}
+
+    monkeypatch.setattr(sweep_accuracy, "run_sweep", fake_sweep)
+    sweep_accuracy.main(["parent", "change", "--seeds", "4", "--method", "single"])
+    assert runs == [("parent", 4, "single"), ("change", 4, "single")]
+    assert "method single" in capsys.readouterr().out.splitlines()[0]
+    runs.clear()
+    sweep_accuracy.main(["parent", "change", "--seeds", "4"])
+    assert runs == [("parent", 4, "proposed"), ("change", 4, "proposed")]
+    with pytest.raises(SystemExit):
+        sweep_accuracy.main(["parent", "change", "--method", "onthefly"])
