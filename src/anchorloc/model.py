@@ -275,7 +275,7 @@ def add_observation(model: SfMModel, lid: int, fid: int, fidx: int) -> bool:
     model._check_feature(key)
     if key in model.obs_to_landmark:
         return False
-    track = model.landmarks[lid].track
+    track = model.landmarks[lid].track  # an unknown lid raises before anything is bound
     model._bind(key, lid)
     track.append(key)
     return True

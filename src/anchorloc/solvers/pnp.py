@@ -323,7 +323,7 @@ class _SampleStream:
     """The samples of np.random.default_rng(seed).choice(n, k, replace=False), drawn a block at a time.
 
     draw(size) returns a (size, k) block equal, row for row, to size
-    successive choice calls. It takes numpy's own steps for k <= 199 (the
+    successive choice calls. It takes numpy's own steps for k <= 200 (the
     sizes for which choice runs Floyd's algorithm at every n): Floyd's
     draws in [0, j] for j = n-k .. n-1, each kept unless already picked
     (then j is kept), and a shuffle that swaps pick i with a draw in
