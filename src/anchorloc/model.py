@@ -87,31 +87,33 @@ class SfMModel:
         self.frames[frame.id] = frame
         self.feature_landmarks[frame.id] = np.full(len(frame.features), -1, dtype=np.intp)
 
-    def _check_feature(self, key):
-        """Raise ValueError unless key (frame id, feature index) names a feature of a held frame."""
+    def _landmark_ids(self, key):
+        """The landmark-id array of the frame of key (frame id, feature index).
+
+        Raises ValueError unless key names a feature of a frame the model holds.
+        """
         fid, fidx = key
         ids = self.feature_landmarks.get(fid)
         if ids is None:
             raise ValueError(f"feature {key}: frame {fid} is not in the model")
         if not 0 <= fidx < len(ids):
             raise ValueError(f"feature {key}: index outside [0, {len(ids)})")
-
-    def _bind(self, key, lid):
-        self.obs_to_landmark[key] = lid
-        self.feature_landmarks[key[0]][key[1]] = lid
+        return ids
 
     def add_landmark(self, lm: Landmark):
         if lm.id in self.landmarks:
             raise ValueError(f"duplicate landmark id {lm.id}")
         if len(set(lm.track)) != len(lm.track):
             raise ValueError(f"landmark {lm.id}: track repeats an observation")
+        rows = []
         for key in lm.track:
-            self._check_feature(key)
+            rows.append(self._landmark_ids(key))
             if key in self.obs_to_landmark:
                 raise ValueError(f"feature {key} already bound")
         self.landmarks[lm.id] = lm
-        for key in lm.track:
-            self._bind(tuple(key), lm.id)
+        for key, ids in zip(lm.track, rows):
+            self.obs_to_landmark[tuple(key)] = lm.id
+            ids[key[1]] = lm.id
         self._next_landmark_id = max(self._next_landmark_id, lm.id + 1)
 
     def remove_landmark(self, lid):
@@ -269,15 +271,15 @@ def add_observation(model: SfMModel, lid: int, fid: int, fidx: int) -> bool:
     """Extend a landmark track; existing bindings win. Returns True if added.
 
     Raises ValueError, with the model unchanged, for a feature the model
-    does not hold (see SfMModel._check_feature).
+    does not hold.
     """
     key = (fid, fidx)
-    model._check_feature(key)
+    ids = model._landmark_ids(key)
     if key in model.obs_to_landmark:
         return False
-    track = model.landmarks[lid].track  # an unknown lid raises before anything is bound
-    model._bind(key, lid)
-    track.append(key)
+    model.landmarks[lid].track.append(key)
+    model.obs_to_landmark[key] = lid
+    ids[fidx] = lid
     return True
 
 
