@@ -66,18 +66,17 @@ class Landmark:
 class SfMModel:
     """Frames and landmarks by id, and the bindings between them.
 
-    obs_to_landmark maps each bound (frame id, feature index) to its
-    landmark. feature_landmarks holds the same bindings as one array per
-    frame, the landmark id of each feature and -1 where it is unbound, so
-    that a frame's bindings are read with one index; add_frame creates a
-    frame's array, and a binding to a frame the model does not hold is in
-    obs_to_landmark only.
+    feature_landmarks holds every binding: one array per frame, created by
+    add_frame, with the landmark id of each feature and -1 where it is
+    unbound, so that a frame's bindings are read with one index. A binding
+    names a feature of a frame the model holds; _landmark_ids is the one
+    checked way to a feature's entry. Landmark tracks hold the same
+    bindings, in the order they were made.
     """
 
     def __init__(self):
         self.frames: dict[int, Frame] = {}
         self.landmarks: dict[int, Landmark] = {}
-        self.obs_to_landmark: dict[tuple, int] = {}
         self.feature_landmarks: dict[int, np.ndarray] = {}
         self._next_landmark_id = 0
 
@@ -101,25 +100,23 @@ class SfMModel:
         return ids
 
     def add_landmark(self, lm: Landmark):
-        if lm.id in self.landmarks:
-            raise ValueError(f"duplicate landmark id {lm.id}")
+        if lm.id in self.landmarks or lm.id < 0:  # -1 marks an unbound feature
+            raise ValueError(f"landmark id {lm.id} is a duplicate or negative")
         if len(set(lm.track)) != len(lm.track):
             raise ValueError(f"landmark {lm.id}: track repeats an observation")
         rows = []
         for key in lm.track:
             rows.append(self._landmark_ids(key))
-            if key in self.obs_to_landmark:
+            if rows[-1][key[1]] >= 0:
                 raise ValueError(f"feature {key} already bound")
         self.landmarks[lm.id] = lm
         for key, ids in zip(lm.track, rows):
-            self.obs_to_landmark[tuple(key)] = lm.id
             ids[key[1]] = lm.id
         self._next_landmark_id = max(self._next_landmark_id, lm.id + 1)
 
     def remove_landmark(self, lid):
         """Drop a landmark and unbind every feature of its track."""
         for fid, fidx in self.landmarks.pop(lid).track:
-            self.obs_to_landmark.pop((fid, fidx), None)
             self.feature_landmarks[fid][fidx] = -1
 
     def copy(self) -> "SfMModel":
@@ -133,10 +130,14 @@ class SfMModel:
         out = SfMModel()
         out.frames = {fid: replace(f) for fid, f in self.frames.items()}
         out.landmarks = {lid: replace(lm, track=list(lm.track)) for lid, lm in self.landmarks.items()}
-        out.obs_to_landmark = dict(self.obs_to_landmark)
         out.feature_landmarks = {fid: ids.copy() for fid, ids in self.feature_landmarks.items()}
         out._next_landmark_id = self._next_landmark_id
         return out
+
+    def observed_landmarks(self, frame_ids) -> set:
+        """The ids of the landmarks bound to a feature of one of frame_ids."""
+        ids = np.concatenate([np.empty(0, np.intp), *(self.feature_landmarks[fid] for fid in frame_ids)])
+        return set(ids[ids >= 0].tolist())
 
     def new_landmark_id(self):
         lid = self._next_landmark_id
@@ -162,8 +163,7 @@ def freeze_mask_for_reference(model: SfMModel, window: int) -> FreezeMask:
     query = [fid for fid, f in model.frames.items() if f.status != "reference"]
     frozen_frames = {f.id for f in model.frames.values() if f.status == "reference"}
     frozen_frames.update(query[:-window])
-    bound = model.obs_to_landmark
-    seen = {bound.get((fid, k)) for fid in query[-window:] for k in range(len(model.frames[fid].features))}
+    seen = model.observed_landmarks(query[-window:])
     frozen_landmarks = {l.id for l in model.landmarks.values() if l.origin == "reference" or l.id not in seen}
     return FreezeMask(frozen_frame_ids=frozen_frames, frozen_landmark_ids=frozen_landmarks)
 
@@ -273,12 +273,10 @@ def add_observation(model: SfMModel, lid: int, fid: int, fidx: int) -> bool:
     Raises ValueError, with the model unchanged, for a feature the model
     does not hold.
     """
-    key = (fid, fidx)
-    ids = model._landmark_ids(key)
-    if key in model.obs_to_landmark:
+    ids = model._landmark_ids((fid, fidx))
+    if ids[fidx] >= 0:
         return False
-    model.landmarks[lid].track.append(key)
-    model.obs_to_landmark[key] = lid
+    model.landmarks[lid].track.append((fid, fidx))
     ids[fidx] = lid
     return True
 
@@ -286,11 +284,14 @@ def add_observation(model: SfMModel, lid: int, fid: int, fidx: int) -> bool:
 def merge_new_landmarks(model: SfMModel, positions, tracks) -> int:
     """Insert each position with its track of (frame id, feature index) as an
     augmented landmark; a track shorter than two or touching an already-bound
-    feature is dropped. Returns the number of landmarks added.
+    feature is dropped, and one of two or more naming a feature the model
+    does not hold raises ValueError before a landmark id is drawn. Returns
+    the number of landmarks added.
     """
     added = 0
     for position, track in zip(positions, tracks):
-        if len(track) < 2 or any(key in model.obs_to_landmark for key in track):
+        # a list, not a generator: every key is checked, also after a bound one
+        if len(track) < 2 or any([model._landmark_ids(key)[key[1]] >= 0 for key in track]):
             continue
         model.add_landmark(Landmark(model.new_landmark_id(), np.array(position, dtype=float), "augmented", list(track)))
         added += 1

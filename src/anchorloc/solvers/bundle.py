@@ -81,13 +81,9 @@ def _gather_problem(model, mask: FreezeMask):
         frame_ids.append(fid)
 
     # only an unfrozen landmark, or one that an unfrozen frame observes,
-    # can give a kept observation; the unfrozen frames' feature bindings
+    # can give a kept observation; the unfrozen frames' feature_landmarks
     # name the latter, so no other track is read
-    observed = set()
-    for fid in frame_ids:
-        if fid not in mask.frozen_frame_ids:
-            n = len(model.frames[fid].features)
-            observed.update(model.obs_to_landmark.get((fid, k)) for k in range(n))
+    observed = model.observed_landmarks(fid for fid in frame_ids if fid not in mask.frozen_frame_ids)
 
     lm_ids = list(model.landmarks.keys())
 

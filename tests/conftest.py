@@ -151,7 +151,9 @@ def models_equal(a, b):
             return False
         if list(la.track) != list(lb.track):
             return False
-    return a.obs_to_landmark == b.obs_to_landmark
+    if a.feature_landmarks.keys() != b.feature_landmarks.keys():
+        return False
+    return all(np.array_equal(ids, b.feature_landmarks[fid]) for fid, ids in a.feature_landmarks.items())
 
 
 def match_features_oracle(a, b, ratio):
@@ -175,12 +177,19 @@ def match_features_oracle(a, b, ratio):
 # query index, target index, distance) tuples in row order
 
 
+def track_bindings(model):
+    """(frame id, feature index) -> landmark id, read from the landmark tracks
+    alone: the oracles below check code that reads feature_landmarks."""
+    return {key: lid for lid, lm in model.landmarks.items() for key in lm.track}
+
+
 def lift_oracle(model, matches):
     """(landmark id, query index) per landmark, ascending: the first of the
     closest matches into a feature bound to it."""
+    bound = track_bindings(model)
     best = {}
     for cid, qidx, tfidx, dist in matches:
-        lid = model.obs_to_landmark.get((cid, tfidx))
+        lid = bound.get((cid, tfidx))
         if lid is None:
             continue
         cur = best.get(lid)
@@ -193,11 +202,12 @@ def best_partner_oracle(model, frame_id, matches):
     """Tracks [(frame_id, query), (candidate, target)] in query order: each
     unbound query feature with the first of its closest matches into an
     unbound feature of a posed candidate."""
+    bound = track_bindings(model)
     best_partner = {}
     for cid, qidx, cfidx, dist in matches:
-        if (frame_id, qidx) in model.obs_to_landmark:
+        if (frame_id, qidx) in bound:
             continue
-        if (cid, cfidx) in model.obs_to_landmark:
+        if (cid, cfidx) in bound:
             continue
         if model.frames[cid].pose is None:
             continue

@@ -176,13 +176,12 @@ def test_add_observation_existing_binding_wins():
     m.add_landmark(Landmark(1, np.zeros(3), "augmented", [(6, 0)]))
     assert add_observation(m, 1, 5, 2)
     assert not add_observation(m, 1, 5, 1)  # already bound to landmark 0
-    assert m.obs_to_landmark[(5, 1)] == 0
+    assert m.feature_landmarks[5][1] == 0
 
 
 def _bindings(m):
     return (
         {lid: list(lm.track) for lid, lm in m.landmarks.items()},
-        dict(m.obs_to_landmark),
         {fid: ids.tolist() for fid, ids in m.feature_landmarks.items()},
         m._next_landmark_id,
     )
@@ -212,6 +211,29 @@ def test_add_observation_refuses_a_feature_the_model_does_not_hold(key):
     before = _bindings(m)
     with pytest.raises(ValueError):
         add_observation(m, 0, *key)
+    assert _bindings(m) == before
+
+
+# (0, 1) is bound, so the second track would be dropped had its unheld feature not been checked
+@pytest.mark.parametrize("first", [(0, 0), (0, 1)])
+@pytest.mark.parametrize("key", UNHELD_FEATURES)
+def test_merge_new_landmarks_refuses_a_feature_the_model_does_not_hold(key, first):
+    """Refused before a landmark id is drawn."""
+    m = SfMModel()
+    m.add_frame(_frame(0))
+    m.add_landmark(Landmark(0, np.zeros(3), "reference", [(0, 1)]))
+    before = _bindings(m)
+    with pytest.raises(ValueError):
+        merge_new_landmarks(m, np.zeros((1, 3)), [[first, key]])
+    assert _bindings(m) == before
+
+
+def test_add_landmark_refuses_a_negative_id():
+    m = SfMModel()
+    m.add_frame(_frame(0))
+    before = _bindings(m)
+    with pytest.raises(ValueError):
+        m.add_landmark(Landmark(-1, np.zeros(3), "augmented", [(0, 0)]))
     assert _bindings(m) == before
 
 

@@ -349,11 +349,19 @@ def test_gate_never_matches_a_candidate_the_prior_cannot_see(monkeypatch):
     assert pose is not None and len(inliers) == n
 
 
+def _track_entries(model):
+    return sum(len(lm.track) for lm in model.landmarks.values())
+
+
 def _bindings_agree(model):
-    """feature_landmarks holds obs_to_landmark, frame by frame."""
+    """feature_landmarks holds the landmark tracks' bindings, frame by frame,
+    and no feature is in two tracks."""
     want = {fid: np.full(len(f.features), -1) for fid, f in model.frames.items()}
-    for (fid, k), lid in model.obs_to_landmark.items():
-        want[fid][k] = lid
+    for lid, lm in model.landmarks.items():
+        for fid, k in lm.track:
+            if want[fid][k] >= 0:
+                return False
+            want[fid][k] = lid
     return want.keys() == model.feature_landmarks.keys() and all(
         np.array_equal(model.feature_landmarks[fid], ids) for fid, ids in want.items()
     )
@@ -366,7 +374,7 @@ def test_feature_landmarks_mirror_the_bindings_after_a_run_and_a_prune(small_sce
     seq = query_frames(small_scene)
     model = run_pipeline(small_reference, seq, detector_from_scores(small_scores), PipelineConfig()).model
     assert _bindings_agree(model) and _bindings_agree(small_reference)
-    assert len(model.obs_to_landmark) > len(small_reference.obs_to_landmark)
+    assert _track_entries(model) > _track_entries(small_reference)
     # moved far off, these landmarks fail the prune's reprojection gate
     moved = [lid for lid, lm in model.landmarks.items() if lm.origin == "augmented"][:5]
     for lid in moved:
