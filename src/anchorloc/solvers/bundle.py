@@ -10,19 +10,30 @@ The reduction works on index arrays, with no Python loop over landmarks
 or cameras. The free/frozen structure is fixed for a call, so
 ``_coupling`` builds it once: the observations that tie a free camera to
 a free landmark, sorted by landmark, and every unordered pair a<b of two
-such observations of one landmark. Each LM iteration stacks the
-camera-landmark blocks ``W = Jcᵀ Jl`` over those observations. Each
-damping trial recomputes only what depends on ``V⁻¹`` (``_reduce``): it
-subtracts each observation's ``W_a V⁻¹ W_aᵀ`` from its camera's diagonal
-block and accumulates each pair's ``W_a V⁻¹ W_bᵀ`` into the flat
-``(6nF, 6nF)`` matrix with ``np.subtract.at``, then adds the transpose.
-Pairs go in chunks of ``_PAIR_CHUNK``, so the pair products never exist
-all at once: a call with 60 free cameras can have tens of thousands of
-pairs. ``_back_substitute`` recovers the landmark steps.
+such observations of one landmark. Each LM iteration sums the
+per-observation Gram blocks and gradients into the normal equations
+(``_normal_equations``) and stacks the camera-landmark blocks
+``W = Jcᵀ Jl`` over the coupled observations. Each damping trial
+recomputes only what depends on ``V⁻¹`` (``_reduce``): it subtracts each
+observation's ``W_a V⁻¹ W_aᵀ`` from its camera's diagonal block and
+accumulates each pair's ``W_a V⁻¹ W_bᵀ`` into the flat ``(6nF, 6nF)``
+matrix with ``np.subtract.at``, then adds the transpose. Pairs go in
+chunks of ``_PAIR_CHUNK``, so the pair products never exist all at once:
+a call with 60 free cameras can have tens of thousands of pairs.
+``_back_substitute`` recovers the landmark steps. The trial that is
+accepted was evaluated at its new parameters, and the next iteration
+linearizes from that evaluation.
+
+Every sum into a block array goes through ``_scatter_add``: one
+``np.bincount`` per component, which adds in input order and so equals
+``np.add.at`` bit for bit, at a fraction of its time. Only the flat
+pair accumulation keeps ``np.subtract.at``, which is fast on a 1-D
+target.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,6 +180,34 @@ def _coupling(oc, ol):
     return _Coupling(obs, oc[obs], lm, pair_a, pair_b)
 
 
+def _scatter_add(start, index, values):
+    """``start`` with each ``values[k]`` added to row ``index[k]``, in input order.
+
+    Equal bit for bit to ``np.add.at(start.copy(), index, values)``: the
+    start rows go first into one ``np.bincount`` per component, and
+    bincount sums each bin in input order. A bin whose sum is zero may
+    read +0.0 where ``np.add.at`` keeps a -0.0 start.
+    """
+    n = len(start)
+    k = math.prod(start.shape[1:])
+    rows = np.concatenate([np.arange(n), index])
+    first, then = start.reshape(n, k), values.reshape(len(index), k)
+    out = np.empty((n, k))
+    for j in range(k):
+        out[:, j] = np.bincount(rows, np.concatenate([first[:, j], then[:, j]]), minlength=n)
+    return out.reshape(start.shape)
+
+
+def _normal_equations(J, r, index, n):
+    """Gram blocks Σ JᵀJ (n,k,k) and gradients Σ Jᵀr (n,k) of the residual
+    blocks J (m,2,k), r (m,2), each summed into row ``index`` (m,)."""
+    k = J.shape[2]
+    gram = J[:, 0, :, None] * J[:, 0, None, :]
+    gram += J[:, 1, :, None] * J[:, 1, None, :]
+    grad = np.einsum("nij,ni->nj", J, r)
+    return _scatter_add(np.zeros((n, k, k)), index, gram), _scatter_add(np.zeros((n, k)), index, grad)
+
+
 def _reduce(Ud, Vinv, gc, gl, W, cpl: _Coupling):
     """Reduced camera matrix (6nF, 6nF) and right-hand side (nF, 6).
 
@@ -178,7 +217,7 @@ def _reduce(Ud, Vinv, gc, gl, W, cpl: _Coupling):
     nF = len(Ud)
     n6 = 6 * nF
     T = W @ Vinv[cpl.lm]  # (m,6,3)
-    Wt = W.transpose(0, 2, 1)
+    Wt = np.ascontiguousarray(W.transpose(0, 2, 1))  # contiguous rows keep the products off numpy's strided path
 
     S = np.zeros(n6 * n6)
     block = (np.arange(6)[:, None] * n6 + np.arange(6)).ravel()  # flat offsets inside a 6x6 block
@@ -190,20 +229,17 @@ def _reduce(Ud, Vinv, gc, gl, W, cpl: _Coupling):
     S = S.reshape(n6, n6)
     S = S + S.T  # the pair (b, a) contributes the transpose of (a, b)
 
-    diag = Ud.copy()
-    np.subtract.at(diag, cpl.cam, T @ Wt)
+    diag = _scatter_add(Ud, cpl.cam, -(T @ Wt))
     f = np.arange(nF)
     S.reshape(nF, 6, nF, 6)[f, :, f, :] += diag
 
-    rhs = -gc
-    np.add.at(rhs, cpl.cam, np.einsum("aik,ak->ai", T, gl[cpl.lm]))
+    rhs = _scatter_add(-gc, cpl.cam, np.einsum("aik,ak->ai", T, gl[cpl.lm]))
     return S, rhs
 
 
 def _back_substitute(Vinv, gl, W, cpl: _Coupling, delta_c):
     """Landmark steps V⁻¹ (-gl - Σ_a W_aᵀ delta_c) for a camera step."""
-    rhs_l = -gl
-    np.subtract.at(rhs_l, cpl.lm, np.einsum("aik,ai->ak", W, delta_c[cpl.cam]))
+    rhs_l = _scatter_add(-gl, cpl.lm, -np.einsum("aik,ai->ak", W, delta_c[cpl.cam]))
     return np.einsum("lij,lj->li", Vinv, rhs_l)
 
 
@@ -262,7 +298,7 @@ def bundle_adjust(model, mask: FreezeMask):
     d3 = np.arange(3)
 
     lam = INITIAL_DAMPING
-    cost, *_ = _evaluate(quats, ts, Xs, intr, obs_cam, obs_lm, obs_px, HUBER_DELTA)
+    cost, r, enorm, R, good = _evaluate(quats, ts, Xs, intr, obs_cam, obs_lm, obs_px, HUBER_DELTA)
     cost_before = cost
     accepted = 0
     iterations = 0
@@ -270,7 +306,6 @@ def bundle_adjust(model, mask: FreezeMask):
 
     for _ in range(MAX_LM_ITERATIONS):
         iterations += 1
-        _, r, enorm, R, good = _evaluate(quats, ts, Xs, intr, obs_cam, obs_lm, obs_px, HUBER_DELTA)
         w = np.where(enorm <= HUBER_DELTA, 1.0, HUBER_DELTA / np.maximum(enorm, 1e-12))
         sw = np.where(good, np.sqrt(w), 0.0)
         rw = r * sw[:, None]
@@ -279,17 +314,8 @@ def bundle_adjust(model, mask: FreezeMask):
         Jc = np.where(good[:, None, None], J, 0.0) * sw[:, None, None]
         Jl = Jc[:, :, 3:] @ R  # d(uv)/dX = d(uv)/d(translation) @ R
 
-        gc = np.zeros((nF, 6))
-        U = np.zeros((nF, 6, 6))
-        if has_c.any():
-            np.add.at(gc, oc[has_c], np.einsum("nij,ni->nj", Jc[has_c], rw[has_c]))
-            np.add.at(U, oc[has_c], np.einsum("nki,nkj->nij", Jc[has_c], Jc[has_c]))
-
-        gl = np.zeros((nL, 3))
-        V = np.zeros((nL, 3, 3))
-        if has_l.any():
-            np.add.at(gl, ol[has_l], np.einsum("nij,ni->nj", Jl[has_l], rw[has_l]))
-            np.add.at(V, ol[has_l], np.einsum("nki,nkj->nij", Jl[has_l], Jl[has_l]))
+        U, gc = _normal_equations(Jc[has_c], rw[has_c], oc[has_c], nF)
+        V, gl = _normal_equations(Jl[has_l], rw[has_l], ol[has_l], nL)
 
         gmax = max(
             float(np.max(np.abs(gc))) if nF else 0.0,
@@ -330,11 +356,11 @@ def bundle_adjust(model, mask: FreezeMask):
             X_try = Xs.copy()
             X_try[free_lm_slots] += delta_l
 
-            new_cost, *_ = _evaluate(q_try, t_try, X_try, intr, obs_cam, obs_lm, obs_px, HUBER_DELTA)
-            if new_cost <= cost:
+            trial = _evaluate(q_try, t_try, X_try, intr, obs_cam, obs_lm, obs_px, HUBER_DELTA)
+            if trial[0] <= cost:
                 quats, ts, Xs = q_try, t_try, X_try
-                decrease = cost - new_cost
-                cost = new_cost
+                decrease = cost - trial[0]
+                cost, r, enorm, R, good = trial  # the next iteration linearizes here
                 lam = max(lam / DAMPING_DOWN, 1e-12)
                 accepted += 1
                 stepped = True

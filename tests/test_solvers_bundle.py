@@ -8,7 +8,7 @@ import pytest
 from anchorloc.geom import CameraIntrinsics, Pose, project_many
 from anchorloc.matching import FeatureSet
 from anchorloc.model import Frame, Landmark, SfMModel, frozen_state_digest
-from anchorloc.solvers import FreezeMask, bundle, bundle_adjust
+from anchorloc.solvers import FreezeMask, NumericalFailure, bundle, bundle_adjust
 from conftest import mean_reprojection_error, project
 
 
@@ -143,18 +143,22 @@ def _spd(rng, n, k):
 
 
 # case -> (free cameras, frozen cameras, free landmarks, frozen landmarks,
-# most views of a landmark, whether free landmark 0 is seen by frozen cameras only)
+# most views of a landmark, how many free landmarks, from 0, frozen cameras alone see)
 SCHUR_CASES = {
-    "mixed": (5, 2, 12, 4, 5, False),
-    "cameras_only": (6, 1, 0, 8, 4, False),
-    "landmarks_only": (0, 4, 10, 0, 4, False),
-    "single_views": (4, 2, 9, 3, 1, False),
-    "frozen_views_only": (4, 3, 8, 2, 3, True),
+    "mixed": (5, 2, 12, 4, 5, 0),
+    "cameras_only": (6, 1, 0, 8, 4, 0),
+    "landmarks_only": (0, 4, 10, 0, 4, 0),
+    "single_views": (4, 2, 9, 3, 1, 0),
+    "frozen_views_only": (4, 3, 8, 2, 3, 1),
+    "uncoupled": (3, 3, 6, 5, 3, 6),
 }
 
 
-@pytest.mark.parametrize("case", list(SCHUR_CASES))
-def test_schur_reduction_matches_per_landmark_loop(case):
+def _schur_problem(case):
+    """A random reduction problem of SCHUR_CASES[case] and the generator that drew it.
+
+    Returns (rng, oc, ol, cpl, Ud, Vinv, gc, gl, W, delta_c).
+    """
     nF, nF_frozen, nL, nL_frozen, most_views, frozen_only = SCHUR_CASES[case]
     rng = np.random.default_rng(sorted(SCHUR_CASES).index(case))
     n_cams = nF + nF_frozen
@@ -164,7 +168,7 @@ def test_schur_reduction_matches_per_landmark_loop(case):
     lm_param[rng.permutation(nL + nL_frozen)[:nL]] = np.arange(nL)
     oc, ol = [], []
     for j, p in enumerate(lm_param):
-        pool = np.nonzero(cam_param < 0)[0] if frozen_only and p == 0 else np.arange(n_cams)
+        pool = np.nonzero(cam_param < 0)[0] if 0 <= p < frozen_only else np.arange(n_cams)
         views = rng.choice(pool, size=rng.integers(1, min(most_views, len(pool)) + 1), replace=False)
         oc += cam_param[views].tolist()
         ol += [p] * len(views)
@@ -172,15 +176,20 @@ def test_schur_reduction_matches_per_landmark_loop(case):
     oc, ol = np.array(oc)[perm], np.array(ol)[perm]
 
     cpl = bundle._coupling(oc, ol)
-    coupled = np.nonzero((oc >= 0) & (ol >= 0))[0]
-    assert np.array_equal(cpl.obs, coupled[np.argsort(ol[coupled], kind="stable")])
-    same = [(a, b) for a in range(len(cpl.lm)) for b in range(a + 1, len(cpl.lm)) if cpl.lm[a] == cpl.lm[b]]
-    assert list(zip(cpl.pair_a.tolist(), cpl.pair_b.tolist())) == same
-
     Ud, Vinv = _spd(rng, nF, 6), np.linalg.inv(_spd(rng, nL, 3))
     gc, gl = rng.normal(size=(nF, 6)), rng.normal(size=(nL, 3))
     W = rng.normal(size=(len(oc), 6, 3))[cpl.obs]
     delta_c = rng.normal(size=(nF, 6))
+    return rng, oc, ol, cpl, Ud, Vinv, gc, gl, W, delta_c
+
+
+@pytest.mark.parametrize("case", list(SCHUR_CASES))
+def test_schur_reduction_matches_per_landmark_loop(case):
+    _, oc, ol, cpl, Ud, Vinv, gc, gl, W, delta_c = _schur_problem(case)
+    coupled = np.nonzero((oc >= 0) & (ol >= 0))[0]
+    assert np.array_equal(cpl.obs, coupled[np.argsort(ol[coupled], kind="stable")])
+    same = [(a, b) for a in range(len(cpl.lm)) for b in range(a + 1, len(cpl.lm)) if cpl.lm[a] == cpl.lm[b]]
+    assert list(zip(cpl.pair_a.tolist(), cpl.pair_b.tolist())) == same
 
     S, rhs = bundle._reduce(Ud, Vinv, gc, gl, W, cpl)
     S_ref, rhs_ref = _reduce_loop(Ud, Vinv, gc, gl, W, cpl)
@@ -189,6 +198,79 @@ def test_schur_reduction_matches_per_landmark_loop(case):
     for got, ref in ((S, S_ref), (rhs, rhs_ref), (delta_l, delta_l_ref)):
         assert got.shape == ref.shape
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max(initial=0.0))
+
+
+# --- the bincount assembly against the np.add.at assembly it replaced, bit for bit
+
+
+def _normal_equations_add_at(J, r, index, n):
+    """Reference for bundle._normal_equations: einsum products summed by np.add.at."""
+    k = J.shape[2]
+    H = np.zeros((n, k, k))
+    g = np.zeros((n, k))
+    np.add.at(g, index, np.einsum("nij,ni->nj", J, r))
+    np.add.at(H, index, np.einsum("nki,nkj->nij", J, J))
+    return H, g
+
+
+def _reduce_add_at(Ud, Vinv, gc, gl, W, cpl):
+    """Reference for bundle._reduce: the diagonal and rhs by np.subtract.at / np.add.at, on a transposed view."""
+    nF = len(Ud)
+    n6 = 6 * nF
+    T = W @ Vinv[cpl.lm]
+    Wt = W.transpose(0, 2, 1)
+    S = np.zeros(n6 * n6)
+    block = (np.arange(6)[:, None] * n6 + np.arange(6)).ravel()
+    for s in range(0, len(cpl.pair_a), bundle._PAIR_CHUNK):
+        a = cpl.pair_a[s : s + bundle._PAIR_CHUNK]
+        b = cpl.pair_b[s : s + bundle._PAIR_CHUNK]
+        corner = 6 * (cpl.cam[a] * n6 + cpl.cam[b])
+        np.subtract.at(S, (corner[:, None] + block).ravel(), (T[a] @ Wt[b]).ravel())
+    S = S.reshape(n6, n6)
+    S = S + S.T
+    diag = Ud.copy()
+    np.subtract.at(diag, cpl.cam, T @ Wt)
+    f = np.arange(nF)
+    S.reshape(nF, 6, nF, 6)[f, :, f, :] += diag
+    rhs = -gc
+    np.add.at(rhs, cpl.cam, np.einsum("aik,ak->ai", T, gl[cpl.lm]))
+    return S, rhs
+
+
+def _back_substitute_add_at(Vinv, gl, W, cpl, delta_c):
+    """Reference for bundle._back_substitute by np.subtract.at."""
+    rhs_l = -gl
+    np.subtract.at(rhs_l, cpl.lm, np.einsum("aik,ai->ak", W, delta_c[cpl.cam]))
+    return np.einsum("lij,lj->li", Vinv, rhs_l)
+
+
+@pytest.mark.parametrize("case", list(SCHUR_CASES))
+def test_assembly_matches_add_at_bit_for_bit(case):
+    rng, oc, ol, cpl, Ud, Vinv, gc, gl, W, delta_c = _schur_problem(case)
+    nF, nL = len(Ud), len(gl)
+    got = bundle._reduce(Ud, Vinv, gc, gl, W, cpl) + (bundle._back_substitute(Vinv, gl, W, cpl, delta_c),)
+    ref = _reduce_add_at(Ud, Vinv, gc, gl, W, cpl) + (_back_substitute_add_at(Vinv, gl, W, cpl, delta_c),)
+    for g, r in zip(got, ref):
+        assert g.shape == r.shape and np.array_equal(g, r)
+
+    # the normal equations of every observation, some with the zero rows of a depth-gated one
+    J = rng.normal(size=(len(oc), 2, 9))
+    J[::4] = 0.0
+    res = rng.normal(size=(len(oc), 2))
+    for cols, index, n in ((slice(0, 6), oc, nF), (slice(6, 9), ol, nL)):
+        has = index >= 0
+        got = bundle._normal_equations(J[has][:, :, cols], res[has], index[has], n)
+        ref = _normal_equations_add_at(J[has][:, :, cols], res[has], index[has], n)
+        for g, r in zip(got, ref):
+            assert g.dtype == np.float64 and g.shape == r.shape and np.array_equal(g, r)
+
+
+def test_scatter_add_of_nothing_keeps_the_start():
+    """bincount of no input counts in int64; the sum must stay float and keep its shape."""
+    start = np.arange(12.0).reshape(2, 3, 2)
+    for n in (2, 0):
+        got = bundle._scatter_add(start[:n], np.zeros(0, dtype=int), np.zeros((0, 3, 2)))
+        assert got.dtype == np.float64 and got.shape == (n, 3, 2) and np.array_equal(got, start[:n])
 
 
 def test_bundle_through_loop_reference_takes_same_steps(monkeypatch):
@@ -241,7 +323,7 @@ def test_bundle_memory_peak_stays_bounded():
     finally:
         tracemalloc.stop()
     assert res.iterations > 0
-    assert peak < 16 * 2**20, f"bundle_adjust peaked at {peak / 2**20:.1f} MB"
+    assert peak < 9 * 2**20, f"bundle_adjust peaked at {peak / 2**20:.1f} MB"
 
 
 def test_stacked_retraction_matches_pose_retract():
@@ -370,3 +452,116 @@ def test_gather_problem_skips_reference_only_tracks(monkeypatch):
             assert np.array_equal(fr.pose.q, other.q) and np.array_equal(fr.pose.t, other.t)
     for lid, lm in model.landmarks.items():
         assert np.array_equal(lm.position, reference.landmarks[lid].position)
+
+
+def _poses_and_positions(model):
+    return (
+        {fid: (f.pose.q.copy(), f.pose.t.copy()) for fid, f in model.frames.items() if f.pose is not None},
+        {lid: lm.position.copy() for lid, lm in model.landmarks.items()},
+    )
+
+
+def _assert_same_state(state, other):
+    (poses, positions), (poses_o, positions_o) = state, other
+    assert poses.keys() == poses_o.keys() and positions.keys() == positions_o.keys()
+    for fid, (q, t) in poses.items():
+        assert np.array_equal(q, poses_o[fid][0]) and np.array_equal(t, poses_o[fid][1])
+    for lid, X in positions.items():
+        assert np.array_equal(X, positions_o[lid])
+
+
+def _windowed_reference_case():
+    from anchorloc.model import freeze_mask_for_reference
+
+    model = _model_with_reference_only_landmarks()
+    return model, freeze_mask_for_reference(model, window=2)
+
+
+# name -> (model, mask); the last two have no free landmark and no free camera
+BUNDLE_CASES = {
+    "ring": lambda: (
+        _ring_model(noise=0.5),
+        FreezeMask(frozen_frame_ids={0}, frozen_landmark_ids={0, 1, 2, 3, 4}),
+    ),
+    "many_view": lambda: (_many_view_model(n_cams=30, n_pts=300, views=6), FreezeMask(frozen_frame_ids={0})),
+    "windowed_reference": _windowed_reference_case,
+    "landmarks_frozen": lambda: (
+        _ring_model(noise=0.5),
+        FreezeMask(frozen_frame_ids={0, 1}, frozen_landmark_ids=set(range(40))),
+    ),
+    "cameras_frozen": lambda: (_ring_model(noise=0.5), FreezeMask(frozen_frame_ids=set(range(5)))),
+}
+
+
+@pytest.mark.parametrize("case", list(BUNDLE_CASES))
+def test_bundle_matches_add_at_assembly_bit_for_bit(case, monkeypatch):
+    model, mask = BUNDLE_CASES[case]()
+    reference = copy.deepcopy(model)
+    res = bundle_adjust(model, mask)
+    monkeypatch.setattr(bundle, "_normal_equations", _normal_equations_add_at)
+    monkeypatch.setattr(bundle, "_reduce", _reduce_add_at)
+    monkeypatch.setattr(bundle, "_back_substitute", _back_substitute_add_at)
+    res_ref = bundle_adjust(reference, mask)
+    assert res.accepted_steps > 0
+    assert res == res_ref
+    _assert_same_state(_poses_and_positions(model), _poses_and_positions(reference))
+
+
+def _exact_model():
+    """Three translated cameras with identity rotations and observations equal, bit
+    for bit, to the projections BA computes: every residual is exactly zero."""
+    rng = np.random.default_rng(6)
+    intr = CameraIntrinsics(400.0, 400.0, 320.0, 240.0, 640, 480)
+    pts = np.column_stack([rng.uniform(-2, 2, 20), rng.uniform(-2, 2, 20), rng.uniform(4, 8, 20)])
+    model = SfMModel()
+    for c in range(3):
+        pose = Pose(t=np.array([-0.5 * c, 0.25 * c, 0.0]))
+        uv, _ = project_many(pose.R, pose.t, intr, pts)
+        model.add_frame(Frame(c, float(c), intr, FeatureSet(uv, np.zeros((len(pts), 4))), pose, "registered"))
+    for i, X in enumerate(pts):
+        model.add_landmark(Landmark(i, X, "augmented", [(c, i) for c in range(3)]))
+    return model
+
+
+def test_bundle_zero_gradient_returns_before_any_iteration():
+    model = _exact_model()
+    before = _poses_and_positions(model)
+    res = bundle_adjust(model, FreezeMask(frozen_frame_ids={0}))
+    assert (res.cost_before, res.cost_after, res.iterations, res.accepted_steps) == (0.0, 0.0, 0, 0)
+    assert (res.free_cameras, res.free_points) == (2, 20)
+    _assert_same_state(_poses_and_positions(model), before)
+
+
+def _failing_first(monkeypatch, calls):
+    """Make np.linalg.solve raise LinAlgError on its first `calls` calls."""
+    solve = np.linalg.solve
+    seen = []
+
+    def flaky(*args):
+        seen.append(1)
+        if len(seen) <= calls:
+            raise np.linalg.LinAlgError("singular matrix")
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", flaky)
+    return seen
+
+
+def test_bundle_singular_solve_raises_damping_and_still_descends(monkeypatch):
+    model = _ring_model(noise=0.5)
+    mask = FreezeMask(frozen_frame_ids={0}, frozen_landmark_ids={0, 1, 2, 3, 4})
+    seen = _failing_first(monkeypatch, 3)
+    res = bundle_adjust(model, mask)
+    assert len(seen) > 3
+    assert res.accepted_steps > 0 and res.cost_after <= res.cost_before
+
+
+def test_bundle_always_singular_solve_fails_and_leaves_the_model(monkeypatch):
+    model = _ring_model(noise=0.5)
+    before = _poses_and_positions(model)
+    mask = FreezeMask(frozen_frame_ids={0}, frozen_landmark_ids={0, 1, 2, 3, 4})
+    seen = _failing_first(monkeypatch, 10**6)
+    with pytest.raises(NumericalFailure, match="damping escalation"):
+        bundle_adjust(model, mask)
+    assert len(seen) == 19  # from 1e-4, ten-fold per failure, past 1e14
+    _assert_same_state(_poses_and_positions(model), before)
