@@ -1,11 +1,13 @@
 """Whole-sweep accuracy of one method in two checkouts, seed by seed.
 
     python3 scripts/sweep_accuracy.py PARENT_ROOT CHANGE_ROOT [--seeds 1-5 | --scene-seeds 1-5]
-        [--method proposed | single]
+        [--method proposed | single | onthefly]
 
 Localizes all query frames of each checkout's configs/adversarial.cfg with
-``--method``, ``proposed`` (the default) or ``single``, the single-image
-comparator, which runs RANSAC on every frame. It does so once per RANSAC
+``--method``: ``proposed`` (the default); ``single``, the single-image
+comparator, which runs RANSAC on every frame; or ``onthefly``, the
+query-only SfM comparator, whose reconstruction is aligned to the
+ground-truth camera centers at its end. It does so once per RANSAC
 seed (``--seeds``) or, with
 ``--scene-seeds``, once per scene seed (``scene.rng_seed``) at the
 configured RANSAC seed, with each checkout's ``src/``; every run is its
@@ -49,13 +51,15 @@ reference = synth.build_reference_model(ds)
 detector = pipeline.detector_from_scores(synth.anchor_scores(ds))
 intr = ds.intrinsics()
 frames = [Frame(sf.id, sf.timestamp, intr, sf.features, None, "pending") for sf in ds.query]
+gt = {sf.id: sf.pose.center() for sf in ds.query}
 start = time.perf_counter()
 if method == "single":
     entries = baselines.single_image_localize(reference, frames, cfg).frames
+elif method == "onthefly":
+    entries = baselines.onthefly_sfm(frames, cfg, gt)[1].frames
 else:
     entries = pipeline.run_pipeline(reference, frames, detector, cfg).frame_events
 wall_s = time.perf_counter() - start
-gt = {sf.id: sf.pose.center() for sf in ds.query}
 errors = [position_error(e.pose, gt[e.frame_id]) for e in entries if e.pose is not None]
 print(json.dumps({"frames": len(frames), "errors": errors, "wall_s": wall_s}))
 """
@@ -115,7 +119,9 @@ def main(argv=None):
     which = ap.add_mutually_exclusive_group()
     which.add_argument("--seeds", default="1-5", help="RANSAC seeds, as 1-5 or 1,3,7 (default 1-5)")
     which.add_argument("--scene-seeds", help="scene seeds in place of RANSAC seeds, in the same form")
-    ap.add_argument("--method", choices=("proposed", "single"), default="proposed", help="localizer (default proposed)")
+    ap.add_argument(
+        "--method", choices=("proposed", "single", "onthefly"), default="proposed", help="localizer (default proposed)"
+    )
     args = ap.parse_args(argv)
     varied = "ransac" if args.scene_seeds is None else "scene"
     seeds = parse_seeds(args.seeds if args.scene_seeds is None else args.scene_seeds)

@@ -59,5 +59,8 @@ def test_method_picks_the_localizer_of_every_run(monkeypatch, capsys):
     runs.clear()
     sweep_accuracy.main(["parent", "change", "--seeds", "4"])
     assert runs == [("parent", 4, "proposed"), ("change", 4, "proposed")]
+    runs.clear()
+    sweep_accuracy.main(["parent", "change", "--seeds", "4", "--method", "onthefly"])
+    assert runs == [("parent", 4, "onthefly"), ("change", 4, "onthefly")]
     with pytest.raises(SystemExit):
-        sweep_accuracy.main(["parent", "change", "--method", "onthefly"])
+        sweep_accuracy.main(["parent", "change", "--method", "sfm"])
