@@ -24,9 +24,10 @@ a call with 60 free cameras can have tens of thousands of pairs.
 accepted was evaluated at its new parameters, and the next iteration
 linearizes from that evaluation.
 
-Every sum into a block array goes through ``_scatter_add``: one
-``np.bincount`` per component, which adds in input order and so equals
-``np.add.at`` bit for bit, at a fraction of its time. Only the flat
+Every sum into a block array is one ``np.bincount`` per component, which
+adds in input order and so equals ``np.add.at`` bit for bit, at a
+fraction of its time. ``_normal_equations`` sums from zero;
+``_scatter_add`` puts the rows of a start array first. Only the flat
 pair accumulation keeps ``np.subtract.at``, which is fast on a 1-D
 target.
 """
@@ -200,12 +201,21 @@ def _scatter_add(start, index, values):
 
 def _normal_equations(J, r, index, n):
     """Gram blocks Σ JᵀJ (n,k,k) and gradients Σ Jᵀr (n,k) of the residual
-    blocks J (m,2,k), r (m,2), each summed into row ``index`` (m,)."""
+    blocks J (m,2,k), r (m,2), each summed into row ``index`` (m,).
+
+    Each component is summed by its own ``np.bincount`` from a product
+    vector, so no (m,k,k) array is formed; a Gram block is symmetric
+    term by term, so its lower triangle copies the upper one.
+    """
     k = J.shape[2]
-    gram = J[:, 0, :, None] * J[:, 0, None, :]
-    gram += J[:, 1, :, None] * J[:, 1, None, :]
-    grad = np.einsum("nij,ni->nj", J, r)
-    return _scatter_add(np.zeros((n, k, k)), index, gram), _scatter_add(np.zeros((n, k)), index, grad)
+    gram = np.empty((n, k, k))
+    grad = np.empty((n, k))
+    for i in range(k):
+        a, b = J[:, 0, i], J[:, 1, i]
+        grad[:, i] = np.bincount(index, a * r[:, 0] + b * r[:, 1], minlength=n)
+        for j in range(i, k):
+            gram[:, i, j] = gram[:, j, i] = np.bincount(index, a * J[:, 0, j] + b * J[:, 1, j], minlength=n)
+    return gram, grad
 
 
 def _reduce(Ud, Vinv, gc, gl, W, cpl: _Coupling):
@@ -218,6 +228,9 @@ def _reduce(Ud, Vinv, gc, gl, W, cpl: _Coupling):
     n6 = 6 * nF
     T = W @ Vinv[cpl.lm]  # (m,6,3)
     Wt = np.ascontiguousarray(W.transpose(0, 2, 1))  # contiguous rows keep the products off numpy's strided path
+    # the diagonal and rhs first, so that their (m,6,6) products are gone before S exists
+    diag = _scatter_add(Ud, cpl.cam, -(T @ Wt))
+    rhs = _scatter_add(-gc, cpl.cam, np.einsum("aik,ak->ai", T, gl[cpl.lm]))
 
     S = np.zeros(n6 * n6)
     block = (np.arange(6)[:, None] * n6 + np.arange(6)).ravel()  # flat offsets inside a 6x6 block
@@ -228,12 +241,8 @@ def _reduce(Ud, Vinv, gc, gl, W, cpl: _Coupling):
         np.subtract.at(S, (corner[:, None] + block).ravel(), (T[a] @ Wt[b]).ravel())
     S = S.reshape(n6, n6)
     S = S + S.T  # the pair (b, a) contributes the transpose of (a, b)
-
-    diag = _scatter_add(Ud, cpl.cam, -(T @ Wt))
     f = np.arange(nF)
     S.reshape(nF, 6, nF, 6)[f, :, f, :] += diag
-
-    rhs = _scatter_add(-gc, cpl.cam, np.einsum("aik,ak->ai", T, gl[cpl.lm]))
     return S, rhs
 
 
