@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geom import CameraIntrinsics, Pose, mat_to_quat
+from ..geom import CONVERGENCE_TOL, CameraIntrinsics, Pose, mat_to_quat
 from .errors import DegenerateConfiguration, InsufficientCorrespondences, NoConsensus
 from .pnp import RANSAC_MIN_INLIERS, RansacConfig, _bearing_vectors, ransac
 
@@ -116,11 +116,13 @@ def _sampson_residuals(R, t, x1, x2):
 
 
 def refine_relative_pose(pose: Pose, pixels1, pixels2, intr: CameraIntrinsics):
-    """Up to 30 Gauss-Newton iterations on Sampson error over the 5-dof relative pose.
+    """Levenberg-Marquardt on Sampson error over the 5-dof relative pose, up to 30 iterations.
 
     The linear eight-point estimate degrades badly on shallow-relief
     (near-planar) geometry; this polishes it on the given inlier matches.
-    Translation stays unit-norm.
+    Translation stays unit-norm. Stops as refine_pose and bundle_adjust
+    do: at the first accepted step that lowers the cost by at most
+    CONVERGENCE_TOL of it.
     """
     from ..geom import quat_to_mat, so3_exp_quat
 
@@ -158,7 +160,10 @@ def refine_relative_pose(pose: Pose, pixels1, pixels2, intr: CameraIntrinsics):
             rn = _sampson_residuals(Rn, tn, x1, x2)
             cn = float(rn @ rn)
             if cn < cost:
+                improved = cost - cn
                 R, t, r, cost = Rn, tn, rn, cn
+                if improved <= CONVERGENCE_TOL * max(cost, 1e-12):
+                    return Pose(mat_to_quat(R), t)
                 lam = max(lam / 10.0, 1e-10)
                 stepped = True
                 break

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anchorloc.geom import Pose
+from anchorloc.geom import CONVERGENCE_TOL, Pose
 from anchorloc.solvers import (
     InsufficientCorrespondences,
     NoConsensus,
@@ -313,7 +313,10 @@ def _refine_relative_pose_loop(pose, pixels1, pixels2, intr, iterations=30):
             rn = _sampson_residuals(Rn, tn, x1, x2)
             cn = float(rn @ rn)
             if cn < cost:
+                improved = cost - cn
                 R, t, r, cost = Rn, tn, rn, cn
+                if improved <= CONVERGENCE_TOL * max(cost, 1e-12):
+                    return Pose(mat_to_quat(R), t)
                 lam = max(lam / 10.0, 1e-10)
                 stepped = True
                 break
@@ -333,3 +336,39 @@ def test_refine_relative_pose_matches_five_call_jacobian(intrinsics, seed):
     assert rotation_angle(got.R, est.R) > 1e-9  # the refinement moved the pose
     np.testing.assert_allclose(got.R, ref.R, rtol=0, atol=1e-9)
     np.testing.assert_allclose(got.t, ref.t, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_refine_relative_pose_stops_at_the_first_step_within_the_convergence_tolerance(intrinsics, seed, monkeypatch):
+    """The run ends at its first accepted step that lowers the cost by at most
+    CONVERGENCE_TOL of it: that step's pose is the last one evaluated and the
+    one returned, well before the 30-iteration cap of 61 evaluations."""
+    from anchorloc.solvers import twoview
+
+    rng = np.random.default_rng(300 + seed)
+    _, px1, px2 = _two_view_scene(rng, n=70, noise=0.7, intr=intrinsics)
+    est, inliers = estimate_relative_pose(px1, px2, intrinsics, RansacConfig(rng_seed=seed))
+    residuals = twoview._sampson_residuals
+    calls = []
+
+    def counted(R, t, x1, x2):
+        r = residuals(R, t, x1, x2)
+        calls.append((R, t, r))
+        return r
+
+    monkeypatch.setattr(twoview, "_sampson_residuals", counted)
+    refined = refine_relative_pose(est, px1[inliers], px2[inliers], intrinsics)
+
+    poses = [(R, t, float(r @ r)) for R, t, r in calls if R.ndim == 2]  # the start and each trial, not the Jacobians
+    current = poses[0][2]
+    gains = []  # (gain, cost after) of each accepted step, in order
+    for R, t, c in poses[1:]:
+        if c < current:
+            gains.append((current - c, c))
+            current = c
+    within = [g <= CONVERGENCE_TOL * max(c, 1e-12) for g, c in gains]
+    assert within.index(True) == len(gains) - 1
+    R, t, r = calls[-1]
+    assert float(r @ r) == current and np.array_equal(t, refined.t)
+    np.testing.assert_allclose(refined.R, R, rtol=0, atol=1e-12)
+    assert len(calls) < 61
