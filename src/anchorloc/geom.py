@@ -177,9 +177,9 @@ class Pose:
 # ---------------------------------------------------------------------------
 # projection
 
-# The stop of all three Levenberg-Marquardt solvers, refine_pose,
-# refine_relative_pose and bundle_adjust: an accepted step that lowers the
-# cost by at most this share of it ends the run.
+# The stop of solvers.pnp.levenberg_marquardt, the one loop that runs
+# refine_pose, refine_relative_pose and bundle_adjust: an accepted step
+# that lowers the cost by at most this share of it ends the run.
 CONVERGENCE_TOL = 1e-8
 
 

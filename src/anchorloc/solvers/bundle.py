@@ -10,10 +10,12 @@ The reduction works on index arrays, with no Python loop over landmarks
 or cameras. The free/frozen structure is fixed for a call, so
 ``_coupling`` builds it once: the observations that tie a free camera to
 a free landmark, sorted by landmark, and every unordered pair a<b of two
-such observations of one landmark. Each LM iteration sums the
+such observations of one landmark. ``pnp.levenberg_marquardt`` runs the
+iterations and damping trials. Each linearization sums the
 per-observation Gram blocks and gradients into the normal equations
 (``_normal_equations``) and stacks the camera-landmark blocks
-``W = Jcᵀ Jl`` over the coupled observations. Each damping trial
+``W = Jcᵀ Jl`` over the coupled observations; the Jacobians themselves
+are freed before the first trial. Each damping trial
 recomputes only what depends on ``V⁻¹`` (``_reduce``): it subtracts each
 observation's ``W_a V⁻¹ W_aᵀ`` from its camera's diagonal block and
 accumulates each pair's ``W_a V⁻¹ W_bᵀ`` into the flat ``(6nF, 6nF)``
@@ -39,21 +41,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geom import CONVERGENCE_TOL, Pose, pose_jacobian_many, project_many, quat_mul, quat_to_mat
+from ..geom import Pose, pose_jacobian_many, project_many, quat_mul, quat_to_mat
 from .errors import NumericalFailure
+from .pnp import levenberg_marquardt
 
 _BAD_OBS_PENALTY = 1e8
 _PAIR_CHUNK = 1024
 
-# Levenberg-Marquardt schedule: at most MAX_LM_ITERATIONS iterations from
-# damping INITIAL_DAMPING, raised by DAMPING_UP after a rejected step and
-# lowered by DAMPING_DOWN after an accepted one; a step that lowers the
-# cost by at most geom.CONVERGENCE_TOL of it ends the run. Residuals
-# beyond HUBER_DELTA pixels get the Huber loss's linear weight.
+# Levenberg-Marquardt schedule: pnp.levenberg_marquardt runs at most
+# MAX_LM_ITERATIONS iterations of up to 60 trials from damping
+# INITIAL_DAMPING, with the damping rule and stop it keeps for every
+# solver. BA gives up once the damping passes 1e14; a singular system
+# there raises NumericalFailure. Residuals beyond HUBER_DELTA pixels get
+# the Huber loss's linear weight.
 MAX_LM_ITERATIONS = 30
 INITIAL_DAMPING = 1e-4
-DAMPING_UP = 10.0
-DAMPING_DOWN = 10.0
 HUBER_DELTA = 2.0
 
 
@@ -306,15 +308,13 @@ def bundle_adjust(model, mask: FreezeMask):
     d6 = np.arange(6)
     d3 = np.arange(3)
 
-    lam = INITIAL_DAMPING
-    cost, r, enorm, R, good = _evaluate(quats, ts, Xs, intr, obs_cam, obs_lm, obs_px, HUBER_DELTA)
-    cost_before = cost
-    accepted = 0
-    iterations = 0
-    converged = False
+    def evaluate(x):
+        cost, *state = _evaluate(*x, intr, obs_cam, obs_lm, obs_px, HUBER_DELTA)
+        return cost, state
 
-    for _ in range(MAX_LM_ITERATIONS):
-        iterations += 1
+    def linearize(x, state):
+        quats, ts, Xs = x
+        r, enorm, R, good = state
         w = np.where(enorm <= HUBER_DELTA, 1.0, HUBER_DELTA / np.maximum(enorm, 1e-12))
         sw = np.where(good, np.sqrt(w), 0.0)
         rw = r * sw[:, None]
@@ -326,37 +326,30 @@ def bundle_adjust(model, mask: FreezeMask):
         U, gc = _normal_equations(Jc[has_c], rw[has_c], oc[has_c], nF)
         V, gl = _normal_equations(Jl[has_l], rw[has_l], ol[has_l], nL)
 
-        gmax = max(
-            float(np.max(np.abs(gc))) if nF else 0.0,
-            float(np.max(np.abs(gl))) if nL else 0.0,
-        )
-        if gmax < 1e-12:
-            iterations -= 1
-            break
+        if max(np.max(np.abs(gc), initial=0.0), np.max(np.abs(gl), initial=0.0)) < 1e-12:
+            return None
 
         W = Jc[cpl.obs].transpose(0, 2, 1) @ Jl[cpl.obs]  # (m,6,3) camera-landmark coupling
 
-        stepped = False
-        for _try in range(60):
+        def solve(lam):
+            if lam > 1e14:
+                return None
             Ud = U.copy()
             Ud[:, d6, d6] += lam * U[:, d6, d6] + 1e-12
             Vd = V.copy()
             Vd[:, d3, d3] += lam * V[:, d3, d3] + 1e-12
-
             try:
                 Vinv = np.linalg.inv(Vd) if nL else np.zeros((0, 3, 3))
                 S, rhs_c = _reduce(Ud, Vinv, gc, gl, W, cpl)
-                if nF:
-                    delta_c = np.linalg.solve(S, rhs_c.reshape(-1)).reshape(nF, 6)
-                else:
-                    delta_c = np.zeros((0, 6))
-                delta_l = _back_substitute(Vinv, gl, W, cpl, delta_c)
+                delta_c = np.linalg.solve(S, rhs_c.reshape(-1)).reshape(nF, 6) if nF else np.zeros((0, 6))
+                return delta_c, _back_substitute(Vinv, gl, W, cpl, delta_c)
             except np.linalg.LinAlgError:
-                lam *= DAMPING_UP
-                if lam > 1e14:
+                if lam * 10.0 > 1e14:  # the loop's next damping
                     raise NumericalFailure("normal equations singular after damping escalation")
-                continue
+                raise
 
+        def step(delta):
+            delta_c, delta_l = delta
             q_try = quats.copy()
             t_try = ts.copy()
             q_try[free_frame_slots], t_try[free_frame_slots] = _retract(
@@ -364,30 +357,18 @@ def bundle_adjust(model, mask: FreezeMask):
             )
             X_try = Xs.copy()
             X_try[free_lm_slots] += delta_l
+            return q_try, t_try, X_try
 
-            trial = _evaluate(q_try, t_try, X_try, intr, obs_cam, obs_lm, obs_px, HUBER_DELTA)
-            if trial[0] <= cost:
-                quats, ts, Xs = q_try, t_try, X_try
-                decrease = cost - trial[0]
-                cost, r, enorm, R, good = trial  # the next iteration linearizes here
-                lam = max(lam / DAMPING_DOWN, 1e-12)
-                accepted += 1
-                stepped = True
-                if decrease <= CONVERGENCE_TOL * max(cost, 1e-12):
-                    converged = True
-                break
-            lam *= DAMPING_UP
-            if lam > 1e14:
-                break
-        if not stepped or converged:
-            break
+        return solve, step
+
+    (quats, ts, Xs), cost_before, cost, iterations, accepted = levenberg_marquardt(
+        (quats, ts, Xs), evaluate, linearize, MAX_LM_ITERATIONS, INITIAL_DAMPING, 60
+    )
 
     # write back only the free blocks
-    for j, slot in enumerate(free_frame_slots):
-        fid = frame_ids[slot]
-        model.frames[fid].pose = Pose(quats[slot].copy(), ts[slot].copy())
-    for l, slot in enumerate(free_lm_slots):
-        lid = lm_ids[slot]
-        model.landmarks[lid].position = Xs[slot].copy()
+    for slot in free_frame_slots:
+        model.frames[frame_ids[slot]].pose = Pose(quats[slot].copy(), ts[slot].copy())
+    for slot in free_lm_slots:
+        model.landmarks[lm_ids[slot]].position = Xs[slot].copy()
 
     return BundleResult(cost_before, cost, iterations, accepted, free_cameras=nF, free_points=nL)

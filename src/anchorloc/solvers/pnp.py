@@ -268,55 +268,27 @@ def solve_p3p_block(world, pixels, intr: CameraIntrinsics):
 
 
 def refine_pose(pose: Pose, world, pixels, intr: CameraIntrinsics, iterations=10):
-    """Pose-only Levenberg-Marquardt on the given correspondences.
-
-    Stops as bundle_adjust does: at the first accepted step that lowers
-    the cost by at most CONVERGENCE_TOL of it.
-    """
+    """Pose-only Levenberg-Marquardt on the given correspondences; a point
+    behind the camera adds a residual of 1e6 per coordinate and no Jacobian rows."""
     world = np.asarray(world, dtype=float)
     pixels = np.asarray(pixels, dtype=float)
-    lam = 1e-6
 
-    def cost_of(p):
+    def evaluate(p):
         uv, z = project_many(p.R, p.t, intr, world)
         r = uv - pixels
-        bad = z <= 0
-        r[bad] = 1e6
-        return float((r**2).sum()), r
+        r[z <= 0] = 1e6
+        return float((r**2).sum()), (r, z > 0)
 
-    cost, _ = cost_of(pose)
-    for _ in range(iterations):
-        R, t = pose.R, pose.t
-        uv, z = project_many(R, t, intr, world)
-        ok = z > 0
-        Jf = pose_jacobian_many(R, t, intr, world[ok]).reshape(-1, 6)
-        rf = (uv[ok] - pixels[ok]).reshape(-1)
+    def linearize(p, state):
+        r, ok = state
+        Jf = pose_jacobian_many(p.R, p.t, intr, world[ok]).reshape(-1, 6)
         H = Jf.T @ Jf
-        g = Jf.T @ rf
+        g = Jf.T @ r[ok].reshape(-1)
         if np.max(np.abs(g)) < 1e-14:
-            break
-        stepped = False
-        for _ in range(8):
-            try:
-                delta = np.linalg.solve(H + lam * np.diag(np.diag(H)) + 1e-18 * np.eye(6), -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = pose.retract(delta)
-            new_cost, _ = cost_of(trial)
-            if new_cost <= cost:
-                pose = trial
-                improved = cost - new_cost
-                cost = new_cost
-                lam = max(lam / 10.0, 1e-12)
-                stepped = True
-                if improved <= CONVERGENCE_TOL * max(cost, 1e-12):
-                    return pose
-                break
-            lam *= 10.0
-        if not stepped:
-            break
-    return pose
+            return None
+        return (lambda lam: np.linalg.solve(H + lam * np.diag(np.diag(H)) + 1e-18 * np.eye(6), -g)), p.retract
+
+    return levenberg_marquardt(pose, evaluate, linearize, iterations, 1e-6, 8)[0]
 
 
 class _SampleStream:
@@ -439,6 +411,52 @@ def ransac(n, k, seed, solve, score):
         it += size
         block = min(2 * block, _RANSAC_MAX_BLOCK)
     return best, best_mask, best_count
+
+
+def levenberg_marquardt(x, evaluate, linearize, iterations, damping, trials):
+    """The Levenberg-Marquardt loop of refine_pose, refine_relative_pose and bundle_adjust.
+
+    evaluate(x) returns (cost, state). linearize(x, state) returns None
+    when the gradient vanishes, else (solve, step): solve(lam) returns the
+    step damped by lam, raises np.linalg.LinAlgError on a singular system
+    or returns None to give up; step(delta) returns the point it leads to.
+    An iteration runs at most `trials` trials. A step of no higher cost is
+    accepted and divides lam by 10, to no less than 1e-12; a rejected step
+    or a LinAlgError multiplies it by 10. The run stops at the first
+    accepted step that lowers the cost by at most CONVERGENCE_TOL of it,
+    or after an iteration that accepts nothing. Returns (x, first cost,
+    last cost, iterations linearized, steps accepted).
+    """
+    first, state = evaluate(x)
+    cost, lam = first, damping
+    linearized = accepted = 0
+    for _ in range(iterations):
+        system = linearize(x, state)
+        if system is None:
+            break
+        linearized += 1
+        solve, step = system
+        gain = None
+        for _ in range(trials):
+            try:
+                delta = solve(lam)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            if delta is None:
+                break
+            trial = step(delta)
+            trial_cost, trial_state = evaluate(trial)
+            if trial_cost <= cost:
+                gain = cost - trial_cost
+                x, cost, state = trial, trial_cost, trial_state
+                lam = max(lam / 10.0, 1e-12)
+                accepted += 1
+                break
+            lam *= 10.0
+        if gain is None or gain <= CONVERGENCE_TOL * max(cost, 1e-12):
+            break
+    return x, first, cost, linearized, accepted
 
 
 def _inlier_mask(world, pixels, intr: CameraIntrinsics, thresh_sq, R, t):

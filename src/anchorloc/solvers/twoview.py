@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geom import CONVERGENCE_TOL, CameraIntrinsics, Pose, mat_to_quat
+from ..geom import CameraIntrinsics, Pose, mat_to_quat, quat_to_mat, so3_exp_quat
 from .errors import DegenerateConfiguration, InsufficientCorrespondences, NoConsensus
-from .pnp import RANSAC_MIN_INLIERS, RansacConfig, _bearing_vectors, ransac
+from .pnp import RANSAC_MIN_INLIERS, RansacConfig, _bearing_vectors, levenberg_marquardt, ransac
 
 
 # _midpoint_depths leaves a match to np.linalg.lstsq when |R f1 × f2| is
@@ -116,28 +116,26 @@ def _sampson_residuals(R, t, x1, x2):
 
 
 def refine_relative_pose(pose: Pose, pixels1, pixels2, intr: CameraIntrinsics):
-    """Levenberg-Marquardt on Sampson error over the 5-dof relative pose, up to 30 iterations.
+    """Levenberg-Marquardt on Sampson error over the 5-dof relative pose,
+    through levenberg_marquardt: up to 30 iterations from damping 1e-4,
+    with up to 8 trials each.
 
     The linear eight-point estimate degrades badly on shallow-relief
     (near-planar) geometry; this polishes it on the given inlier matches.
-    Translation stays unit-norm. Stops as refine_pose and bundle_adjust
-    do: at the first accepted step that lowers the cost by at most
-    CONVERGENCE_TOL of it.
+    Translation stays unit-norm.
     """
-    from ..geom import quat_to_mat, so3_exp_quat
-
     x1 = _normalized(pixels1, intr)
     x2 = _normalized(pixels2, intr)
-
-    R = pose.R
-    t = pose.t / np.linalg.norm(pose.t)
-    r = _sampson_residuals(R, t, x1, x2)
-    cost = float(r @ r)
-    lam = 1e-4
     eps = 1e-7
-    for _ in range(30):
+
+    def evaluate(Rt):
+        r = _sampson_residuals(*Rt, x1, x2)
+        return float(r @ r), r
+
+    def linearize(Rt, r):
         # numeric jacobian: 3 rotation params, 2 in the tangent of the
         # unit translation sphere
+        R, t = Rt
         U, _, _ = np.linalg.svd(np.eye(3) - np.outer(t, t))
         B = U[:, :2]
         Rs = [quat_to_mat(so3_exp_quat(d)) @ R for d in eps * np.eye(3)] + [R, R]
@@ -146,30 +144,15 @@ def refine_relative_pose(pose: Pose, pixels1, pixels2, intr: CameraIntrinsics):
         H = J.T @ J
         g = J.T @ r
         if np.max(np.abs(g)) < 1e-14:
-            break
-        stepped = False
-        for _ in range(8):
-            try:
-                step = np.linalg.solve(H + lam * np.diag(np.diag(H)) + 1e-15 * np.eye(5), -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            Rn = quat_to_mat(so3_exp_quat(step[:3])) @ R
-            tn = t + B @ step[3:]
-            tn = tn / np.linalg.norm(tn)
-            rn = _sampson_residuals(Rn, tn, x1, x2)
-            cn = float(rn @ rn)
-            if cn < cost:
-                improved = cost - cn
-                R, t, r, cost = Rn, tn, rn, cn
-                if improved <= CONVERGENCE_TOL * max(cost, 1e-12):
-                    return Pose(mat_to_quat(R), t)
-                lam = max(lam / 10.0, 1e-10)
-                stepped = True
-                break
-            lam *= 10.0
-        if not stepped:
-            break
+            return None
+
+        def step(delta):
+            tn = t + B @ delta[3:]
+            return quat_to_mat(so3_exp_quat(delta[:3])) @ R, tn / np.linalg.norm(tn)
+
+        return (lambda lam: np.linalg.solve(H + lam * np.diag(np.diag(H)) + 1e-15 * np.eye(5), -g)), step
+
+    (R, t), *_ = levenberg_marquardt((pose.R, pose.t / np.linalg.norm(pose.t)), evaluate, linearize, 30, 1e-4, 8)
     return Pose(mat_to_quat(R), t)
 
 

@@ -111,6 +111,22 @@ def rotation_angle(Ra, Rb):
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
+def failing_solve(monkeypatch, calls):
+    """Make np.linalg.solve raise LinAlgError on its first `calls` calls;
+    returns the list that gets one entry per call."""
+    solve = np.linalg.solve
+    seen = []
+
+    def flaky(*args):
+        seen.append(1)
+        if len(seen) <= calls:
+            raise np.linalg.LinAlgError("singular matrix")
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", flaky)
+    return seen
+
+
 def mean_reprojection_error(model):
     """Mean pixel reprojection error over all posed observations."""
     errs = []

@@ -9,7 +9,7 @@ from anchorloc.geom import CameraIntrinsics, Pose, project_many
 from anchorloc.matching import FeatureSet
 from anchorloc.model import Frame, Landmark, SfMModel, frozen_state_digest
 from anchorloc.solvers import FreezeMask, NumericalFailure, bundle, bundle_adjust
-from conftest import mean_reprojection_error, project
+from conftest import failing_solve, mean_reprojection_error, project
 
 
 def _ring_model(n_cams=5, n_pts=40, seed=0, noise=0.0):
@@ -507,6 +507,104 @@ def test_bundle_matches_add_at_assembly_bit_for_bit(case, monkeypatch):
     _assert_same_state(_poses_and_positions(model), _poses_and_positions(reference))
 
 
+def _bundle_adjust_loop(model, mask):
+    """Reference: bundle_adjust with a Levenberg-Marquardt loop of its own."""
+    from anchorloc.geom import CONVERGENCE_TOL, pose_jacobian_many
+
+    frame_ids, lm_ids, frame_free, lm_free, obs_cam, obs_lm, obs_px, intr = bundle._gather_problem(model, mask)
+    if len(obs_cam) == 0:
+        return bundle.BundleResult(0.0, 0.0, 0, 0)
+    quats = np.array([model.frames[fid].pose.q for fid in frame_ids])
+    ts = np.array([model.frames[fid].pose.t for fid in frame_ids])
+    Xs = np.array([model.landmarks[lid].position for lid in lm_ids])
+    free_frame_slots = np.nonzero(frame_free)[0]
+    free_lm_slots = np.nonzero(lm_free)[0]
+    cam_param = -np.ones(len(frame_ids), dtype=int)
+    cam_param[free_frame_slots] = np.arange(len(free_frame_slots))
+    lm_param = -np.ones(len(lm_ids), dtype=int)
+    lm_param[free_lm_slots] = np.arange(len(free_lm_slots))
+    nF, nL = len(free_frame_slots), len(free_lm_slots)
+    oc, ol = cam_param[obs_cam], lm_param[obs_lm]
+    has_c, has_l = oc >= 0, ol >= 0
+    cpl = bundle._coupling(oc, ol)
+    d6, d3 = np.arange(6), np.arange(3)
+    delta = bundle.HUBER_DELTA
+
+    lam = bundle.INITIAL_DAMPING
+    cost, r, enorm, R, good = bundle._evaluate(quats, ts, Xs, intr, obs_cam, obs_lm, obs_px, delta)
+    cost_before = cost
+    accepted = iterations = 0
+    converged = False
+    for _ in range(bundle.MAX_LM_ITERATIONS):
+        iterations += 1
+        w = np.where(enorm <= delta, 1.0, delta / np.maximum(enorm, 1e-12))
+        sw = np.where(good, np.sqrt(w), 0.0)
+        rw = r * sw[:, None]
+        J = pose_jacobian_many(R, ts[obs_cam], intr, Xs[obs_lm][:, None])[:, 0]
+        Jc = np.where(good[:, None, None], J, 0.0) * sw[:, None, None]
+        Jl = Jc[:, :, 3:] @ R
+        U, gc = bundle._normal_equations(Jc[has_c], rw[has_c], oc[has_c], nF)
+        V, gl = bundle._normal_equations(Jl[has_l], rw[has_l], ol[has_l], nL)
+        gmax = max(float(np.max(np.abs(gc))) if nF else 0.0, float(np.max(np.abs(gl))) if nL else 0.0)
+        if gmax < 1e-12:
+            iterations -= 1
+            break
+        W = Jc[cpl.obs].transpose(0, 2, 1) @ Jl[cpl.obs]
+        stepped = False
+        for _try in range(60):
+            Ud = U.copy()
+            Ud[:, d6, d6] += lam * U[:, d6, d6] + 1e-12
+            Vd = V.copy()
+            Vd[:, d3, d3] += lam * V[:, d3, d3] + 1e-12
+            try:
+                Vinv = np.linalg.inv(Vd) if nL else np.zeros((0, 3, 3))
+                S, rhs_c = bundle._reduce(Ud, Vinv, gc, gl, W, cpl)
+                delta_c = np.linalg.solve(S, rhs_c.reshape(-1)).reshape(nF, 6) if nF else np.zeros((0, 6))
+                delta_l = bundle._back_substitute(Vinv, gl, W, cpl, delta_c)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                if lam > 1e14:
+                    raise NumericalFailure("normal equations singular after damping escalation")
+                continue
+            q_try, t_try, X_try = quats.copy(), ts.copy(), Xs.copy()
+            q_try[free_frame_slots], t_try[free_frame_slots] = bundle._retract(
+                quats[free_frame_slots], ts[free_frame_slots], delta_c
+            )
+            X_try[free_lm_slots] += delta_l
+            trial = bundle._evaluate(q_try, t_try, X_try, intr, obs_cam, obs_lm, obs_px, delta)
+            if trial[0] <= cost:
+                quats, ts, Xs = q_try, t_try, X_try
+                decrease = cost - trial[0]
+                cost, r, enorm, R, good = trial
+                lam = max(lam / 10.0, 1e-12)
+                accepted += 1
+                stepped = True
+                if decrease <= CONVERGENCE_TOL * max(cost, 1e-12):
+                    converged = True
+                break
+            lam *= 10.0
+            if lam > 1e14:
+                break
+        if not stepped or converged:
+            break
+    for slot in free_frame_slots:
+        model.frames[frame_ids[slot]].pose = Pose(quats[slot].copy(), ts[slot].copy())
+    for slot in free_lm_slots:
+        model.landmarks[lm_ids[slot]].position = Xs[slot].copy()
+    return bundle.BundleResult(cost_before, cost, iterations, accepted, free_cameras=nF, free_points=nL)
+
+
+@pytest.mark.parametrize("case", ["ring", "many_view", "windowed_reference"])
+def test_bundle_matches_its_own_loop_bit_for_bit(case):
+    model, mask = BUNDLE_CASES[case]()
+    reference = copy.deepcopy(model)
+    res = bundle_adjust(model, mask)
+    res_ref = _bundle_adjust_loop(reference, mask)
+    assert res.accepted_steps > 0
+    assert res == res_ref
+    _assert_same_state(_poses_and_positions(model), _poses_and_positions(reference))
+
+
 def _exact_model():
     """Three translated cameras with identity rotations and observations equal, bit
     for bit, to the projections BA computes: every residual is exactly zero."""
@@ -532,27 +630,16 @@ def test_bundle_zero_gradient_returns_before_any_iteration():
     _assert_same_state(_poses_and_positions(model), before)
 
 
-def _failing_first(monkeypatch, calls):
-    """Make np.linalg.solve raise LinAlgError on its first `calls` calls."""
-    solve = np.linalg.solve
-    seen = []
-
-    def flaky(*args):
-        seen.append(1)
-        if len(seen) <= calls:
-            raise np.linalg.LinAlgError("singular matrix")
-        return solve(*args)
-
-    monkeypatch.setattr(np.linalg, "solve", flaky)
-    return seen
-
-
 def test_bundle_singular_solve_raises_damping_and_still_descends(monkeypatch):
     model = _ring_model(noise=0.5)
     mask = FreezeMask(frozen_frame_ids={0}, frozen_landmark_ids={0, 1, 2, 3, 4})
-    seen = _failing_first(monkeypatch, 3)
+    reference = copy.deepcopy(model)
+    seen = failing_solve(monkeypatch, 3)
     res = bundle_adjust(model, mask)
-    assert len(seen) > 3
+    calls = len(seen)
+    seen.clear()
+    assert _bundle_adjust_loop(reference, mask) == res and len(seen) == calls > 3
+    _assert_same_state(_poses_and_positions(model), _poses_and_positions(reference))
     assert res.accepted_steps > 0 and res.cost_after <= res.cost_before
 
 
@@ -560,8 +647,40 @@ def test_bundle_always_singular_solve_fails_and_leaves_the_model(monkeypatch):
     model = _ring_model(noise=0.5)
     before = _poses_and_positions(model)
     mask = FreezeMask(frozen_frame_ids={0}, frozen_landmark_ids={0, 1, 2, 3, 4})
-    seen = _failing_first(monkeypatch, 10**6)
+    seen = failing_solve(monkeypatch, 10**6)
     with pytest.raises(NumericalFailure, match="damping escalation"):
         bundle_adjust(model, mask)
     assert len(seen) == 19  # from 1e-4, ten-fold per failure, past 1e14
     _assert_same_state(_poses_and_positions(model), before)
+    seen.clear()
+    with pytest.raises(NumericalFailure, match="damping escalation"):
+        _bundle_adjust_loop(model, mask)
+    assert len(seen) == 19
+
+
+def test_bundle_gives_up_once_the_damping_passes_the_cap(monkeypatch):
+    """Every trial leads uphill: the damping rises tenfold from 1e-4 per
+    rejection, and once it passes 1e14 no further system is reduced; the run
+    ends where it started, as BA's own loop did."""
+    model = _ring_model(noise=0.5)
+    before = _poses_and_positions(model)
+    mask = FreezeMask(frozen_frame_ids={0}, frozen_landmark_ids={0, 1, 2, 3, 4})
+    retract, reduce = bundle._retract, bundle._reduce
+    reduced = []
+
+    def uphill(quats, ts, delta):
+        q, t = retract(quats, ts, delta)
+        return q, t + 1.0
+
+    def counted(*args):
+        reduced.append(1)
+        return reduce(*args)
+
+    monkeypatch.setattr(bundle, "_retract", uphill)
+    monkeypatch.setattr(bundle, "_reduce", counted)
+    res = bundle_adjust(model, mask)
+    assert (res.iterations, res.accepted_steps, res.cost_after) == (1, 0, res.cost_before)
+    assert len(reduced) == 19  # 1e-4 to 1e14, then one more tenfold rise
+    _assert_same_state(_poses_and_positions(model), before)
+    reduced.clear()
+    assert _bundle_adjust_loop(model, mask) == res and len(reduced) == 19

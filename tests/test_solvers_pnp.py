@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anchorloc.geom import CONVERGENCE_TOL, Pose, project_many
+from anchorloc.geom import CONVERGENCE_TOL, Pose, pose_jacobian_many, project_many
 from anchorloc.solvers import (
     InsufficientCorrespondences,
     NoConsensus,
@@ -21,9 +21,10 @@ from anchorloc.solvers.pnp import (
     _quartic_roots,
     _rigid_from_three,
     grunert_block,
+    levenberg_marquardt,
     solve_p3p_block,
 )
-from conftest import points_in_front, project, random_pose, ransac_block_edges, rotation_angle
+from conftest import failing_solve, points_in_front, project, random_pose, ransac_block_edges, rotation_angle
 
 
 def _corrs(intr, pose, pts, pixels=None):
@@ -228,6 +229,251 @@ def test_refine_pose_stops_at_the_first_step_within_the_convergence_tolerance(in
     assert within.index(True) == len(gains) - 1
     assert np.array_equal(calls[-1][0], refined.R) and np.array_equal(calls[-1][1], refined.t)
     assert len(calls) < 12
+
+
+def _refine_pose_loop(pose, world, pixels, intr, iterations=10):
+    """Reference: refine_pose with a Levenberg-Marquardt loop of its own, which
+    projects the pose again to linearize it."""
+    world = np.asarray(world, dtype=float)
+    pixels = np.asarray(pixels, dtype=float)
+    lam = 1e-6
+
+    def cost_of(p):
+        uv, z = project_many(p.R, p.t, intr, world)
+        r = uv - pixels
+        r[z <= 0] = 1e6
+        return float((r**2).sum())
+
+    cost = cost_of(pose)
+    for _ in range(iterations):
+        R, t = pose.R, pose.t
+        uv, z = project_many(R, t, intr, world)
+        ok = z > 0
+        Jf = pose_jacobian_many(R, t, intr, world[ok]).reshape(-1, 6)
+        rf = (uv[ok] - pixels[ok]).reshape(-1)
+        H = Jf.T @ Jf
+        g = Jf.T @ rf
+        if np.max(np.abs(g)) < 1e-14:
+            break
+        stepped = False
+        for _ in range(8):
+            try:
+                delta = np.linalg.solve(H + lam * np.diag(np.diag(H)) + 1e-18 * np.eye(6), -g)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            trial = pose.retract(delta)
+            new_cost = cost_of(trial)
+            if new_cost <= cost:
+                pose = trial
+                improved = cost - new_cost
+                cost = new_cost
+                lam = max(lam / 10.0, 1e-12)
+                stepped = True
+                if improved <= CONVERGENCE_TOL * max(cost, 1e-12):
+                    return pose
+                break
+            lam *= 10.0
+        if not stepped:
+            break
+    return pose
+
+
+def _refinement_case(intr, seed):
+    """A start pose off a noisy 50-point fit; on odd seeds three points lie behind the camera."""
+    rng = np.random.default_rng(40 + seed)
+    pose = random_pose(rng)
+    pts = points_in_front(rng, pose, 50)
+    pixels = np.array([project(intr, pose, p) for p in pts]) + rng.normal(0.0, 0.7, (50, 2))
+    if seed % 2:
+        c = pose.center()
+        pts[:3] = 2.0 * c - pts[:3]  # mirrored through the camera center: behind it
+    start = pose.retract(rng.normal(scale=[0.004, 0.004, 0.004, 0.02, 0.02, 0.02]))
+    return start, pts, pixels
+
+
+def _assert_same_pose(a, b):
+    assert np.array_equal(a.q, b.q) and np.array_equal(a.t, b.t)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_refine_pose_matches_its_own_loop_bit_for_bit(intrinsics, seed):
+    start, pts, pixels = _refinement_case(intrinsics, seed)
+    got = refine_pose(start, pts, pixels, intrinsics)
+    assert rotation_angle(got.R, start.R) > 1e-6  # the refinement moved the pose
+    _assert_same_pose(got, _refine_pose_loop(start, pts, pixels, intrinsics))
+    _assert_same_pose(
+        refine_pose(start, pts, pixels, intrinsics, iterations=2),
+        _refine_pose_loop(start, pts, pixels, intrinsics, iterations=2),
+    )
+
+
+def test_refine_pose_returns_an_exact_pose_unchanged(intrinsics):
+    """Pixels projected at the pose itself leave every residual, and so the
+    gradient, exactly zero: no iteration runs."""
+    rng = np.random.default_rng(3)
+    pose = random_pose(rng)
+    pts = points_in_front(rng, pose, 20)
+    pixels, _ = project_many(pose.R, pose.t, intrinsics, pts)
+    assert refine_pose(pose, pts, pixels, intrinsics) is pose
+
+
+@pytest.mark.parametrize("failures", [1, 3, 8])
+def test_refine_pose_singular_solves_raise_the_damping_as_its_own_loop_did(intrinsics, monkeypatch, failures):
+    """A LinAlgError multiplies the damping by 10 and counts as a trial: three
+    failures still leave a step, all eight of the first iteration leave the start."""
+    start, pts, pixels = _refinement_case(intrinsics, 0)
+    seen = failing_solve(monkeypatch, failures)
+    got = refine_pose(start, pts, pixels, intrinsics)
+    calls = len(seen)
+    seen.clear()
+    ref = _refine_pose_loop(start, pts, pixels, intrinsics)
+    assert calls == len(seen) >= failures
+    _assert_same_pose(got, ref)
+    if failures == 8:
+        assert calls == 8
+        _assert_same_pose(got, start)
+    else:
+        assert rotation_angle(got.R, start.R) > 1e-6
+
+
+class _Quadratic:
+    """levenberg_marquardt's callbacks for |A x - b|², recording the damping of each solve."""
+
+    A = np.array([[2.0, 0.5], [0.0, 1.0], [1.0, -1.0]])
+
+    def __init__(self, b=(1.0, 2.0, 0.5), shrink=1.0):
+        self.b = np.array(b)
+        self.shrink = shrink  # share of the Gauss-Newton step that solve returns
+        self.lams = []
+        self.linearized = 0
+
+    def evaluate(self, x):
+        r = self.A @ x - self.b
+        return float(r @ r), r
+
+    def linearize(self, x, r):
+        g = self.A.T @ r
+        if np.max(np.abs(g)) < 1e-14:
+            return None
+        self.linearized += 1
+        H = self.A.T @ self.A
+
+        def solve(lam):
+            self.lams.append(lam)
+            return self.shrink * np.linalg.solve(H + lam * np.diag(np.diag(H)), -g)
+
+        return solve, lambda delta: x + delta
+
+    def run(self, x, iterations=10, damping=1e-3, trials=8):
+        return levenberg_marquardt(x, self.evaluate, self.linearize, iterations, damping, trials)
+
+
+def _tenfold(lam, count):
+    """count dampings from lam, each ten times the one before, as the loop multiplies them."""
+    out = []
+    for _ in range(count):
+        out.append(lam)
+        lam *= 10.0
+    return out
+
+
+def test_levenberg_marquardt_returns_the_start_when_the_gradient_vanishes():
+    problem = _Quadratic(b=_Quadratic.A @ np.array([1.0, 2.0]))  # exact in floating point
+    x0 = np.array([1.0, 2.0])
+    x, first, last, iterations, accepted = problem.run(x0)
+    assert x is x0 and first == last == 0.0
+    assert (iterations, accepted) == (0, 0) and problem.lams == []
+
+
+def test_levenberg_marquardt_counts_and_floors_the_damping():
+    """Half Gauss-Newton steps on an exact system gain 3/4 of the cost each time,
+    so no step is within the tolerance: every iteration linearizes and
+    accepts once, and the damping falls tenfold to its floor of 1e-12."""
+    problem = _Quadratic(b=_Quadratic.A @ np.array([0.3, -0.7]), shrink=0.5)
+    x0 = np.zeros(2)
+    x, first, last, iterations, accepted = problem.run(x0, iterations=5, damping=1e-10)
+    assert (iterations, accepted) == (5, 5) == (problem.linearized, len(problem.lams))
+    assert problem.lams == [1e-10, 1e-10 / 10.0, 1e-10 / 10.0 / 10.0, 1e-12, 1e-12]
+    assert first == problem.evaluate(x0)[0] and last == problem.evaluate(x)[0]
+    assert 0.0 < last < first * 0.25**4
+
+
+def test_levenberg_marquardt_stops_at_the_first_step_within_the_tolerance():
+    """An overdetermined system: the first step lands next to the minimum, the
+    second gains almost nothing of the remaining cost and ends the run."""
+    problem = _Quadratic()
+    x, first, last, iterations, accepted = problem.run(np.zeros(2), damping=1e-9)
+    assert (iterations, accepted) == (2, 2) and problem.lams == [1e-9, 1e-9 / 10.0]
+    assert last <= first
+    np.testing.assert_allclose(x, np.linalg.lstsq(problem.A, problem.b, rcond=None)[0], atol=1e-8)
+
+
+def test_levenberg_marquardt_accepts_a_step_of_equal_cost():
+    """A step back to the same point is accepted (cost no higher) and, gaining
+    nothing, stops the run."""
+    problem = _Quadratic()
+    x0 = np.zeros(2)
+    steps = []
+    solve, _ = problem.linearize(x0, problem.evaluate(x0)[1])
+
+    def linearize(x, state):
+        return solve, lambda delta: steps.append(delta) or x.copy()
+
+    x, first, last, iterations, accepted = levenberg_marquardt(x0, problem.evaluate, linearize, 10, 1e-3, 8)
+    assert len(steps) == 1 and (iterations, accepted) == (1, 1)
+    assert np.array_equal(x, x0) and x is not x0 and first == last
+
+
+def test_levenberg_marquardt_raises_the_damping_tenfold_per_singular_solve():
+    problem = _Quadratic()
+    failures = []
+
+    def linearize(x, r):
+        solve, step = problem.linearize(x, r)
+
+        def flaky(lam):
+            if len(failures) < 3:
+                failures.append(lam)
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(lam)
+
+        return flaky, step
+
+    x, first, last, iterations, accepted = levenberg_marquardt(np.zeros(2), problem.evaluate, linearize, 10, 1e-3, 8)
+    assert failures == _tenfold(1e-3, 3)
+    assert problem.lams[0] == _tenfold(1e-3, 4)[-1] and accepted > 0 and last < first
+
+
+def test_levenberg_marquardt_stops_when_solve_gives_up():
+    problem = _Quadratic()
+    x0 = np.zeros(2)
+    tried = []
+
+    def linearize(x, r):
+        return (lambda lam: tried.append(lam)), problem.linearize(x, r)[1]
+
+    x, first, last, iterations, accepted = levenberg_marquardt(x0, problem.evaluate, linearize, 10, 1e-3, 8)
+    assert tried == [1e-3] and x is x0 and first == last and (iterations, accepted) == (1, 0)
+
+
+@pytest.mark.parametrize("trial", ["uphill", "nan"])
+def test_levenberg_marquardt_stops_after_an_iteration_that_accepts_nothing(trial):
+    """Every trial leads uphill, or to a NaN cost: each multiplies the damping
+    by 10, and after `trials` of them the run ends where it started."""
+    problem = _Quadratic()
+    x0 = np.zeros(2)
+
+    def linearize(x, r):
+        solve, step = problem.linearize(x, r)
+        return solve, (lambda delta: x - 10.0 * delta) if trial == "uphill" else step
+
+    def evaluate(x):
+        return (float("nan"), None) if trial == "nan" and x.any() else problem.evaluate(x)
+
+    x, first, last, iterations, accepted = levenberg_marquardt(x0, evaluate, linearize, 10, 1e-3, 5)
+    assert x is x0 and first == last and (iterations, accepted) == (1, 0)
+    assert problem.lams == _tenfold(1e-3, 5)
 
 
 def test_ransac_pnp_noise_free(intrinsics):
@@ -448,6 +694,30 @@ def test_pose_from_prior_rejects_a_far_prior(intrinsics, monkeypatch):
     assert np.isclose(rotation_angle(far.R, pose.R), np.radians(20.0))
     with pytest.raises(NoConsensus):
         pose_from_prior(far, pts, pixels, intrinsics, RansacConfig())
+
+
+def test_pose_from_prior_rejects_a_refinement_that_loses_consensus(intrinsics, monkeypatch):
+    """A prior that explains every correspondence is still rejected when its
+    refined pose keeps fewer than RANSAC_MIN_INLIERS inliers."""
+    from anchorloc.solvers import pnp
+
+    rng = np.random.default_rng(7)
+    pose = random_pose(rng)
+    pts = points_in_front(rng, pose, 40)
+    pixels = np.array([project(intrinsics, pose, p) for p in pts])
+    far = pose.retract(np.array([0.0, np.radians(20.0), 0.0, 0.0, 0.0, 0.0]))
+    refined = []
+
+    def refine_far(prior, world, px, intr):
+        refined.append(len(world))
+        return far
+
+    monkeypatch.setattr(pnp, "refine_pose", refine_far)
+    kept = int(pnp._inlier_mask(pts, pixels, intrinsics, RansacConfig().inlier_threshold**2, far.R, far.t).sum())
+    assert kept < RANSAC_MIN_INLIERS
+    with pytest.raises(NoConsensus, match=f"refined prior inlier count {kept} < {RANSAC_MIN_INLIERS}"):
+        pose_from_prior(pose, pts, pixels, intrinsics, RansacConfig())
+    assert refined == [40]
 
 
 def test_pose_from_prior_excludes_planted_outliers(intrinsics):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anchorloc.geom import CONVERGENCE_TOL, Pose
+from anchorloc.geom import CONVERGENCE_TOL, Pose, mat_to_quat
 from anchorloc.solvers import (
     InsufficientCorrespondences,
     NoConsensus,
@@ -11,7 +11,7 @@ from anchorloc.solvers import (
     refine_relative_pose,
 )
 from anchorloc.solvers.pnp import RANSAC_CONFIDENCE, RANSAC_MAX_ITERATIONS, RANSAC_MIN_INLIERS
-from conftest import project, ransac_block_edges, rotation_angle
+from conftest import failing_solve, project, ransac_block_edges, rotation_angle
 
 
 def _two_view_scene(rng, n=60, noise=0.0, intr=None):
@@ -269,9 +269,14 @@ def test_sampson_residuals_stacked_equal_one_pose_rows():
     assert np.array_equal(got, np.array([_sampson_residuals(R, t, x1, x2) for R, t in zip(Rs, ts)]))
 
 
-def _refine_relative_pose_loop(pose, pixels1, pixels2, intr, iterations=30):
-    """Reference: refine_relative_pose with one _sampson_residuals call per Jacobian column."""
-    from anchorloc.geom import mat_to_quat, quat_to_mat, so3_exp_quat
+def _refine_relative_pose_loop(pose, pixels1, pixels2, intr, iterations=30, one_call=False, strict=False):
+    """Reference: refine_relative_pose with a Levenberg-Marquardt loop of its own
+    and one _sampson_residuals call per Jacobian column. With one_call, the
+    Jacobian takes one call for all five columns, as refine_relative_pose
+    does. With strict, a trial must lower the cost to be accepted and the
+    damping floor is 1e-10, the rule refine_relative_pose had before it
+    shared levenberg_marquardt's (no higher cost, floor 1e-12)."""
+    from anchorloc.geom import quat_to_mat, so3_exp_quat
     from anchorloc.solvers.pnp import _bearing_vectors
     from anchorloc.solvers.twoview import _sampson_residuals
 
@@ -287,15 +292,20 @@ def _refine_relative_pose_loop(pose, pixels1, pixels2, intr, iterations=30):
     for _ in range(iterations):
         U, _, _ = np.linalg.svd(np.eye(3) - np.outer(t, t))
         B = U[:, :2]
-        J = np.zeros((len(x1), 5))
-        for p in range(3):
-            d = np.zeros(3)
-            d[p] = eps
-            J[:, p] = (_sampson_residuals(quat_to_mat(so3_exp_quat(d)) @ R, t, x1, x2) - r) / eps
-        for p in range(2):
-            tp = t + eps * B[:, p]
-            tp = tp / np.linalg.norm(tp)
-            J[:, 3 + p] = (_sampson_residuals(R, tp, x1, x2) - r) / eps
+        if one_call:
+            Rs = [quat_to_mat(so3_exp_quat(d)) @ R for d in eps * np.eye(3)] + [R, R]
+            ts = [t, t, t] + [tp / np.linalg.norm(tp) for tp in (t + eps * B.T)]
+            J = ((_sampson_residuals(np.array(Rs), np.array(ts), x1, x2) - r) / eps).T
+        else:
+            J = np.zeros((len(x1), 5))
+            for p in range(3):
+                d = np.zeros(3)
+                d[p] = eps
+                J[:, p] = (_sampson_residuals(quat_to_mat(so3_exp_quat(d)) @ R, t, x1, x2) - r) / eps
+            for p in range(2):
+                tp = t + eps * B[:, p]
+                tp = tp / np.linalg.norm(tp)
+                J[:, 3 + p] = (_sampson_residuals(R, tp, x1, x2) - r) / eps
         H = J.T @ J
         g = J.T @ r
         if np.max(np.abs(g)) < 1e-14:
@@ -312,12 +322,12 @@ def _refine_relative_pose_loop(pose, pixels1, pixels2, intr, iterations=30):
             tn = tn / np.linalg.norm(tn)
             rn = _sampson_residuals(Rn, tn, x1, x2)
             cn = float(rn @ rn)
-            if cn < cost:
+            if cn < cost if strict else cn <= cost:
                 improved = cost - cn
                 R, t, r, cost = Rn, tn, rn, cn
                 if improved <= CONVERGENCE_TOL * max(cost, 1e-12):
                     return Pose(mat_to_quat(R), t)
-                lam = max(lam / 10.0, 1e-10)
+                lam = max(lam / 10.0, 1e-10 if strict else 1e-12)
                 stepped = True
                 break
             lam *= 10.0
@@ -336,6 +346,47 @@ def test_refine_relative_pose_matches_five_call_jacobian(intrinsics, seed):
     assert rotation_angle(got.R, est.R) > 1e-9  # the refinement moved the pose
     np.testing.assert_allclose(got.R, ref.R, rtol=0, atol=1e-9)
     np.testing.assert_allclose(got.t, ref.t, rtol=0, atol=1e-9)
+
+
+def _refinement_case(intr, seed):
+    rng = np.random.default_rng(300 + seed)
+    _, px1, px2 = _two_view_scene(rng, n=70, noise=0.7, intr=intr)
+    est, inliers = estimate_relative_pose(px1, px2, intr, RansacConfig(rng_seed=seed))
+    return est, px1[inliers], px2[inliers]
+
+
+def _assert_same_pose(a, b):
+    assert np.array_equal(a.q, b.q) and np.array_equal(a.t, b.t)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_refine_relative_pose_matches_its_own_loop_bit_for_bit(intrinsics, seed):
+    """The shared loop accepts a trial of equal cost and floors the damping at
+    1e-12; neither moves a bit of these refinements."""
+    est, px1, px2 = _refinement_case(intrinsics, seed)
+    got = refine_relative_pose(est, px1, px2, intrinsics)
+    assert rotation_angle(got.R, est.R) > 1e-9
+    _assert_same_pose(got, _refine_relative_pose_loop(est, px1, px2, intrinsics, one_call=True, strict=True))
+    _assert_same_pose(got, _refine_relative_pose_loop(est, px1, px2, intrinsics, one_call=True))
+
+
+@pytest.mark.parametrize("failures", [2, 8])
+def test_refine_relative_pose_singular_solves_raise_the_damping_as_its_own_loop_did(intrinsics, monkeypatch, failures):
+    """A LinAlgError multiplies the damping by 10 and counts as a trial; eight
+    in the first iteration end the run at the normalized start."""
+    est, px1, px2 = _refinement_case(intrinsics, 0)
+    seen = failing_solve(monkeypatch, failures)
+    got = refine_relative_pose(est, px1, px2, intrinsics)
+    calls = len(seen)
+    seen.clear()
+    ref = _refine_relative_pose_loop(est, px1, px2, intrinsics, one_call=True, strict=True)
+    assert calls == len(seen) >= failures
+    _assert_same_pose(got, ref)
+    if failures == 8:
+        assert calls == 8
+        _assert_same_pose(got, Pose(mat_to_quat(est.R), est.t / np.linalg.norm(est.t)))
+    else:
+        assert rotation_angle(got.R, est.R) > 1e-9
 
 
 @pytest.mark.parametrize("seed", range(4))
