@@ -13,10 +13,14 @@ seed (``--seeds``) or, with
 configured RANSAC seed, with each checkout's ``src/``; every run is its
 own Python process, and the two checkouts alternate seed by seed. Prints
 one line per seed and checkout: the registered frames, the median and
-largest position error, and the wall time of ``run_pipeline``.
-Then prints the seed-paired difference of the median errors, change minus
-parent in percent of the parent's: its mean, its spread (smallest,
-largest and sample standard deviation) and the count of its signs. The
+largest position error, the wall time of ``run_pipeline`` and the first
+12 hex digits of the run's fingerprint, a sha256 over each frame's id,
+status and pose bytes (``q`` then ``t``) in the order the method reports
+them. Then prints the seed-paired difference of the median errors, change
+minus parent in percent of the parent's: its mean, its spread (smallest,
+largest and sample standard deviation) and the count of its signs; last,
+the count of seeds whose two fingerprints are equal, all of them for a
+change that keeps every output bit. The
 seed alone moves the median error by a few percent, so a change's
 accuracy is read from the paired differences, not from one seed. Where a
 velocity prior poses most frames, only the anchors' and the fallbacks'
@@ -34,7 +38,7 @@ import sys
 from pathlib import Path
 
 _RUN = """
-import json, sys, time
+import hashlib, json, sys, time
 from dataclasses import replace
 src, cfg_path, seed, varied, method = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4], sys.argv[5]
 sys.path.insert(0, src)
@@ -61,7 +65,12 @@ else:
     entries = pipeline.run_pipeline(reference, frames, detector, cfg).frame_events
 wall_s = time.perf_counter() - start
 errors = [position_error(e.pose, gt[e.frame_id]) for e in entries if e.pose is not None]
-print(json.dumps({"frames": len(frames), "errors": errors, "wall_s": wall_s}))
+fingerprint = hashlib.sha256()
+for e in entries:
+    fingerprint.update(f"{e.frame_id} {e.status}\\n".encode())
+    if e.pose is not None:
+        fingerprint.update(e.pose.q.tobytes() + e.pose.t.tobytes())
+print(json.dumps({"frames": len(frames), "errors": errors, "wall_s": wall_s, "fingerprint": fingerprint.hexdigest()}))
 """
 
 
@@ -95,6 +104,7 @@ def run_sweep(root: Path, seed, varied="ransac", method="proposed"):
         "median": statistics.median(errors) if errors else float("nan"),
         "largest": errors[-1] if errors else float("nan"),
         "wall_s": run["wall_s"],
+        "fingerprint": run["fingerprint"],
     }
 
 
@@ -128,19 +138,27 @@ def main(argv=None):
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {name: [] for name in roots}
     print(f"{varied} seed, method {args.method}")
-    print(f"{'seed':>4}  {'checkout':<8} {'registered':>10}  {'median':>8}  {'largest':>8}  {'wall_s':>6}")
+    print(
+        f"{'seed':>4}  {'checkout':<8} {'registered':>10}  {'median':>8}  {'largest':>8}  {'wall_s':>6}  fingerprint"
+    )
     for seed in seeds:
         for name, root in roots.items():
             r = run_sweep(root, seed, varied, args.method)
             runs[name].append(r)
             reg = f"{r['registered']}/{r['frames']}"
-            print(f"{seed:>4}  {name:<8} {reg:>10}  {r['median']:8.5f}  {r['largest']:8.4f}  {r['wall_s']:6.2f}", flush=True)
+            print(
+                f"{seed:>4}  {name:<8} {reg:>10}  {r['median']:8.5f}  {r['largest']:8.4f}  {r['wall_s']:6.2f}  "
+                f"{r['fingerprint'][:12]}",
+                flush=True,
+            )
     diffs, s = paired_differences(runs["parent"], runs["change"])
     print("median error, change vs parent, by seed: " + " ".join(f"{d:+.2f}%" for d in diffs))
     print(
         f"mean {s['mean']:+.2f}%  spread {s['min']:+.2f}% to {s['max']:+.2f}% (sd {s['stdev']:.2f})  "
         f"signs +{s['signs'][0]} -{s['signs'][1]} ={s['signs'][2]}"
     )
+    same = sum(p["fingerprint"] == c["fingerprint"] for p, c in zip(runs["parent"], runs["change"]))
+    print(f"fingerprints equal on {same} of {len(seeds)} seeds")
     return 0
 
 

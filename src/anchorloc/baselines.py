@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geom import Pose, project_many
-from .matching import EmptyFeatureSet, global_descriptor, match_features, retrieve_top_k
+from .matching import global_descriptor, match_features, retrieve_top_k
 from .metrics import TrajectoryEntry
 from .model import ReferenceIndex, SfMModel, merge_new_landmarks
 from .pipeline import (
@@ -213,16 +213,12 @@ def onthefly_sfm(sequence, cfg: PipelineConfig, gt):
     # register remaining frames, expanding outward from the seed pair.
     # candidate frames come from appearance retrieval over the frames
     # registered so far, as a generic unordered-collection SfM would pick
-    # them — which is what perceptual aliasing defeats
-    gdescs = {}
-
-    def _gdesc(f):
-        if f.id not in gdescs:
-            try:
-                gdescs[f.id] = global_descriptor(f.features)
-            except EmptyFeatureSet:
-                gdescs[f.id] = None
-        return gdescs[f.id]
+    # them — which is what perceptual aliasing defeats. The frames with
+    # features and their global descriptors, in frame order, computed once
+    described = [f for f in frames if len(f.features) > 0]
+    described_ids = np.array([f.id for f in described], dtype=int)
+    gdescs = np.array([global_descriptor(f.features) for f in described])
+    row = {f.id: i for i, f in enumerate(described)}
 
     new_since_ba = 0
 
@@ -256,13 +252,11 @@ def onthefly_sfm(sequence, cfg: PipelineConfig, gt):
         pending.sort(key=_dist_to_registered)
         for frame in pending:
             cand_ids = []
-            g = _gdesc(frame) if len(frame.features) > 0 else None
-            if g is not None:
-                db = [f for f in frames if f.status == "registered" and f.id != frame.id and _gdesc(f) is not None]
-                ids, descriptors = np.array([f.id for f in db]), np.array([_gdesc(f) for f in db])
-                cand_ids = retrieve_top_k(g, ids, descriptors, K_RETRIEVAL)
+            if frame.id in row:
+                db = np.array([f.status == "registered" for f in described]) & (described_ids != frame.id)
+                cand_ids = retrieve_top_k(gdescs[row[frame.id]], described_ids[db], gdescs[db], K_RETRIEVAL)
             ok = False
-            if len(frame.features) > 0 and cand_ids:
+            if cand_ids:
                 ok, _, _ = _attempt_registration(model, frame, cand_ids, cfg, "registered")
             if not ok:
                 frame.status = "failed"

@@ -27,7 +27,7 @@ from .metrics import (
     load_trajectory,
     position_error,
 )
-from .model import Frame, load_model, save_model
+from .model import Frame, SfMModel, load_model, save_model
 from .pipeline import (
     AllAnchorsFailed,
     NoAnchorsFound,
@@ -106,8 +106,6 @@ def load_scores(path):
 
 
 def _frames_to_model(frames, intr, status, with_pose):
-    from .model import SfMModel
-
     m = SfMModel()
     for sf in frames:
         m.add_frame(
